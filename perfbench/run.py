@@ -16,9 +16,11 @@ object ``{"correct", "attempted", "failed", "metrics"}``.
 
 Every end-to-end metric applies to every workload.  An *operation* is
 one sweep call on the sweep workloads and one HTTP request on
-``serve-mixed``; ``ops_per_s`` counts trials per second on the sweep
-workloads and requests per second on ``serve-mixed``, and
-``sweep_p50_ms`` times one sweep call (in process, or over HTTP).
+``serve-mixed``.  ``ops_per_s`` is the trials per second of the run's
+fastest sweep on the sweep workloads (best of ~15: noise from other
+tenants of the host only ever adds time) and the completed requests
+per second on ``serve-mixed``; ``sweep_p50_ms`` is the median time of
+one sweep call (in process, or over HTTP).
 Per-layer times are per operation (``s/op``).  The
 ``error_rate`` the printed table shows is ``failed / attempted``:
 operations that failed or returned a wrong answer plus verification
@@ -75,11 +77,14 @@ WORKLOAD_WHY = {
 #: (name, unit, better, bound) of every end-to-end metric.
 #: No p90 here: a 30 s sweep-workload run holds ~16 sweeps, too few
 #: for ten samples beyond it; serve-mixed prints its per-class p90s.
+#: Timing bounds sit at the 0.25 cap: on a shared 2-vCPU host a fixed
+#: Python loop took 0.35-0.54 s second to second, and 10-run spreads
+#: of the medians reached 0.25 in noisy hours (0.06-0.14 in quiet ones).
 END_TO_END = (
     ("setup_s", "s", "lower", 0.25),
-    ("ops_per_s", "1/s", "higher", 0.2),
+    ("ops_per_s", "1/s", "higher", 0.25),
     ("peak_rss_mb", "MB", "lower", 0.1),
-    ("sweep_p50_ms", "ms", "lower", 0.2),
+    ("sweep_p50_ms", "ms", "lower", 0.25),
 )
 
 #: (name, unit) of every per-layer metric.
@@ -509,7 +514,7 @@ def run_sweep_workload(workload: SweepWorkload, seed, seconds, trace, scale, scr
         rss = vm_hwm_mb() + sum(vm_hwm_mb(pid) for pid in child_pids())
         metrics = {
             "setup_s": statistics.median(setup),
-            "ops_per_s": workload.trials / statistics.median(times),
+            "ops_per_s": workload.trials / min(times),
             "peak_rss_mb": rss,
             "sweep_p50_ms": 1e3 * statistics.median(times),
         }
