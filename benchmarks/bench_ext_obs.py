@@ -4,7 +4,7 @@ The observability layer (metrics registry + span tracing) promises to
 be a *timing side channel*: results byte-identical with tracing on or
 off, and near-zero cost on the paths that matter.  This benchmark
 pins both claims on the hottest path in the repo -- the vectorized
-shared-memory sweep at 10^5 trials:
+sweep at 10^5 trials:
 
 * run the same sweep with tracing disabled and enabled, min-of-N each
   (min is the noise-robust estimator for a deterministic workload);

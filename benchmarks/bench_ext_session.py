@@ -43,7 +43,8 @@ def bench_ext11_warm_session_speedup(benchmark, record_artifact):
         trials=TRIALS, seed=0, metrics="connectivity", backend="vectorized"
     )
 
-    # cold: every call pays spec parse + build + shm export + pool spawn
+    # cold: every call pays spec parse + build + pool spawn, and each
+    # worker builds its own trial context
     cold, cold_s = _mean_seconds(
         lambda: survivability_sweep(SPEC, MODEL, workers=WORKERS, **kw)
     )

@@ -3,7 +3,7 @@
 PR 3's batched executor made 10^4-trial survivability sweeps routine;
 this benchmark certifies the next order of magnitude.  The
 ``vectorized`` backend exports the built network's topology into flat
-(shared-memory) numpy arrays once, draws whole trial batches of fault
+numpy arrays once, draws whole trial batches of fault
 masks from the same SHA-256 seed stream, and scores connectivity
 metrics with batched reachability closures instead of per-trial Python
 BFS.  Two headline claims:
@@ -92,7 +92,7 @@ def bench_ext10_vectorized_sweep_scaling(benchmark, record_artifact):
         f"  vectorized JSON byte-identical to batched: {byte_identical}",
         f"  worker-count invariant:                    {workers_identical}",
         "",
-        "shared-memory topology arrays + batched numpy fault masks clear",
+        "flat topology arrays + batched numpy fault masks clear",
         "the >= 5x target at 10^5 trials and make 10^6-trial sweeps routine.",
     ]
     record_artifact("ext10_sweep_scaling.txt", "\n".join(art))

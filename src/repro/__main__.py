@@ -654,8 +654,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=PARALLELISM_MODES,
         default="sweeps",
         help=(
-            "worker scheduling: one pool per candidate sweep, or one "
-            "shared pool across all candidates (identical results)"
+            "worker scheduling on one pool: candidate sweeps one after "
+            "another, or every candidate's trial chunks at once "
+            "(identical results)"
         ),
     )
     p.add_argument(
@@ -737,9 +738,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=SWEEP_BACKENDS,
         default="batched",
         help=(
-            "trial executor (vectorized = shared-memory numpy batches, "
-            "connectivity/paths metrics; legacy = rebuild-per-trial "
-            "reference path)"
+            "trial executor (batched = one built network per process, "
+            "every metrics mode; vectorized = numpy trial batches, "
+            "connectivity/paths metrics)"
         ),
     )
     p.add_argument(

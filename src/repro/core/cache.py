@@ -35,10 +35,6 @@ False
 
 from __future__ import annotations
 
-import hashlib
-import os
-import shutil
-import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -48,17 +44,6 @@ from ..obs.trace import span
 from .spec import NetworkSpec
 
 _CACHE_OPS_HELP = "Spec-cache lookups by outcome"
-
-#: The ``_TopologyArrays`` fields round-tripped through a spill file.
-_SPILL_ARRAYS = (
-    "endpoints",
-    "proc_group",
-    "src_indptr",
-    "src_indices",
-    "tgt_indptr",
-    "tgt_indices",
-)
-_SPILL_SCALARS = ("num_processors", "num_groups", "num_couplers")
 
 __all__ = ["CacheEntry", "CacheStats", "SpecCache"]
 
@@ -71,10 +56,6 @@ class CacheStats:
     candidate-window memo (:meth:`SpecCache.candidate_specs`), kept
     separate from the spec-entry counters so a warm search window
     never masquerades as build-cache traffic.
-    ``spills``/``spill_hits``/``spill_misses`` count the topology-array
-    disk spill: arrays written on LRU eviction, arrays reloaded from
-    disk on a later rebuild, and rebuilds that consulted the spill
-    store and found nothing.
     """
 
     hits: int = 0
@@ -82,9 +63,6 @@ class CacheStats:
     evictions: int = 0
     candidate_hits: int = 0
     candidate_misses: int = 0
-    spills: int = 0
-    spill_hits: int = 0
-    spill_misses: int = 0
 
     def as_dict(self) -> dict[str, int]:
         """JSON-ready counter view."""
@@ -94,9 +72,6 @@ class CacheStats:
             "evictions": self.evictions,
             "candidate_hits": self.candidate_hits,
             "candidate_misses": self.candidate_misses,
-            "spills": self.spills,
-            "spill_hits": self.spill_hits,
-            "spill_misses": self.spill_misses,
         }
 
 
@@ -110,10 +85,7 @@ class CacheEntry:
     entry for its cache lifetime.
     """
 
-    __slots__ = (
-        "spec", "network", "_design", "_arrays", "_table", "_baselines",
-        "_spill",
-    )
+    __slots__ = ("spec", "network", "_design", "_arrays", "_table", "_baselines")
 
     def __init__(self, spec: NetworkSpec) -> None:
         self.spec = spec
@@ -122,9 +94,6 @@ class CacheEntry:
         self._arrays = None
         self._table = None
         self._baselines: dict[tuple, float] = {}
-        #: optional spill-store lookup (canonical -> arrays or None),
-        #: wired by the owning SpecCache
-        self._spill = None
 
     @property
     def canonical(self) -> str:
@@ -142,13 +111,8 @@ class CacheEntry:
 
         One :class:`~repro.resilience.sweep._TopologyArrays` export per
         entry; repeated vectorized sweeps on the same spec skip the
-        re-export entirely.  An entry rebuilt after LRU eviction first
-        consults its cache's disk-spill store -- a reload is cheaper
-        than the CSR re-export and byte-identical to it.
+        re-export entirely.
         """
-        if self._arrays is None:
-            if self._spill is not None:
-                self._arrays = self._spill(self.canonical)
         if self._arrays is None:
             from ..resilience.sweep import _TopologyArrays
 
@@ -232,88 +196,6 @@ class SpecCache:
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
         self._candidates: OrderedDict[tuple, list] = OrderedDict()
         self._lock = threading.RLock()
-        #: created lazily on the first spill, removed on full invalidate
-        self._spill_dir: str | None = None
-
-    # ------------------------------------------------------------------
-    # Topology-array disk spill.
-    # ------------------------------------------------------------------
-    def _spill_path(self, key: str, *, create: bool = False) -> str | None:
-        """The spill file of one canonical spec (``None``: no store yet)."""
-        with self._lock:
-            if self._spill_dir is None:
-                if not create:
-                    return None
-                self._spill_dir = tempfile.mkdtemp(prefix="repro-spill-")
-            name = hashlib.sha256(key.encode("utf-8")).hexdigest()
-            return os.path.join(self._spill_dir, f"{name}.npz")
-
-    def _spill_arrays(self, key: str, arrays) -> None:
-        """Write one entry's topology arrays to disk (eviction path).
-
-        Best-effort: a full disk or missing numpy silently skips the
-        spill -- the next ``arrays()`` call just re-exports from the
-        rebuilt network, so correctness never depends on the store.
-        """
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - numpy is baked in
-            return
-        path = self._spill_path(key, create=True)
-        payload = {f: getattr(arrays, f) for f in _SPILL_ARRAYS}
-        payload.update(
-            {
-                f: np.asarray(getattr(arrays, f), dtype=np.int64)
-                for f in _SPILL_SCALARS
-            }
-        )
-        try:
-            np.savez(path, **payload)
-        except OSError:  # pragma: no cover - disk full / unwritable tmp
-            return
-        with self._lock:
-            self.stats.spills += 1
-        REGISTRY.counter(
-            "repro_cache_ops_total", _CACHE_OPS_HELP, {"outcome": "spill"}
-        ).inc()
-
-    def _load_spilled(self, key: str):
-        """Reload spilled topology arrays for ``key`` (``None``: rebuild).
-
-        Only consulted once a spill store exists; a consult that finds
-        no file (or an unreadable one) counts as ``spill_misses`` and
-        falls back to the CSR export.
-        """
-        path = self._spill_path(key)
-        if path is None:
-            return None
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - numpy is baked in
-            return None
-        from ..resilience.sweep import _TopologyArrays
-
-        try:
-            with np.load(path) as data:
-                arrays = _TopologyArrays(
-                    **{f: int(data[f]) for f in _SPILL_SCALARS},
-                    **{f: data[f].copy() for f in _SPILL_ARRAYS},
-                )
-        except (OSError, KeyError, ValueError):
-            with self._lock:
-                self.stats.spill_misses += 1
-            REGISTRY.counter(
-                "repro_cache_ops_total", _CACHE_OPS_HELP,
-                {"outcome": "spill_miss"},
-            ).inc()
-            return None
-        with self._lock:
-            self.stats.spill_hits += 1
-        REGISTRY.counter(
-            "repro_cache_ops_total", _CACHE_OPS_HELP,
-            {"outcome": "spill_hit"},
-        ).inc()
-        return arrays
 
     def entry(self, spec) -> CacheEntry:
         """The (possibly fresh) entry for ``spec``; hits refresh LRU order."""
@@ -336,16 +218,13 @@ class SpecCache:
             ).inc()
             with span("cache.build", spec=key):
                 fresh = CacheEntry(parsed)
-            fresh._spill = self._load_spilled
             while len(self._entries) >= self.maxsize:
-                evicted_key, evicted = self._entries.popitem(last=False)
+                self._entries.popitem(last=False)
                 self.stats.evictions += 1
                 REGISTRY.counter(
                     "repro_cache_ops_total", _CACHE_OPS_HELP,
                     {"outcome": "eviction"},
                 ).inc()
-                if evicted._arrays is not None:
-                    self._spill_arrays(evicted_key, evicted._arrays)
             self._entries[key] = fresh
             return fresh
 
@@ -401,24 +280,15 @@ class SpecCache:
         Invalidation never changes results -- entries are pure
         functions of the spec -- it just releases memory and forces
         the next call to rebuild.  Dropping everything also clears the
-        candidate-window memo and removes the disk-spill store.
+        candidate-window memo.
         """
         with self._lock:
             if spec is None:
                 dropped = len(self._entries)
                 self._entries.clear()
                 self._candidates.clear()
-                if self._spill_dir is not None:
-                    shutil.rmtree(self._spill_dir, ignore_errors=True)
-                    self._spill_dir = None
                 return dropped
             key = NetworkSpec.parse(spec).canonical()
-            path = self._spill_path(key)
-            if path is not None and os.path.exists(path):
-                try:
-                    os.remove(path)
-                except OSError:  # pragma: no cover - concurrent cleanup
-                    pass
             return 1 if self._entries.pop(key, None) is not None else 0
 
     def stats_dict(self) -> dict[str, int]:

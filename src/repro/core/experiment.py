@@ -128,10 +128,10 @@ class Experiment:
     ``backend`` is the *preferred* trial executor; grid cells whose
     metrics mode the backend cannot score fall back automatically
     (``vectorized`` scores ``connectivity`` and ``paths`` but not
-    ``full``; ``legacy`` only ``full``), so one plan can mix scoring
-    depths.  ``paths`` cells for families with structured
-    ``fault_route`` hooks are further downgraded per spec inside the
-    sweep preparation; each cell records the backend that actually ran.
+    ``full``), so one plan can mix scoring depths.  ``paths`` cells for
+    families with structured ``fault_route`` hooks are further
+    downgraded per spec inside the sweep preparation; each cell
+    records the backend that actually ran.
 
     >>> e = Experiment(specs=("pops(2,2)", "sk(2,2,2)"),
     ...                models=("coupler", "processor:2"), trials=8)
@@ -215,8 +215,6 @@ class Experiment:
         backend is what each :class:`ExperimentCell` records.
         """
         if self.backend == "vectorized" and metrics_mode == "full":
-            return "batched"
-        if self.backend == "legacy" and metrics_mode != "full":
             return "batched"
         return self.backend
 

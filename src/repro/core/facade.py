@@ -338,12 +338,14 @@ def resilience_sweep(
         slotted simulation), ``"paths"`` (connectivity + route
         quality), or ``"connectivity"`` (reachability only -- the
         fast path).
-    backend : {"batched", "vectorized", "legacy"}, optional
+    backend : {"batched", "vectorized"}, optional
         Trial executor: ``"batched"`` (default; one built network per
-        process), ``"vectorized"`` (shared-memory topology arrays +
-        numpy trial batches; ``connectivity`` metrics only,
-        byte-identical to ``batched``) or ``"legacy"`` (the
-        rebuild-per-trial reference path, ``full`` metrics only).
+        process, every metrics mode) or ``"vectorized"`` (flat
+        topology arrays + numpy trial batches; ``connectivity`` and
+        ``paths`` metrics, byte-identical to ``batched``).  A
+        vectorized ``paths`` request for a family with structured
+        routing (stack-Kautz) runs on ``batched``, recorded on the
+        summary's ``backend``/``downgrade_reason``.
     ci_target : float, optional
         Sequential-stopping target: run deterministic trial waves
         until the 95% confidence interval on the survival probability
@@ -580,10 +582,11 @@ def design_search(
         ranking (the Pareto front is computed over the full set
         first).
     parallelism : {"sweeps", "candidates"}, optional
-        ``"sweeps"`` (default) opens one pool per candidate sweep;
-        ``"candidates"`` schedules every candidate's trial batches
-        onto one shared pool.  The ranked table is identical.
-    backend : {"batched", "vectorized", "legacy"}, optional
+        ``"sweeps"`` (default) runs the candidates' sweeps one after
+        another on one pool; ``"candidates"`` schedules every
+        candidate's trial batches onto that pool at once.  The ranked
+        table is identical.
+    backend : {"batched", "vectorized"}, optional
         Trial executor for the per-candidate sweeps.
     rank_by : {"survivability-per-cost", "within-bound", "mean-stretch"}, optional
         Ranking criterion for the candidate table.  The path-metric
@@ -685,7 +688,7 @@ def experiment(
     workers : int, optional
         Worker-pool size (``None``/``0``/``1`` runs inline); the
         report is worker-count independent.
-    backend : {"batched", "vectorized", "legacy"}, optional
+    backend : {"batched", "vectorized"}, optional
         Preferred trial executor; cells whose metrics mode it cannot
         score fall back to ``"batched"``.
     workload, messages, bound, max_slots : optional

@@ -346,7 +346,6 @@ class Session:
         """
         self._check_open()
         from ..obs.trace import span
-        from ..resilience.adaptive import run_adaptive
         from ..resilience.sweep import _prepare_sweep, _summarize
 
         entry = self._cache.entry(spec)
@@ -380,17 +379,17 @@ class Session:
                 _baseline=baseline,
             )
         executor = self._executor_for(self._effective_workers(workers))
+        # the *executed* backend: a vectorized paths request downgraded
+        # to batched neither needs the arrays nor runs on the kernel
+        plan = prepared.plan
         arrays = (
             entry.arrays()
-            if backend == "vectorized" and not executor.parallel
+            if plan.backend == "vectorized" and not executor.parallel
             else None
         )
-        with span("sweep.execute", spec=entry.canonical, trials=trials,
-                  backend=backend):
-            if prepared.ci_target is not None:
-                rows = run_adaptive(prepared, executor, arrays=arrays)
-            else:
-                rows = executor.run(prepared, arrays=arrays)
+        with span("sweep.execute", spec=plan.canonical, trials=trials,
+                  backend=plan.backend, metrics=plan.metrics):
+            rows = executor.run(prepared, arrays=arrays)
         with span("sweep.summarize", spec=entry.canonical, trials=trials):
             return _summarize(prepared, rows)
 
@@ -559,7 +558,6 @@ class Session:
         from dataclasses import replace
 
         from ..obs.trace import span
-        from ..resilience.adaptive import run_adaptive
         from ..resilience.sweep import _prepare_sweep, _summarize
         from ..temporal.processes import FaultProcess
         from ..temporal.replay import (
@@ -626,7 +624,7 @@ class Session:
                 prepared_list.append(prepared)
                 arrays_list.append(
                     entry.arrays()
-                    if request["backend"] == "vectorized"
+                    if prepared.plan.backend == "vectorized"
                     and not executor.parallel
                     else None
                 )
@@ -637,9 +635,7 @@ class Session:
                 # grid with ci_target runs cell-by-cell on the shared
                 # pool (same bytes, no cross-cell chunk interleaving)
                 rows_lists = [
-                    run_adaptive(prepared, executor, arrays=arrays)
-                    if prepared.ci_target is not None
-                    else executor.run(prepared, arrays=arrays)
+                    executor.run(prepared, arrays=arrays)
                     for prepared, arrays in zip(prepared_list, arrays_list)
                 ]
             else:

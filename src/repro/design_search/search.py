@@ -34,6 +34,7 @@ from ..obs.trace import span
 from ..resilience.sweep import (
     METRICS_MODES,
     SWEEP_BACKENDS,
+    _scoped_executor,
     pooled_survivability_sweeps,
     survivability_sweep,
 )
@@ -357,9 +358,9 @@ def design_search(
     over the full set first).
 
     ``parallelism`` picks how the worker budget is spent:
-    ``"sweeps"`` (default) opens one ``workers``-process pool *per
-    candidate sweep*, serializing candidates; ``"candidates"``
-    schedules every candidate's trial batches onto ONE shared pool,
+    ``"sweeps"`` (default) runs the candidates' sweeps one after
+    another on one ``workers``-process pool; ``"candidates"``
+    schedules every candidate's trial batches onto that pool at once,
     so small per-candidate sweeps no longer leave workers idle.
     ``backend`` selects the trial executor per sweep (``"batched"``
     default, ``"vectorized"`` for connectivity/paths metrics at
@@ -385,7 +386,8 @@ def design_search(
     ``_executor`` (internal, session
     plumbing) reuses an injected
     :class:`~repro.resilience.sweep.PersistentSweepExecutor` for every
-    candidate sweep instead of spawning pools per call; ``_enumerator``
+    candidate sweep instead of opening one scoped to the call;
+    ``_enumerator``
     (same plumbing) swaps :func:`enumerate_candidates` for a memoized
     equivalent -- :meth:`repro.core.cache.SpecCache.candidate_specs` --
     which MUST return the same specs in the same order.
@@ -451,8 +453,8 @@ def design_search(
     )
     pooled = parallelism == "candidates"
     #: (spec, (N, groups, degree, diameter), cost, margin) per eligible
-    #: candidate -- shape scalars, not the built networks, so sweeps
-    #: mode releases each net right after its sweep
+    #: candidate -- shape scalars, not the built networks, which only
+    #: the executor's bounded context cache keeps
     records: list[tuple[NetworkSpec, tuple[int, int, int, int], float, float]] = []
     requests: list[dict] = []
     summaries = []
@@ -479,93 +481,91 @@ def design_search(
             min_processors=min_processors,
             families=keys,
         )
-    for spec in window:
-        with span("design_search.candidate", spec=spec.canonical()):
-            net = spec.build()
-            if (
-                max_coupler_degree is not None
-                and net.coupler_degree > max_coupler_degree
-                or min_groups is not None and net.num_groups < min_groups
-                or max_groups is not None and net.num_groups > max_groups
-                or max_diameter is not None and net.diameter > max_diameter
-            ):
-                _count("filtered")
-                continue
-            # a machine too small to absorb the requested intensity
-            # would be swept with silently capped (even zero) faults
-            # and score as immune -- skip it instead of letting it
-            # dominate the front
-            capacity = fault_model.max_faults(net)
-            if capacity is not None and capacity < fault_model.faults:
-                skipped_underfaulted.append(spec.canonical())
-                _count("underfaulted")
-                continue
-            dsg = spec.design()
-            margin = round(dsg.worst_case_power_budget().margin_db(), 4)
-            if min_margin_db is not None and margin < min_margin_db:
-                _count("filtered")
-                continue
-            cost = pricing.price(dsg.bill_of_materials())
-            if cost <= 0:
-                raise ValueError(
-                    f"cost model prices {spec} at {cost}; survivability-"
-                    f"per-cost ranking needs every candidate priced > 0"
-                )
-            shape = (
-                net.num_processors,
-                net.num_groups,
-                net.coupler_degree,
-                net.diameter,
-            )
-            records.append((spec, shape, cost, margin))
-            _count("evaluated")
-            if pooled:
-                # no _net here: the pooled executor rebuilds (and, for
-                # the vectorized backend, exports + releases) each
-                # candidate's network one at a time, so no side retains
-                # the window's built networks (vectorized shm arrays,
-                # far smaller, live for the pool run)
-                requests.append(
-                    dict(spec=spec, model=fault_model, **sweep_kw)
-                )
-            else:
-                extra_stop = None
-                if discard_armed:
-                    # candidates run in deterministic order, so the
-                    # leader bound -- and therefore every discard --
-                    # replays identically at any worker count
-                    def extra_stop(
-                        estimate, _cost=cost, _spec=spec.canonical()
-                    ):
-                        if 1000.0 * estimate["ci_high"] / _cost < leader_low:
-                            discarded_specs.add(_spec)
-                            _count("early_discarded")
-                            return True
-                        return False
-                summary = survivability_sweep(
-                    spec,
-                    fault_model,
-                    workers=workers,
-                    _net=net,
-                    _executor=_executor,
-                    _extra_stop=extra_stop,
-                    **sweep_kw,
-                )
-                if discard_armed and summary.adaptive is not None:
-                    leader_low = max(
-                        leader_low,
-                        1000.0 * summary.adaptive["ci_low"] / cost,
+    with _scoped_executor(_executor, workers) as executor:
+        for spec in window:
+            with span("design_search.candidate", spec=spec.canonical()):
+                net = spec.build()
+                if (
+                    max_coupler_degree is not None
+                    and net.coupler_degree > max_coupler_degree
+                    or min_groups is not None and net.num_groups < min_groups
+                    or max_groups is not None and net.num_groups > max_groups
+                    or max_diameter is not None and net.diameter > max_diameter
+                ):
+                    _count("filtered")
+                    continue
+                # a machine too small to absorb the requested intensity
+                # would be swept with silently capped (even zero) faults
+                # and score as immune -- skip it instead of letting it
+                # dominate the front
+                capacity = fault_model.max_faults(net)
+                if capacity is not None and capacity < fault_model.faults:
+                    skipped_underfaulted.append(spec.canonical())
+                    _count("underfaulted")
+                    continue
+                dsg = spec.design()
+                margin = round(dsg.worst_case_power_budget().margin_db(), 4)
+                if min_margin_db is not None and margin < min_margin_db:
+                    _count("filtered")
+                    continue
+                cost = pricing.price(dsg.bill_of_materials())
+                if cost <= 0:
+                    raise ValueError(
+                        f"cost model prices {spec} at {cost}; survivability-"
+                        f"per-cost ranking needs every candidate priced > 0"
                     )
-                summaries.append(summary)
+                shape = (
+                    net.num_processors,
+                    net.num_groups,
+                    net.coupler_degree,
+                    net.diameter,
+                )
+                records.append((spec, shape, cost, margin))
+                _count("evaluated")
+                if pooled:
+                    # no _net here: each candidate's network is rebuilt
+                    # from its spec when its sweep runs, so the window's
+                    # built networks are never all held at once
+                    requests.append(
+                        dict(spec=spec, model=fault_model, **sweep_kw)
+                    )
+                else:
+                    extra_stop = None
+                    if discard_armed:
+                        # candidates run in deterministic order, so the
+                        # leader bound -- and therefore every discard --
+                        # replays identically at any worker count
+                        def extra_stop(
+                            estimate, _cost=cost, _spec=spec.canonical()
+                        ):
+                            if 1000.0 * estimate["ci_high"] / _cost < leader_low:
+                                discarded_specs.add(_spec)
+                                _count("early_discarded")
+                                return True
+                            return False
+                    summary = survivability_sweep(
+                        spec,
+                        fault_model,
+                        _net=net,
+                        _executor=executor,
+                        _extra_stop=extra_stop,
+                        **sweep_kw,
+                    )
+                    if discard_armed and summary.adaptive is not None:
+                        leader_low = max(
+                            leader_low,
+                            1000.0 * summary.adaptive["ci_low"] / cost,
+                        )
+                    summaries.append(summary)
 
-    if pooled:
-        # one shared pool over every candidate's trial batches: the
-        # summaries are byte-identical to per-sweep execution, only
-        # the scheduling changes
-        with span("design_search.pooled_sweeps", candidates=len(requests)):
-            summaries = pooled_survivability_sweeps(
-                requests, workers=workers, executor=_executor
-            )
+        if pooled:
+            # one shared pool over every candidate's trial batches: the
+            # summaries are byte-identical to per-sweep execution, only
+            # the scheduling changes
+            with span("design_search.pooled_sweeps", candidates=len(requests)):
+                summaries = pooled_survivability_sweeps(
+                    requests, executor=executor
+                )
 
     evaluated: list[DesignCandidate] = []
     for (spec, shape, cost, margin), summary in zip(records, summaries):

@@ -20,8 +20,7 @@ for every registered family -- into something you can *run*:
 * :mod:`~repro.resilience.sweep` -- the Monte-Carlo engine fanning
   scenarios over ``multiprocessing`` workers with per-trial
   deterministic seeds (same seed => byte-identical JSON, any worker
-  count and any of the three backends: ``batched``, shared-memory
-  ``vectorized``, and the ``legacy`` rebuild-per-trial reference).
+  count and either backend: ``batched`` or numpy ``vectorized``).
 
 Facade: :func:`repro.degrade` and :func:`repro.resilience_sweep`; CLI:
 ``python -m repro resilience "sk(6,3,2)" --faults 2 --trials 1000``.

@@ -9,27 +9,28 @@ the sweep seed and the trial index only), rows are re-ordered by trial
 index, and quantiles use exact nearest-rank selection -- so the same
 seed produces **byte-identical** JSON for any worker count.
 
-Three executors share that contract:
+Two backends share that contract:
 
 * the **batched** backend (default) builds one network + family
-  context per process -- via a ``multiprocessing`` pool *initializer*,
-  so workers never rebuild the topology per trial -- shares the intact
-  baseline across all trials, and ships workers compact trial-index
-  ranges instead of per-trial argument tuples.  Its ``metrics`` modes
-  short-circuit scoring: ``"connectivity"`` skips both the per-pair
-  ``fault_route`` scan and the slotted simulation (the design-search
-  fast path), ``"paths"`` keeps route quality but skips simulation,
-  ``"full"`` computes everything;
+  context per process -- so workers never rebuild the topology per
+  trial -- shares the intact baseline across all trials, and ships
+  workers compact trial-index ranges instead of per-trial argument
+  tuples.  Its ``metrics`` modes short-circuit scoring:
+  ``"connectivity"`` skips both the per-pair ``fault_route`` scan and
+  the slotted simulation (the design-search fast path), ``"paths"``
+  keeps route quality but skips simulation, ``"full"`` computes
+  everything;
 * the **vectorized** backend (``metrics="connectivity"`` and
   ``"paths"``) never instantiates a
   :class:`~repro.resilience.degrade.DegradedNetwork` at
-  all: the built network's topology is exported once into flat numpy
-  arrays (CSR coupler->processor incidence, coupler endpoint pairs,
-  processor->group map), fault masks for whole trial *batches* are
-  drawn as boolean arrays -- seeded by the same SHA-256 per-trial
-  scheme, so every draw matches the batched backend bit for bit -- and
-  connectivity metrics come from a batched reachability closure over
-  the masked group adjacency instead of per-trial Python BFS.
+  all: the built network's topology is exported once per context into
+  flat numpy arrays (CSR coupler->processor incidence, coupler
+  endpoint pairs, processor->group map), fault masks for whole trial
+  *batches* are drawn as boolean arrays -- seeded by the same SHA-256
+  per-trial scheme, so every draw matches the batched backend bit for
+  bit -- and connectivity metrics come from a batched reachability
+  closure over the masked group adjacency instead of per-trial Python
+  BFS.
   ``"paths"`` mode swaps the closure for a level-synchronous
   boolean-matmul BFS whose frontier expansions yield per-pair
   *distances*, scoring route quality (``max_path_length`` /
@@ -37,27 +38,20 @@ Three executors share that contract:
   byte-identical to the batched ``fault_route`` scan for every family
   whose hook is the generic BFS fallback, and families with structured
   hooks are downgraded to ``batched`` with a recorded reason (see
-  :func:`_prepare_sweep`) rather than ever silently diverging.  With
-  ``workers`` the topology arrays live in
-  :mod:`multiprocessing.shared_memory`, attached (not copied) by every
-  worker.  This is the 10^5-10^6-trial path;
-* the **legacy** backend is the original one-task-per-trial executor
-  that re-parses and rebuilds the network inside every trial.  It is
-  kept as the regression reference: for the same seed the batched
-  backend's ``full`` mode must produce byte-identical JSON.
+  :func:`_prepare_sweep`) rather than ever silently diverging.  This
+  is the 10^5-10^6-trial path.
 
 :func:`pooled_survivability_sweeps` runs *many* sweeps' trial batches
 on one shared worker pool (the design search's
 ``parallelism="candidates"`` mode), returning summaries byte-identical
 to per-sweep execution.
 
-Pool *ownership* lives in executors, not in the sweep functions: the
-default (one-shot) path spawns and tears down a pool per call, while a
-:class:`PersistentSweepExecutor` -- what
-:class:`repro.core.session.Session` injects -- keeps one lazily-started
-pool alive across calls, re-initializing each worker's trial context
-only when the sweep plan changes.  Both produce byte-identical rows
-for the same plan and worker count.
+Every sweep runs on a :class:`PersistentSweepExecutor`, which owns one
+lazily-started pool and ships each task its frozen plan; workers build
+a trial context the first time they see a plan and reuse it for every
+later chunk.  :class:`repro.core.session.Session` injects a long-lived
+executor; a sweep function called without one opens an executor scoped
+to that call.
 """
 
 from __future__ import annotations
@@ -69,8 +63,8 @@ import os
 import random
 import threading
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -130,7 +124,7 @@ METRICS_MODES: dict[str, tuple[str, ...]] = {
 }
 
 #: Registered trial executors (see the module docstring).
-SWEEP_BACKENDS = ("batched", "vectorized", "legacy")
+SWEEP_BACKENDS = ("batched", "vectorized")
 
 #: Most trials the vectorized backend scores per numpy batch; the
 #: effective batch also shrinks with the group count (see
@@ -264,40 +258,7 @@ def _nearest_rank(sorted_values: list[float], q: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# Legacy executor (the PR 2 path): one task per trial, rebuild inside.
-# ----------------------------------------------------------------------
-def _run_trial(task) -> dict[str, object]:
-    """One Monte-Carlo trial; top-level so it pickles to workers."""
-    (
-        canonical,
-        model,
-        tseed,
-        workload,
-        messages,
-        wseed,
-        bound,
-        max_slots,
-        baseline_mean_latency,
-    ) = task
-    from ..core.spec import NetworkSpec
-
-    net = NetworkSpec.parse(canonical).build()
-    scenario = model.scenario(canonical, net, tseed)
-    degraded = DegradedNetwork(net, scenario)
-    row = measure(
-        degraded,
-        workload=workload,
-        messages=messages,
-        seed=wseed,
-        bound=bound,
-        max_slots=max_slots,
-        baseline_mean_latency=baseline_mean_latency,
-    )
-    return row.as_dict()
-
-
-# ----------------------------------------------------------------------
-# Batched executor: one context per process, trial-index ranges only.
+# Batched backend: one context per process, trial-index ranges only.
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class _SweepPlan:
@@ -318,10 +279,11 @@ class _SweepPlan:
 class _TrialContext:
     """Per-process trial runner over one shared built network.
 
-    Workers construct this exactly once (pool initializer), so the
-    spec is parsed and the topology built per *process*, not per
-    trial -- the frozen network, its family descriptor and the plan
-    are shared by every trial the process executes.
+    Each process constructs this once per plan (see
+    :func:`_cached_context`), so the spec is parsed and the topology
+    built per *process*, not per trial -- the frozen network, its
+    family descriptor and the plan are shared by every trial of that
+    plan the process executes.
     """
 
     def __init__(self, plan: _SweepPlan, net=None, family=None) -> None:
@@ -380,19 +342,8 @@ class _TrialContext:
 
 
 # ----------------------------------------------------------------------
-# Vectorized executor: shared-memory topology arrays, batched masks.
+# Vectorized backend: flat topology arrays, batched masks.
 # ----------------------------------------------------------------------
-#: Array fields of :class:`_TopologyArrays`, in shared-memory export order.
-_ARRAY_FIELDS = (
-    "endpoints",
-    "proc_group",
-    "src_indptr",
-    "src_indices",
-    "tgt_indptr",
-    "tgt_indices",
-)
-
-
 @dataclass(frozen=True)
 class _TopologyArrays:
     """One built network, flattened into numpy arrays.
@@ -400,8 +351,7 @@ class _TopologyArrays:
     This is everything the vectorized backend needs per trial --
     coupler endpoint group pairs, the processor->group map and the
     CSR coupler->source/target-processor incidence -- exported once
-    per sweep and shared (not copied) across workers via
-    :mod:`multiprocessing.shared_memory`.
+    per trial context (sessions also cache it per spec).
     """
 
     num_processors: int
@@ -462,9 +412,9 @@ class _ArrayNetworkProxy:
     (``num_couplers`` / ``num_processors`` / ``num_groups``,
     ``label_of`` for the group of a processor, and ``base_graph()``
     with ``arc_array()`` for
-    :func:`~repro.resilience.faults.coupler_endpoints`) so workers can
-    draw byte-identical fault sets without ever rebuilding the
-    network.
+    :func:`~repro.resilience.faults.coupler_endpoints`) so the
+    vectorized scorer draws byte-identical fault sets from the arrays
+    alone.
     """
 
     __slots__ = ("_arrays",)
@@ -526,7 +476,7 @@ def _proxy_surface_error(exc: Exception, proxy: _ArrayNetworkProxy) -> bool:
 
 
 class _VectorContext:
-    """Per-process vectorized trial scorer over shared topology arrays.
+    """Per-process vectorized trial scorer over flat topology arrays.
 
     Scores ``connectivity``- and ``paths``-mode metrics for whole
     trial batches: the per-trial fault draws reuse the exact sampler +
@@ -862,72 +812,8 @@ class _VectorContext:
         return rows
 
 
-def _export_shared(
-    arrays: _TopologyArrays,
-) -> tuple[tuple, list[shared_memory.SharedMemory]]:
-    """Copy the topology arrays into named shared-memory segments.
-
-    Returns ``(meta, handles)``: ``meta`` is the picklable attachment
-    recipe shipped to workers, ``handles`` the parent-owned segments
-    (close + unlink them once the pool is done).
-    """
-    entries = []
-    handles: list[shared_memory.SharedMemory] = []
-    try:
-        for name in _ARRAY_FIELDS:
-            arr: np.ndarray = getattr(arrays, name)
-            shm = shared_memory.SharedMemory(
-                create=True, size=max(arr.nbytes, 1)
-            )
-            handles.append(shm)
-            view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-            view[...] = arr
-            entries.append((name, shm.name, arr.shape, arr.dtype.str))
-    except BaseException:
-        # never leak the segments already created (e.g. /dev/shm full
-        # partway through the export)
-        _release_shared(handles)
-        raise
-    meta = (
-        arrays.num_processors,
-        arrays.num_groups,
-        arrays.num_couplers,
-        tuple(entries),
-    )
-    return meta, handles
-
-
-def _attach_shared(
-    meta,
-) -> tuple[_TopologyArrays, list[shared_memory.SharedMemory]]:
-    """Worker-side inverse of :func:`_export_shared` (views, not copies)."""
-    n, g, m, entries = meta
-    handles = []
-    kwargs: dict[str, np.ndarray] = {}
-    for field_name, shm_name, shape, dtype in entries:
-        shm = shared_memory.SharedMemory(name=shm_name)
-        handles.append(shm)
-        kwargs[field_name] = np.ndarray(
-            shape, dtype=np.dtype(dtype), buffer=shm.buf
-        )
-    arrays = _TopologyArrays(
-        num_processors=n, num_groups=g, num_couplers=m, **kwargs
-    )
-    return arrays, handles
-
-
-def _release_shared(handles: list[shared_memory.SharedMemory]) -> None:
-    """Close and unlink parent-owned shared segments (idempotent)."""
-    for shm in handles:
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
 # ----------------------------------------------------------------------
-# Worker plumbing shared by the per-sweep and the pooled executors.
+# Worker plumbing: trial contexts and chunk observation.
 # ----------------------------------------------------------------------
 def _make_context(plan: _SweepPlan, net=None, arrays=None):
     """The trial-runner context for ``plan`` (builds what it lacks)."""
@@ -987,26 +873,23 @@ def _observed_range(ctx, start: int, stop: int):
     return rows, meta
 
 
-def _absorb_chunk_metas(metas, dispatched_us: int | None = None) -> None:
+def _absorb_chunk_metas(metas, dispatched_us: int) -> None:
     """Merge shipped worker deltas into the parent's global registry.
 
     Every merge operation is commutative, so the totals are identical
-    for any worker count and chunk completion order.  With a dispatch
-    timestamp the parent also derives per-chunk queue wait (dispatch
-    -> worker pickup); with a tracer active each chunk becomes a
-    ``sweep.chunk`` event on the worker's own pid row of the timeline.
+    for any worker count and chunk completion order.  The parent also
+    derives per-chunk queue wait (dispatch -> worker pickup); with a
+    tracer active each chunk becomes a ``sweep.chunk`` event on the
+    worker's own pid row of the timeline.
     """
     for meta in metas:
-        if not meta:
-            continue
         REGISTRY.merge(meta["metrics"])
-        if dispatched_us is not None:
-            wait = max(meta["start_us"] - dispatched_us, 0) / 1e6
-            REGISTRY.histogram(
-                "repro_sweep_queue_wait_seconds",
-                _WAIT_HELP,
-                {"backend": meta["backend"]},
-            ).observe(wait)
+        wait = max(meta["start_us"] - dispatched_us, 0) / 1e6
+        REGISTRY.histogram(
+            "repro_sweep_queue_wait_seconds",
+            _WAIT_HELP,
+            {"backend": meta["backend"]},
+        ).observe(wait)
         add_complete_event(
             "sweep.chunk",
             meta["start_us"],
@@ -1017,101 +900,6 @@ def _absorb_chunk_metas(metas, dispatched_us: int | None = None) -> None:
         )
 
 
-def _observe_inline_run(plan: _SweepPlan, trials: int, seconds: float) -> None:
-    """Record one inline (in-parent) run as a single chunk observation."""
-    labels = {"backend": plan.backend}
-    REGISTRY.counter("repro_sweep_chunks_total", _CHUNKS_HELP, labels).inc()
-    REGISTRY.counter("repro_sweep_trials_total", _TRIALS_HELP, labels).inc(
-        trials
-    )
-    REGISTRY.histogram(
-        "repro_sweep_chunk_run_seconds", _RUN_HELP, labels
-    ).observe(seconds)
-    # contexts record kernel-level series (e.g. the vectorized paths
-    # kernel counters) into the worker registry regardless of where
-    # they run; inline runs drain that delta into the global registry
-    # here, exactly as _absorb_chunk_metas does for pool chunks
-    REGISTRY.merge(worker_registry().drain())
-
-
-_WORKER_CTX = None
-_WORKER_SHM: list[shared_memory.SharedMemory] = []
-
-
-def _init_sweep_worker(plan: _SweepPlan, shared_meta=None) -> None:
-    """Pool initializer: build the shared trial context once per process."""
-    global _WORKER_CTX, _WORKER_SHM
-    reset_worker_registry()  # drop fork-inherited parent state
-    if shared_meta is not None:
-        arrays, _WORKER_SHM = _attach_shared(shared_meta)
-        _WORKER_CTX = _VectorContext(plan, arrays)
-    else:
-        _WORKER_CTX = _make_context(plan)
-
-
-def _run_sweep_chunk(index_range: tuple[int, int]):
-    """Run a contiguous range of trials on the process-local context.
-
-    Returns ``(rows, meta)`` -- the trial rows plus the worker's
-    observation delta (see :func:`_observed_range`).
-    """
-    assert _WORKER_CTX is not None, "sweep worker used before initialization"
-    return _observed_range(_WORKER_CTX, *index_range)
-
-
-_POOL_PLANS: tuple[_SweepPlan, ...] | None = None
-_POOL_METAS: tuple | None = None
-_POOL_CTXS: dict[int, object] = {}
-#: plan index -> ``(arrays, handles)``: shared-memory attachments are
-#: kept for the pool's lifetime (views are cheap; the segments are
-#: shared) so an evicted vectorized context never re-attaches.
-_POOL_SHM: dict[int, tuple] = {}
-
-#: Most sweep contexts a pooled worker keeps alive at once.  Batched
-#: contexts hold a whole built network, and a design-search window can
-#: span hundreds of candidates; evicting in insertion order keeps each
-#: worker at O(1) networks (chunk scheduling is mostly contiguous per
-#: candidate, so evicted contexts are rarely rebuilt).
-_POOL_CTX_CACHE = 8
-
-
-def _init_pool_worker(plans: tuple[_SweepPlan, ...], shared_metas) -> None:
-    """Pool initializer for the many-sweeps-one-pool executor."""
-    global _POOL_PLANS, _POOL_METAS, _POOL_CTXS, _POOL_SHM
-    reset_worker_registry()  # drop fork-inherited parent state
-    _POOL_PLANS = plans
-    _POOL_METAS = shared_metas
-    _POOL_CTXS = {}
-    _POOL_SHM = {}
-
-
-def _run_pool_chunk(task: tuple[int, int, int]):
-    """Run one sweep's trial range; contexts are cached per process.
-
-    Vectorized plans come with a shared-memory meta: the worker
-    attaches the parent's topology arrays (views, not copies) instead
-    of rebuilding the candidate's network.  Returns
-    ``(plan_index, start, rows, obs_meta)``.
-    """
-    assert _POOL_PLANS is not None, "pool worker used before initialization"
-    plan_index, start, stop = task
-    ctx = _POOL_CTXS.get(plan_index)
-    if ctx is None:
-        meta = _POOL_METAS[plan_index] if _POOL_METAS else None
-        if meta is not None:
-            attached = _POOL_SHM.get(plan_index)
-            if attached is None:
-                attached = _POOL_SHM[plan_index] = _attach_shared(meta)
-            ctx = _VectorContext(_POOL_PLANS[plan_index], attached[0])
-        else:
-            ctx = _make_context(_POOL_PLANS[plan_index])
-        while len(_POOL_CTXS) >= _POOL_CTX_CACHE:
-            _POOL_CTXS.pop(next(iter(_POOL_CTXS)))
-        _POOL_CTXS[plan_index] = ctx
-    rows, obs_meta = _observed_range(ctx, start, stop)
-    return plan_index, start, rows, obs_meta
-
-
 def _index_chunks(trials: int, workers: int) -> list[tuple[int, int]]:
     """Contiguous ``(start, stop)`` trial ranges, ~4 chunks per worker."""
     chunk = max(1, trials // (workers * 4))
@@ -1119,25 +907,25 @@ def _index_chunks(trials: int, workers: int) -> list[tuple[int, int]]:
 
 
 # ----------------------------------------------------------------------
-# Persistent executor: one long-lived pool, contexts re-keyed by plan.
+# The executor: one lazily-started pool, contexts keyed by plan.
 # ----------------------------------------------------------------------
-#: Most plan contexts a persistent worker (or the inline executor)
-#: keeps alive at once; least recently used evicted first.
+#: Most plan contexts a worker (or the inline executor) keeps alive at
+#: once; least recently used evicted first.  Batched contexts hold a
+#: whole built network and a design-search window can span hundreds of
+#: candidates, so this keeps each process at O(1) networks.
 _PERSIST_CTX_CACHE = 8
 
 _PERSIST_CTXS: OrderedDict = OrderedDict()
-_PERSIST_LIMIT = _PERSIST_CTX_CACHE
 
 
-def _init_persistent_worker(context_cache: int) -> None:
+def _init_persistent_worker() -> None:
     """Pool initializer: an empty per-process plan-keyed context cache."""
-    global _PERSIST_CTXS, _PERSIST_LIMIT
+    global _PERSIST_CTXS
     reset_worker_registry()  # drop fork-inherited parent state
     _PERSIST_CTXS = OrderedDict()
-    _PERSIST_LIMIT = context_cache
 
 
-def _cached_context(cache: OrderedDict, limit: int, plan: _SweepPlan, **kw):
+def _cached_context(cache: OrderedDict, plan: _SweepPlan, **kw):
     """The trial context for ``plan``, LRU-cached when the plan hashes.
 
     Plans are frozen dataclasses, hashable whenever their fault model
@@ -1152,22 +940,22 @@ def _cached_context(cache: OrderedDict, limit: int, plan: _SweepPlan, **kw):
         cache.move_to_end(plan)
         return ctx
     ctx = _make_context(plan, **kw)
-    while len(cache) >= limit:
+    while len(cache) >= _PERSIST_CTX_CACHE:
         cache.popitem(last=False)
     cache[plan] = ctx
     return ctx
 
 
 def _run_persistent_chunk(task: tuple[int, _SweepPlan, int, int]):
-    """Run one sweep's trial range on the persistent worker's context cache.
+    """Run one sweep's trial range on the worker's context cache.
 
-    Unlike the one-shot initializers, the plan travels with the task,
-    so one pool serves any sequence of sweeps: a worker builds the
-    context the first time it sees a plan and reuses it for every
-    later chunk of that plan.
+    The plan travels with the task, so one pool serves any sequence of
+    sweeps: a worker builds the context the first time it sees a plan
+    (from the canonical spec) and reuses it for every later chunk of
+    that plan.
     """
     index, plan, start, stop = task
-    ctx = _cached_context(_PERSIST_CTXS, _PERSIST_LIMIT, plan)
+    ctx = _cached_context(_PERSIST_CTXS, plan)
     rows, obs_meta = _observed_range(ctx, start, stop)
     return index, start, rows, obs_meta
 
@@ -1175,34 +963,22 @@ def _run_persistent_chunk(task: tuple[int, _SweepPlan, int, int]):
 class PersistentSweepExecutor:
     """A reusable sweep executor that owns one lazily-started pool.
 
-    The one-shot path pays a full ``multiprocessing`` pool spawn (and
-    per-process network build) on every sweep call; this executor
-    keeps the pool alive across calls and ships each task its frozen
-    :class:`_SweepPlan`, so workers re-initialize their trial context
-    only when the plan actually changes.  ``workers`` of
-    ``None``/``0``/``1`` runs inline with a parent-side context cache
-    (warm repeated sweeps skip context rebuilds there too).
+    The pool stays alive across calls and each task carries its frozen
+    :class:`_SweepPlan`, so workers build a trial context only when
+    they meet a new plan.  ``workers`` of ``None``/``0``/``1`` runs
+    inline with a parent-side context cache (warm repeated sweeps skip
+    context rebuilds there too).
 
-    Row lists are **byte-identical** to the one-shot executor for the
-    same plan and worker count -- trial chunking, per-trial seeds and
-    row order are shared.  This is what
-    :class:`repro.core.session.Session` injects into
-    :func:`survivability_sweep`, :func:`pooled_survivability_sweeps`
-    and the design search.
+    Rows are **byte-identical** for the same plan at any worker count
+    -- trial chunking never changes per-trial seeds or row order.
+    :class:`repro.core.session.Session` injects a long-lived executor
+    into :func:`survivability_sweep`,
+    :func:`pooled_survivability_sweeps` and the design search; called
+    without one, each of those opens an executor scoped to the call.
     """
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        *,
-        context_cache: int = _PERSIST_CTX_CACHE,
-    ) -> None:
-        if context_cache < 1:
-            raise ValueError(
-                f"context_cache must be >= 1, got {context_cache}"
-            )
+    def __init__(self, workers: int | None = None) -> None:
         self.workers = workers if workers is not None and workers > 1 else 0
-        self._context_cache = context_cache
         self._pool = None
         self._pool_lock = threading.Lock()
         self._inline_ctxs: OrderedDict = OrderedDict()
@@ -1230,47 +1006,47 @@ class PersistentSweepExecutor:
                 self._pool = multiprocessing.Pool(
                     processes=self.workers,
                     initializer=_init_persistent_worker,
-                    initargs=(self._context_cache,),
                 )
             return self._pool
 
-    def _pool_map(self, fn, tasks, chunksize=None):
-        """``pool.map`` that remembers interrupts for :meth:`close`.
+    def _map_chunks(self, tasks):
+        """``(index, start, rows, meta)`` per chunk task, in task order.
 
-        A ``KeyboardInterrupt``/``SystemExit`` mid-map can leave tasks
-        the pool will never drain; marking the executor interrupted
-        makes the eventual :meth:`close` terminate the workers instead
-        of hanging on (or warning out of) a doomed drain.
+        Worker observation deltas are merged into the parent registry
+        on the way back.  A ``KeyboardInterrupt``/``SystemExit``
+        mid-map can leave tasks the pool will never drain; marking the
+        executor interrupted makes the eventual :meth:`close` terminate
+        the workers instead of hanging on (or warning out of) a doomed
+        drain.
         """
+        dispatched_us = now_us()
         pool = self._ensure_pool()
         try:
-            if chunksize is None:
-                return pool.map(fn, tasks)
-            return pool.map(fn, tasks, chunksize=chunksize)
+            results = pool.map(_run_persistent_chunk, tasks)
         except (KeyboardInterrupt, SystemExit):
             self._interrupted = True
             raise
+        _absorb_chunk_metas((meta for _, _, _, meta in results), dispatched_us)
+        return results
 
-    def run(self, prepared: _PreparedSweep, *, arrays=None) -> list[dict]:
+    def run(
+        self, prepared: _PreparedSweep, *, arrays=None, extra_stop=None
+    ) -> list[dict]:
         """All trial rows of one prepared sweep, in trial-index order.
 
-        ``arrays`` (inline vectorized runs only) short-circuits the
-        topology export when the caller already holds the spec's
+        A sweep with ``ci_target`` set runs the sequential-stopping wave
+        loop (:func:`~repro.resilience.adaptive.run_adaptive`) instead
+        of one fixed batch; ``extra_stop`` is its optional second
+        stopping rule (the design search's early discard).  ``arrays``
+        (inline vectorized runs only) short-circuits the topology
+        export when the caller already holds the spec's
         :class:`_TopologyArrays`.
         """
-        if self._closed:
-            raise RuntimeError("executor is closed")
-        plan, trials = prepared.plan, prepared.trials
-        if plan.backend == "legacy":
-            tasks = _legacy_tasks(plan, trials)
-            if not self.parallel:
-                return [_run_trial(t) for t in tasks]
-            return self._pool_map(
-                _run_trial,
-                tasks,
-                chunksize=max(1, trials // (self.workers * 4)),
+        if prepared.ci_target is not None:
+            return run_adaptive(
+                prepared, self, arrays=arrays, extra_stop=extra_stop
             )
-        return self.run_range(prepared, 0, trials, arrays=arrays)
+        return self.run_range(prepared, 0, prepared.trials, arrays=arrays)
 
     def run_range(
         self, prepared: _PreparedSweep, start: int, stop: int, *, arrays=None
@@ -1280,18 +1056,11 @@ class PersistentSweepExecutor:
         The adaptive engine's wave primitive: each wave is one
         contiguous index range, so per-trial seeds -- and therefore
         the rows -- are exactly what a fixed run of ``stop`` trials
-        would produce for that slice, at any worker count.  Legacy
-        plans have no range form (they are excluded from adaptive
-        sweeps at validation).
+        would produce for that slice, at any worker count.
         """
         if self._closed:
             raise RuntimeError("executor is closed")
         plan = prepared.plan
-        if plan.backend == "legacy":
-            raise ValueError(
-                "trial ranges support the batched and vectorized "
-                "backends; the legacy reference path runs whole sweeps"
-            )
         if start >= stop:
             return []
         if not self.parallel:
@@ -1299,25 +1068,18 @@ class PersistentSweepExecutor:
             # runs unlocked (contexts are read-only once built)
             with self._inline_lock:
                 ctx = _cached_context(
-                    self._inline_ctxs,
-                    self._context_cache,
-                    plan,
-                    net=prepared.net,
-                    arrays=arrays,
+                    self._inline_ctxs, plan, net=prepared.net, arrays=arrays
                 )
-            start_us = now_us()
-            rows = ctx.run_range(start, stop)
-            _observe_inline_run(
-                plan, stop - start, (now_us() - start_us) / 1e6
-            )
+            # the chunk counters and the kernel-level series contexts
+            # record land in the worker registry wherever they run;
+            # inline runs merge that delta straight into the registry
+            rows, meta = _observed_range(ctx, start, stop)
+            REGISTRY.merge(meta["metrics"])
             return rows
-        tasks = [
+        chunks = self._map_chunks([
             (0, plan, start + lo, start + hi)
             for lo, hi in _index_chunks(stop - start, self.workers)
-        ]
-        dispatched_us = now_us()
-        chunks = self._pool_map(_run_persistent_chunk, tasks)
-        _absorb_chunk_metas((meta for _, _, _, meta in chunks), dispatched_us)
+        ])
         return [row for _, _, rows, _ in chunks for row in rows]
 
     def run_many(
@@ -1331,25 +1093,21 @@ class PersistentSweepExecutor:
         if self._closed:
             raise RuntimeError("executor is closed")
         if not self.parallel:
-            out = []
-            for i, prepared in enumerate(prepared_list):
-                arrays = arrays_list[i] if arrays_list else None
-                out.append(self.run(prepared, arrays=arrays))
-            return out
-        tasks = [
+            arrays_list = arrays_list or [None] * len(prepared_list)
+            return [
+                self.run(p, arrays=arrays)
+                for p, arrays in zip(prepared_list, arrays_list)
+            ]
+        by_sweep: list[list[dict]] = [[] for _ in prepared_list]
+        # map() keeps task order, and each sweep's chunks are queued in
+        # trial-index order, so appending rebuilds every row list
+        for index, _start, rows, _meta in self._map_chunks([
             (i, p.plan, lo, hi)
             for i, p in enumerate(prepared_list)
             for lo, hi in _index_chunks(p.trials, self.workers)
-        ]
-        dispatched_us = now_us()
-        results = self._pool_map(_run_persistent_chunk, tasks)
-        _absorb_chunk_metas((meta for _, _, _, meta in results), dispatched_us)
-        by_sweep: list[dict[int, list[dict]]] = [{} for _ in prepared_list]
-        for index, start, rows, _meta in results:
-            by_sweep[index][start] = rows
-        return [
-            [row for start in sorted(g) for row in g[start]] for g in by_sweep
-        ]
+        ]):
+            by_sweep[index].extend(rows)
+        return by_sweep
 
     def close(self, *, terminate: bool = False) -> None:
         """Shut the pool down and drop cached contexts (idempotent).
@@ -1502,24 +1260,12 @@ def _prepare_sweep(
     if sampling not in SAMPLING_MODES:
         known = ", ".join(SAMPLING_MODES)
         raise ValueError(f"unknown sampling mode {sampling!r}; known: {known}")
-    if backend == "legacy" and (ci_target is not None or sampling != "uniform"):
-        raise ValueError(
-            "adaptive sweeps (ci_target=/sampling=) support the batched "
-            "and vectorized backends; the legacy reference path runs "
-            "fixed uniform sweeps only"
-        )
     if metrics not in METRICS_MODES:
         known = ", ".join(sorted(METRICS_MODES))
         raise ValueError(f"unknown metrics mode {metrics!r}; known: {known}")
     if backend not in SWEEP_BACKENDS:
         known = ", ".join(SWEEP_BACKENDS)
         raise ValueError(f"unknown sweep backend {backend!r}; known: {known}")
-    if backend == "legacy" and metrics != "full":
-        raise ValueError(
-            "the legacy backend only supports metrics='full'; use "
-            "backend='batched' for connectivity/paths short-circuits "
-            "(or 'vectorized' for connectivity/paths at scale)"
-        )
     if backend == "vectorized" and metrics == "full":
         raise ValueError(
             "the vectorized backend scores metrics='connectivity' and "
@@ -1661,86 +1407,16 @@ def _summarize(prepared: _PreparedSweep, rows: list[dict]) -> SweepSummary:
     )
 
 
-def _legacy_tasks(plan: _SweepPlan, trials: int) -> list[tuple]:
-    """The legacy backend's one-task-per-trial argument tuples."""
-    return [
-        (
-            plan.canonical,
-            plan.model,
-            trial_seed(plan.seed, i),
-            plan.workload,
-            plan.messages,
-            plan.seed,
-            plan.bound,
-            plan.max_slots,
-            plan.baseline_mean_latency,
-        )
-        for i in range(trials)
-    ]
+def _scoped_executor(executor: PersistentSweepExecutor | None, workers):
+    """``executor`` itself (its owner closes it), or one scoped to the call.
 
-
-def _execute(
-    prepared: _PreparedSweep,
-    workers: int | None,
-    executor: "PersistentSweepExecutor | None" = None,
-    extra_stop=None,
-) -> list[dict]:
-    """Run one prepared sweep's trials on the plan's backend.
-
-    With ``executor`` the trials run on its (persistent) pool; without
-    one, this is the one-shot path that spawns and tears down a pool
-    per call.  Row lists are byte-identical either way.  A sweep with
-    ``ci_target`` set runs the sequential-stopping wave loop instead
-    of one fixed batch (``extra_stop`` is its optional second stopping
-    rule -- the design search's early discard).
+    Use as ``with _scoped_executor(executor, workers) as ex:`` -- an
+    executor the call opens is closed, pool and all, when it returns
+    or raises.
     """
-    plan, trials = prepared.plan, prepared.trials
-    if prepared.ci_target is not None:
-        if executor is not None:
-            return run_adaptive(prepared, executor, extra_stop=extra_stop)
-        with PersistentSweepExecutor(workers) as owned:
-            return run_adaptive(prepared, owned, extra_stop=extra_stop)
     if executor is not None:
-        return executor.run(prepared)
-    parallel = workers is not None and workers > 1
-    if plan.backend == "legacy":
-        tasks = _legacy_tasks(plan, trials)
-        if parallel:
-            with multiprocessing.Pool(processes=workers) as pool:
-                return pool.map(
-                    _run_trial, tasks, chunksize=max(1, trials // (workers * 4))
-                )
-        return [_run_trial(t) for t in tasks]
-    if not parallel:
-        ctx = _make_context(plan, net=prepared.net)
-        start_us = now_us()
-        rows = ctx.run_range(0, trials)
-        _observe_inline_run(plan, trials, (now_us() - start_us) / 1e6)
-        return rows
-    dispatched_us = now_us()
-    if plan.backend == "vectorized":
-        # topology arrays go into shared memory once; workers attach
-        meta, handles = _export_shared(
-            _TopologyArrays.from_network(prepared.net)
-        )
-        try:
-            with multiprocessing.Pool(
-                processes=workers,
-                initializer=_init_sweep_worker,
-                initargs=(plan, meta),
-            ) as pool:
-                chunks = pool.map(_run_sweep_chunk, _index_chunks(trials, workers))
-        finally:
-            _release_shared(handles)
-    else:
-        with multiprocessing.Pool(
-            processes=workers,
-            initializer=_init_sweep_worker,
-            initargs=(plan,),
-        ) as pool:
-            chunks = pool.map(_run_sweep_chunk, _index_chunks(trials, workers))
-    _absorb_chunk_metas((meta for _, meta in chunks), dispatched_us)
-    return [row for rows, _ in chunks for row in rows]
+        return nullcontext(executor)
+    return PersistentSweepExecutor(workers)
 
 
 def survivability_sweep(
@@ -1777,14 +1453,13 @@ def survivability_sweep(
     including the degraded slotted simulation), ``"paths"``
     (connectivity + route quality, no simulation) or
     ``"connectivity"`` (surviving-base reachability only -- the
-    design-search fast path).  ``backend`` selects the executor:
-    ``"batched"`` (default; shared built network per process),
-    ``"vectorized"`` (shared-memory topology arrays + batched numpy
-    scoring; ``connectivity`` and ``paths`` metrics, byte-identical to
-    ``batched`` -- the 10^5-10^6-trial path) or ``"legacy"`` (the
-    original rebuild-per-trial path, ``full`` metrics only).  All
-    backends produce byte-identical JSON for the same seed wherever
-    their metrics modes overlap.  Vectorized ``paths`` requests for
+    design-search fast path).  ``backend`` selects the trial scorer:
+    ``"batched"`` (default; shared built network per process) or
+    ``"vectorized"`` (flat topology arrays + batched numpy scoring;
+    ``connectivity`` and ``paths`` metrics, byte-identical to
+    ``batched`` -- the 10^5-10^6-trial path).  Both backends produce
+    byte-identical JSON for the same seed wherever their metrics modes
+    overlap.  Vectorized ``paths`` requests for
     families with structured ``fault_route`` hooks (stack-Kautz) run
     on ``batched`` instead, with the reason recorded on the summary's
     ``downgrade_reason``/``backend`` attributes -- identical numbers,
@@ -1793,7 +1468,8 @@ def survivability_sweep(
     shape filters on it first) pass it to skip the rebuild; it MUST
     be the machine ``spec`` names.  ``_executor`` (internal, session
     plumbing) runs the trials on an injected
-    :class:`PersistentSweepExecutor` instead of a one-shot pool.
+    :class:`PersistentSweepExecutor`; without one the call opens its
+    own, closed before it returns.
 
     ``ci_target`` switches the sweep to sequential stopping: trials
     run in deterministic waves until the 95% confidence interval on
@@ -1824,38 +1500,31 @@ def survivability_sweep(
     >>> v.to_json() == c.to_json()
     True
     """
-    with span("sweep.prepare", spec=str(spec), trials=trials,
-              backend=backend):
-        prepared = _prepare_sweep(
-            spec,
-            model,
-            faults=faults,
-            trials=trials,
-            seed=seed,
-            workload=workload,
-            messages=messages,
-            bound=bound,
-            max_slots=max_slots,
-            metrics=metrics,
-            backend=backend,
-            ci_target=ci_target,
-            sampling=sampling,
-            _net=_net,
-        )
-    with span("sweep.execute", spec=prepared.plan.canonical, trials=trials,
-              backend=prepared.plan.backend, metrics=prepared.plan.metrics):
-        rows = _execute(prepared, workers, _executor, extra_stop=_extra_stop)
+    with _scoped_executor(_executor, workers) as executor:
+        with span("sweep.prepare", spec=str(spec), trials=trials,
+                  backend=backend):
+            prepared = _prepare_sweep(
+                spec,
+                model,
+                faults=faults,
+                trials=trials,
+                seed=seed,
+                workload=workload,
+                messages=messages,
+                bound=bound,
+                max_slots=max_slots,
+                metrics=metrics,
+                backend=backend,
+                ci_target=ci_target,
+                sampling=sampling,
+                _net=_net,
+            )
+        with span("sweep.execute", spec=prepared.plan.canonical,
+                  trials=trials, backend=prepared.plan.backend,
+                  metrics=prepared.plan.metrics):
+            rows = executor.run(prepared, extra_stop=_extra_stop)
     with span("sweep.summarize", spec=prepared.plan.canonical, trials=trials):
         return _summarize(prepared, rows)
-
-
-def _reject_legacy_pooled(prepared: _PreparedSweep) -> None:
-    """The legacy reference executor deliberately has no pooled form."""
-    if prepared.plan.backend == "legacy":
-        raise ValueError(
-            "pooled sweeps support the batched and vectorized backends; "
-            "the legacy reference path runs per-sweep only"
-        )
 
 
 def pooled_survivability_sweeps(
@@ -1868,21 +1537,19 @@ def pooled_survivability_sweeps(
 
     ``requests`` is an iterable of dicts of
     :func:`survivability_sweep` keyword arguments (``spec`` required,
-    same defaults; ``backend`` may be ``"batched"`` or
-    ``"vectorized"`` -- ``"legacy"`` has no pooled form, and
-    per-request ``workers`` is rejected since the pool is shared).
-    Instead of
-    opening one pool per sweep, every sweep's trial-index chunks are
-    scheduled onto a single pool, so many small sweeps -- the design
-    search's candidates -- keep all workers busy at once.  Workers
-    build each sweep's context lazily and cache it per process.
+    same defaults; per-request ``workers`` is rejected since the pool
+    is shared).  Instead of running the sweeps one after another,
+    every sweep's trial-index chunks are scheduled onto a single pool,
+    so many small sweeps -- the design search's candidates -- keep all
+    workers busy at once.  Workers build each sweep's context lazily
+    and cache it per process.
 
     Returns the summaries in request order; each is **byte-identical**
     to what :func:`survivability_sweep` returns for the same request,
     whatever ``workers`` is (``None``/``0``/``1`` runs inline).
     ``executor`` (session plumbing) schedules the same chunks on an
-    injected :class:`PersistentSweepExecutor` instead of a one-shot
-    pool; ``workers`` is ignored in that case.
+    injected :class:`PersistentSweepExecutor` instead of a pool scoped
+    to the call; ``workers`` is ignored in that case.
 
     >>> a, b = pooled_survivability_sweeps(
     ...     [dict(spec="pops(2,2)", trials=3, metrics="connectivity"),
@@ -1897,106 +1564,24 @@ def pooled_survivability_sweeps(
                 "per-request 'workers' is not supported; the pool is "
                 "shared -- pass workers= to pooled_survivability_sweeps"
             )
-    if executor is not None:
-        # session plumbing: the injected executor owns pool lifetime.
-        # Inline executors run one request at a time (networks released
-        # as the context cache turns over); parallel ones drop the
-        # parent-side nets and let workers build plan contexts lazily.
-        if not executor.parallel:
+    with _scoped_executor(executor, workers) as executor:
+        if not executor.parallel or any(
+            r.get("ci_target") is not None for r in requests
+        ):
+            # one request at a time: inline, so each built network is
+            # released as the context cache turns over; adaptive, since
+            # each request needs its per-wave stop decisions (losing
+            # cross-sweep chunk interleaving, never bytes)
             summaries = []
             for request in requests:
                 p = _prepare_sweep(**request)
-                _reject_legacy_pooled(p)
-                if p.ci_target is not None:
-                    rows = run_adaptive(p, executor)
-                else:
-                    rows = executor.run(p)
-                summaries.append(_summarize(p, rows))
+                summaries.append(_summarize(p, executor.run(p)))
             return summaries
-        prepared_list: list[_PreparedSweep] = []
-        for request in requests:
-            p = _prepare_sweep(**request)
-            _reject_legacy_pooled(p)
-            prepared_list.append(replace(p, net=None))
-        if any(p.ci_target is not None for p in prepared_list):
-            # adaptive requests need their per-wave stop decisions, so
-            # a mixed batch runs request-by-request on the shared pool
-            # (losing cross-sweep chunk interleaving, never bytes)
-            return [
-                _summarize(
-                    p,
-                    run_adaptive(p, executor)
-                    if p.ci_target is not None
-                    else executor.run(p),
-                )
-                for p in prepared_list
-            ]
+        # workers build each plan's context from its canonical spec,
+        # so the parent drops the built networks right away
+        prepared_list = [
+            replace(_prepare_sweep(**request), net=None)
+            for request in requests
+        ]
         rows_lists = executor.run_many(prepared_list)
-        return [
-            _summarize(p, rows)
-            for p, rows in zip(prepared_list, rows_lists)
-        ]
-    if any(r.get("ci_target") is not None for r in requests):
-        # one-shot adaptive batches borrow a temporary persistent pool:
-        # wave scheduling needs an executor that survives across waves
-        with PersistentSweepExecutor(workers) as owned:
-            return pooled_survivability_sweeps(requests, executor=owned)
-    if workers is None or workers <= 1:
-        # prepare-and-execute one request at a time so each built
-        # network is released before the next candidate's is built
-        summaries = []
-        for request in requests:
-            p = _prepare_sweep(**request)
-            _reject_legacy_pooled(p)
-            summaries.append(_summarize(p, _execute(p, None)))
-        return summaries
-    # vectorized plans ship their topology through shared memory here
-    # too: the parent exports each candidate's arrays once and releases
-    # the built network immediately (workers attach the arrays, and
-    # batched workers rebuild from the canonical spec).  Built Python
-    # networks are held one at a time; the flat shm segments -- much
-    # smaller -- do stay allocated for the whole pool run
-    prepared: list[_PreparedSweep] = []
-    metas: list = []
-    handles: list[shared_memory.SharedMemory] = []
-    try:
-        for request in requests:
-            p = _prepare_sweep(**request)
-            _reject_legacy_pooled(p)
-            if p.plan.backend == "vectorized":
-                meta, owned = _export_shared(
-                    _TopologyArrays.from_network(p.net)
-                )
-                metas.append(meta)
-                handles.extend(owned)
-            else:
-                metas.append(None)
-            prepared.append(replace(p, net=None))
-        tasks = [
-            (index, start, stop)
-            for index, p in enumerate(prepared)
-            for start, stop in _index_chunks(p.trials, workers)
-        ]
-        plans = tuple(p.plan for p in prepared)
-        dispatched_us = now_us()
-        with multiprocessing.Pool(
-            processes=workers,
-            initializer=_init_pool_worker,
-            initargs=(plans, tuple(metas)),
-        ) as pool:
-            results = pool.map(_run_pool_chunk, tasks)
-    finally:
-        _release_shared(handles)
-    _absorb_chunk_metas((meta for _, _, _, meta in results), dispatched_us)
-    rows_by_sweep: list[dict[int, list[dict]]] = [{} for _ in prepared]
-    for plan_index, start, rows, _meta in results:
-        rows_by_sweep[plan_index][start] = rows
-    summaries = []
-    for index, p in enumerate(prepared):
-        ordered = [
-            row
-            for start in sorted(rows_by_sweep[index])
-            for row in rows_by_sweep[index][start]
-        ]
-        summaries.append(_summarize(p, ordered))
-    return summaries
+    return [_summarize(p, rows) for p, rows in zip(prepared_list, rows_lists)]

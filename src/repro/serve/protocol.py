@@ -198,10 +198,6 @@ def _metrics_backend(payload, *, default_metrics: str) -> tuple[str, str]:
             f"unknown sweep backend {backend!r}",
             details={"known": list(SWEEP_BACKENDS)},
         )
-    if backend == "legacy" and metrics != "full":
-        raise ServeError(
-            "the legacy backend only supports metrics='full'"
-        )
     if backend == "vectorized" and metrics == "full":
         raise ServeError(
             "the vectorized backend scores metrics='connectivity' and "

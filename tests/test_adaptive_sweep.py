@@ -357,7 +357,9 @@ class TestDoorValidation:
         ],
     )
     def test_legacy_backend_cannot_run_adaptive(self, overrides):
-        with pytest.raises(ValueError, match="legacy"):
+        # the rebuild-per-trial backend is gone: the door names it an
+        # unknown backend before any adaptive wave is planned
+        with pytest.raises(ValueError, match="unknown sweep backend 'legacy'"):
             self._sweep(backend="legacy", **overrides)
 
     def test_stratified_needs_one_trial_per_stratum(self):

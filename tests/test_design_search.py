@@ -3,8 +3,8 @@
 Covers the survivability-per-cost search end to end (enumeration,
 costing, ranking, Pareto front, facade/CLI determinism) and the
 batched sweep executor's regression contract: same seed => byte
-identical ``SweepSummary.to_json()`` for 1/2/4 workers and for the
-batched vs the legacy (PR 2, rebuild-per-trial) code path.
+identical ``SweepSummary.to_json()`` for 1/2/4 workers and against a
+rebuild-per-trial reference sweep (:func:`_rebuild_per_trial`).
 """
 
 import json
@@ -24,6 +24,44 @@ from repro.design_search.search import _dominates
 from repro.resilience import METRICS_MODES, survivability_sweep
 
 
+def _rebuild_per_trial(spec, model, *, faults, trials, seed, messages):
+    """Reference ``full``-mode sweep that shares no per-trial state.
+
+    Every trial re-parses the spec, rebuilds the network and scores a
+    fresh :class:`~repro.resilience.degrade.DegradedNetwork` inline --
+    the original one-task-per-trial engine.  Validation, the intact
+    baseline and the quantile summary come from the engine itself.
+    """
+    from repro.core.spec import NetworkSpec
+    from repro.resilience.degrade import DegradedNetwork
+    from repro.resilience.faults import trial_seed
+    from repro.resilience.metrics import measure
+    from repro.resilience.sweep import _prepare_sweep, _summarize
+
+    prepared = _prepare_sweep(
+        spec, model, faults=faults, trials=trials, seed=seed, messages=messages
+    )
+    plan = prepared.plan
+    rows = []
+    for index in range(trials):
+        net = NetworkSpec.parse(plan.canonical).build()
+        scenario = plan.model.scenario(
+            plan.canonical, net, trial_seed(plan.seed, index)
+        )
+        rows.append(
+            measure(
+                DegradedNetwork(net, scenario),
+                workload=plan.workload,
+                messages=plan.messages,
+                seed=plan.seed,
+                bound=plan.bound,
+                max_slots=plan.max_slots,
+                baseline_mean_latency=plan.baseline_mean_latency,
+            ).as_dict()
+        )
+    return _summarize(prepared, rows)
+
+
 # ----------------------------------------------------------------------
 # Batched backend: determinism regression (satellite)
 # ----------------------------------------------------------------------
@@ -31,7 +69,7 @@ class TestBatchedSweepDeterminism:
     KW = dict(faults=1, trials=12, seed=7, messages=10)
 
     def test_batched_matches_legacy_byte_identical(self):
-        legacy = survivability_sweep("sk(2,2,2)", "coupler", backend="legacy", **self.KW)
+        legacy = _rebuild_per_trial("sk(2,2,2)", "coupler", **self.KW)
         batched = survivability_sweep("sk(2,2,2)", "coupler", backend="batched", **self.KW)
         assert batched.to_json() == legacy.to_json()
 
@@ -49,9 +87,7 @@ class TestBatchedSweepDeterminism:
         assert inline.to_json() == four.to_json()
 
     def test_legacy_workers_still_match_batched(self):
-        legacy = survivability_sweep(
-            "pops(2,3)", "coupler", backend="legacy", workers=2, **self.KW
-        )
+        legacy = _rebuild_per_trial("pops(2,3)", "coupler", **self.KW)
         batched = survivability_sweep(
             "pops(2,3)", "coupler", backend="batched", workers=3, **self.KW
         )
@@ -92,10 +128,8 @@ class TestMetricsModes:
             survivability_sweep("pops(2,2)", trials=2, metrics="everything")
         with pytest.raises(ValueError, match="unknown sweep backend"):
             survivability_sweep("pops(2,2)", trials=2, backend="turbo")
-        with pytest.raises(ValueError, match="legacy backend"):
-            survivability_sweep(
-                "pops(2,2)", trials=2, backend="legacy", metrics="connectivity"
-            )
+        with pytest.raises(ValueError, match="unknown sweep backend 'legacy'"):
+            survivability_sweep("pops(2,2)", trials=2, backend="legacy")
 
 
 # ----------------------------------------------------------------------

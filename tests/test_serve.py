@@ -82,11 +82,13 @@ class TestProtocol:
     def test_backend_metric_combos_rejected(self):
         with pytest.raises(ServeError):
             validate_sweep({"spec": "pops(2,2)", "backend": "vectorized"})
-        with pytest.raises(ServeError):
+        with pytest.raises(ServeError) as err:
             validate_sweep(
                 {"spec": "pops(2,2)", "backend": "legacy",
-                 "metrics": "connectivity"}
+                 "metrics": "full"}
             )
+        assert "unknown sweep backend" in str(err.value)
+        assert err.value.details["known"] == ["batched", "vectorized"]
 
     def test_type_errors_rejected(self):
         with pytest.raises(ServeError):

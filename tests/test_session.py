@@ -13,19 +13,46 @@ Pins the PR's three contracts:
 """
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
 import repro
-from repro.core.cache import SpecCache
+from repro.core.cache import CacheEntry, SpecCache
 from repro.core.experiment import Experiment
 from repro.core.session import Session, default_session, reset_default_session
 from repro.design_search.search import design_search as raw_design_search
-from repro.resilience import PersistentSweepExecutor
+from repro.obs.trace import disable_tracing, enable_tracing
+from repro.resilience import FaultModel, PersistentSweepExecutor
 from repro.resilience.sweep import (
     pooled_survivability_sweeps,
     survivability_sweep,
 )
+
+
+class _ExplodingFaults(FaultModel):
+    """Fails every draw; module-level so pool workers can unpickle it."""
+
+    key = "exploding"
+
+    def sample_faults(self, net, rng):
+        raise RuntimeError(f"sampler exploded in pid {os.getpid()}")
+
+
+def _traced(run):
+    """``(result, events)`` of ``run()`` under a fresh tracer."""
+    enable_tracing()
+    try:
+        result = run()
+    finally:
+        events = disable_tracing().events()
+    return result, events
+
+
+def _new_children(before) -> set:
+    """Live child processes that did not exist in ``before``."""
+    return set(multiprocessing.active_children()) - before
 
 
 # ----------------------------------------------------------------------
@@ -165,7 +192,6 @@ class TestSweepByteIdentity:
             ("connectivity", "vectorized"),
             ("paths", "batched"),
             ("full", "batched"),
-            ("full", "legacy"),
         ],
     )
     def test_warm_session_equals_cold_module_path(self, metrics, backend):
@@ -211,6 +237,42 @@ class TestSweepByteIdentity:
             a = s.resilience_sweep("pops(2,3)", **kw)
             b = s.resilience_sweep("pops(2,3)", **kw)
         assert a.to_json() == cold.to_json() == b.to_json()
+
+    def test_downgraded_request_traces_and_prepares_what_runs(
+        self, monkeypatch
+    ):
+        """A vectorized ``paths`` request on sk(2,2,2) runs on batched.
+
+        The session's ``sweep.execute`` span must say so with the same
+        args as the module path's, and neither the sweep nor an
+        experiment cell may export topology arrays it never uses.
+        """
+        kw = dict(trials=4, seed=1, metrics="paths", backend="vectorized")
+
+        def execute_args(events):
+            (event,) = [e for e in events if e["name"] == "sweep.execute"]
+            return event["args"]
+
+        def no_arrays(entry):
+            raise AssertionError(f"topology arrays built for {entry.canonical}")
+
+        cold, cold_events = _traced(
+            lambda: survivability_sweep("sk(2,2,2)", **kw)
+        )
+        monkeypatch.setattr(CacheEntry, "arrays", no_arrays)
+        with Session() as s:
+            warm, warm_events = _traced(
+                lambda: s.resilience_sweep("sk(2,2,2)", **kw)
+            )
+            cell = s.experiment(
+                "sk(2,2,2)", metrics=("paths",), backend="vectorized",
+                trials=4, seed=1,
+            ).cells[0]
+        assert warm.backend == cell.backend == "batched"
+        assert warm.to_json() == cold.to_json()
+        args = execute_args(warm_events)
+        assert (args["backend"], args["metrics"]) == ("batched", "paths")
+        assert args == execute_args(cold_events)
 
     def test_facade_verb_routes_through_default_session(self):
         reset_default_session()
@@ -282,17 +344,86 @@ class TestPersistentExecutor:
         for a, b, c in zip(oneshot, persistent, serial):
             assert a.to_json() == b.to_json() == c.to_json()
 
-    def test_inline_context_cache_is_bounded(self):
-        with PersistentSweepExecutor(context_cache=2) as ex:
+    def test_inline_context_cache_is_bounded(self, monkeypatch):
+        import repro.resilience.sweep as sweep_mod
+
+        monkeypatch.setattr(sweep_mod, "_PERSIST_CTX_CACHE", 2)
+        with PersistentSweepExecutor() as ex:
             for spec in ("pops(2,2)", "sops(4)", "sk(2,2,2)"):
                 survivability_sweep(
                     spec, trials=2, metrics="connectivity", _executor=ex
                 )
             assert len(ex._inline_ctxs) == 2
 
-    def test_rejects_degenerate_context_cache(self):
-        with pytest.raises(ValueError, match="context_cache"):
-            PersistentSweepExecutor(context_cache=0)
+
+# ----------------------------------------------------------------------
+# Executors scoped to one call: the pool never outlives the call
+# ----------------------------------------------------------------------
+class TestScopedExecutorTeardown:
+    @pytest.mark.parametrize("backend", ["batched", "vectorized"])
+    def test_sweep_reaps_its_workers(self, backend):
+        before = set(multiprocessing.active_children())
+        summary, events = _traced(lambda: survivability_sweep(
+            "pops(2,3)", trials=8, workers=2, metrics="connectivity",
+            backend=backend,
+        ))
+        worker_pids = {e["pid"] for e in events if e["name"] == "sweep.chunk"}
+        assert summary.trials == 8
+        assert worker_pids and os.getpid() not in worker_pids
+        assert not _new_children(before)
+
+    def test_pooled_sweeps_reap_their_workers(self):
+        before = set(multiprocessing.active_children())
+        summaries = pooled_survivability_sweeps(
+            [
+                dict(spec="pops(2,2)", trials=6, metrics="connectivity"),
+                dict(spec="sk(2,2,2)", trials=6, metrics="connectivity",
+                     backend="vectorized"),
+            ],
+            workers=2,
+        )
+        assert [s.trials for s in summaries] == [6, 6]
+        assert not _new_children(before)
+
+    @pytest.mark.parametrize("backend", ["batched", "vectorized"])
+    def test_worker_exception_reaches_caller(self, backend):
+        before = set(multiprocessing.active_children())
+        with pytest.raises(RuntimeError, match="sampler exploded") as err:
+            survivability_sweep(
+                "pops(2,3)", _ExplodingFaults(), trials=8, workers=2,
+                metrics="connectivity", backend=backend,
+            )
+        # raised in a pool worker, re-raised here unchanged
+        assert f"pid {os.getpid()}" not in str(err.value)
+        assert not _new_children(before)
+
+    def test_adaptive_sweep_reaps_its_workers(self):
+        kw = dict(trials=200, seed=9, metrics="connectivity", ci_target=0.08)
+        inline = survivability_sweep("pops(2,3)", **kw)
+        before = set(multiprocessing.active_children())
+        summary, events = _traced(
+            lambda: survivability_sweep("pops(2,3)", workers=2, **kw)
+        )
+        worker_pids = {e["pid"] for e in events if e["name"] == "sweep.chunk"}
+        assert summary.to_json() == inline.to_json()
+        assert worker_pids and os.getpid() not in worker_pids
+        assert not _new_children(before)
+
+    @pytest.mark.parametrize("parallelism", ["sweeps", "candidates"])
+    def test_design_search_runs_every_candidate_on_one_pool(self, parallelism):
+        kw = dict(max_processors=10, families=("pops", "sops"), trials=6, seed=4)
+        inline = raw_design_search(**kw)
+        before = set(multiprocessing.active_children())
+        result, events = _traced(lambda: raw_design_search(
+            workers=2, parallelism=parallelism, **kw
+        ))
+        worker_pids = {e["pid"] for e in events if e["name"] == "sweep.chunk"}
+        assert result.to_json() == inline.to_json()
+        assert len(result.candidates) >= 2
+        # one 2-process pool for the whole window, not one per candidate
+        assert 1 <= len(worker_pids) <= 2
+        assert os.getpid() not in worker_pids
+        assert not _new_children(before)
 
 
 # ----------------------------------------------------------------------

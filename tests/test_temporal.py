@@ -466,59 +466,3 @@ class TestServeTemporal:
             with pytest.raises(ServeHTTPError) as exc:
                 client.temporal("sk(2,2,2)", process="unknown-process")
             assert exc.value.status == 400
-
-
-class TestCacheSpill:
-    def test_evicted_arrays_spill_and_reload(self):
-        import numpy as np
-
-        from repro.core.cache import SpecCache
-
-        cache = SpecCache(maxsize=2)
-        first = cache.entry("pops(2,2)")
-        original = first.arrays()
-        cache.entry("sops(4)")
-        cache.entry("sk(2,2,2)")  # evicts pops(2,2) -> spill to disk
-        assert cache.stats.spills == 1
-        reloaded = cache.entry("pops(2,2)").arrays()
-        assert cache.stats.spill_hits == 1
-        for field in (
-            "endpoints", "proc_group", "src_indptr",
-            "src_indices", "tgt_indptr", "tgt_indices",
-        ):
-            assert np.array_equal(
-                getattr(original, field), getattr(reloaded, field)
-            )
-        for field in ("num_processors", "num_groups", "num_couplers"):
-            assert getattr(original, field) == getattr(reloaded, field)
-
-    def test_consulted_store_without_file_counts_a_miss(self):
-        from repro.core.cache import SpecCache
-
-        cache = SpecCache(maxsize=2)
-        cache.entry("pops(2,2)").arrays()
-        cache.entry("sops(4)")
-        cache.entry("sk(2,2,2)")  # spill store now exists
-        cache.entry("sops(4)").arrays()  # never spilled -> miss + export
-        assert cache.stats.spill_misses >= 1
-
-    def test_invalidate_removes_spill_store(self):
-        import os
-
-        from repro.core.cache import SpecCache
-
-        cache = SpecCache(maxsize=1)
-        cache.entry("pops(2,2)").arrays()
-        cache.entry("sops(4)")  # evicts and spills
-        spill_dir = cache._spill_dir
-        assert spill_dir is not None and os.path.isdir(spill_dir)
-        cache.invalidate()
-        assert not os.path.exists(spill_dir)
-        assert cache._spill_dir is None
-
-    def test_stats_dict_exposes_spill_counters(self):
-        from repro.core.cache import SpecCache
-
-        stats = SpecCache().stats_dict()
-        for key in ("spills", "spill_hits", "spill_misses"):
-            assert stats[key] == 0

@@ -1,7 +1,7 @@
 """Vectorized sweep backend + candidate-level parallelism tests.
 
-The PR 4 contract: the ``vectorized`` backend (shared-memory topology
-arrays, batched numpy fault masks and reachability) must reproduce the
+The PR 4 contract: the ``vectorized`` backend (flat topology arrays,
+batched numpy fault masks and reachability) must reproduce the
 ``batched`` backend's connectivity-mode aggregate JSON **byte for
 byte** -- same SHA-256 trial-seed stream, same metrics -- for any
 worker count, fault model and family; and the design search's
@@ -89,8 +89,8 @@ class TestVectorizedMatchesBatched:
         )
         assert "mean_stretch" in summary.quantiles
 
-    def test_backend_registry_names_all_three(self):
-        assert SWEEP_BACKENDS == ("batched", "vectorized", "legacy")
+    def test_backend_registry_names_both(self):
+        assert SWEEP_BACKENDS == ("batched", "vectorized")
 
     def test_cli_backend_flag_reaches_the_vectorized_path(self, capsys):
         argv = [
@@ -195,7 +195,7 @@ class TestPooledSweeps:
         assert [s.spec for s in pooled] == ["sk(2,2,2)", "pops(2,3)", "pops(2,2)"]
 
     def test_legacy_backend_has_no_pooled_form(self):
-        with pytest.raises(ValueError, match="legacy"):
+        with pytest.raises(ValueError, match="unknown sweep backend 'legacy'"):
             pooled_survivability_sweeps(
                 [dict(spec="pops(2,2)", trials=2, backend="legacy")]
             )
