@@ -12,6 +12,9 @@ serving-tier guarantees end to end over the wire:
    exposition with the expected families, every response carries an
    ``X-Repro-Request-Id``, and ``--access-log`` writes one JSON line
    per request.
+4. **Error paths** -- a caller mistake (importance sampling on the
+   ``link`` fault model) answers a structured 400 with its request id,
+   never a ``500 internal``.
 
 Finally the server is sent SIGTERM and must exit 0 with a silent
 stderr (graceful pool shutdown, no resource-tracker noise).
@@ -27,6 +30,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -158,6 +162,23 @@ def main() -> int:
             f"[serve-smoke] observability OK: {len(kinds)} metric "
             f"families, {len(log_lines)} access-log lines"
         )
+
+        # 4. a caller mistake is a structured 400, not a 500
+        try:
+            post(port, "sweep", {"spec": "pops(2,2)", "model": "link",
+                                 "sampling": "importance"})
+        except urllib.error.HTTPError as exc:
+            status, request_id = exc.code, exc.headers.get(
+                "X-Repro-Request-Id", ""
+            )
+            error = json.load(exc)["error"]
+        else:
+            raise AssertionError("link + importance sweep was accepted")
+        assert status == 400, (status, error)
+        assert error["code"] == "bad_request", error
+        assert "cardinality distribution" in error["message"], error
+        assert len(request_id) == 16, f"bad request id {request_id!r}"
+        print(f"[serve-smoke] error path OK: 400 {error['code']}")
 
         proc.send_signal(signal.SIGTERM)
         code = proc.wait(timeout=60)

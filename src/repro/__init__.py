@@ -136,6 +136,7 @@ from .resilience import (
     FaultModel,
     FaultScenario,
     PersistentSweepExecutor,
+    SweepRequest,
     SweepSummary,
     make_fault_model,
     pooled_survivability_sweeps,
@@ -232,6 +233,7 @@ __all__ = [
     "StackKautzNetwork",
     "SweepCell",
     "SweepResult",
+    "SweepRequest",
     "SweepSummary",
     "TemporalSummary",
     "TrafficMatrix",

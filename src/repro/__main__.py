@@ -265,6 +265,18 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep_args(args: argparse.Namespace) -> dict:
+    """The sweep-request fields a subcommand's flags carry.
+
+    Every flag named like a :class:`~repro.resilience.sweep.SweepRequest`
+    field; ``experiment``'s ``--metrics``/``--trials`` are grid axes of
+    the same name.
+    """
+    from .resilience.sweep import SWEEP_FIELDS
+
+    return {name: getattr(args, name) for name in SWEEP_FIELDS if name in args}
+
+
 def _cmd_design_search(args: argparse.Namespace) -> int:
     from .core import design_search
 
@@ -274,14 +286,7 @@ def _cmd_design_search(args: argparse.Namespace) -> int:
                 max_processors=args.max_processors,
                 min_processors=args.min_processors,
                 families=args.families,
-                model=args.model,
-                faults=args.faults,
-                trials=args.trials,
-                seed=args.seed,
                 workers=args.workers,
-                metrics=args.metrics,
-                workload=args.workload,
-                messages=args.messages,
                 max_coupler_degree=args.max_coupler_degree,
                 min_groups=args.min_groups,
                 max_groups=args.max_groups,
@@ -289,10 +294,8 @@ def _cmd_design_search(args: argparse.Namespace) -> int:
                 min_margin_db=args.min_margin_db,
                 top=args.top,
                 parallelism=args.parallelism,
-                backend=args.backend,
                 rank_by=args.rank_by,
-                ci_target=args.ci_target,
-                sampling=args.sampling,
+                **_sweep_args(args),
             )
     except (SpecError, ValueError) as exc:
         print(exc, file=sys.stderr)
@@ -311,18 +314,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
         spec = NetworkSpec.from_argv(args.spec)
         with _trace_to(args.trace):
             summary = resilience_sweep(
-                spec,
-                model=args.model,
-                faults=args.faults,
-                trials=args.trials,
-                seed=args.seed,
-                workers=args.workers,
-                workload=args.workload,
-                messages=args.messages,
-                metrics=args.metrics,
-                backend=args.backend,
-                ci_target=args.ci_target,
-                sampling=args.sampling,
+                spec, workers=args.workers, **_sweep_args(args)
             )
     except (SpecError, ValueError) as exc:
         print(exc, file=sys.stderr)
@@ -376,15 +368,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             result = experiment(
                 specs,
                 models=args.models,
-                metrics=args.metrics,
-                trials=args.trials,
-                seed=args.seed,
-                workers=args.workers,
-                backend=args.backend,
-                workload=args.workload,
-                messages=args.messages,
                 samplings=args.samplings,
-                ci_target=args.ci_target,
+                workers=args.workers,
+                **_sweep_args(args),
             )
     except (SpecError, ValueError) as exc:
         print(exc, file=sys.stderr)

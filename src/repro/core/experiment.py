@@ -24,7 +24,7 @@ cell's summary is **byte-identical** to calling
 
 >>> exp = Experiment(specs=("pops(2,2)",), models=("coupler:1",),
 ...                  metrics=("connectivity",), trials=4)
->>> [c["spec"] for c in exp.compile()]
+>>> [spec for spec, _ in exp.compile()]
 ['pops(2,2)']
 >>> result = exp.run()
 >>> result.cells[0].summary.trials
@@ -44,6 +44,14 @@ __all__ = ["Experiment", "ExperimentCell", "ExperimentResult"]
 #: Sentinel for :meth:`Experiment.run`: "caller did not pass workers",
 #: so the target session's own default applies.
 _UNSET_WORKERS = object()
+
+#: Grid axis of each :class:`~repro.resilience.sweep.SweepRequest`
+#: field an axis feeds (scalar plan fields share the request's names).
+_AXES = {
+    "metrics": "metrics modes",
+    "trials": "trial counts",
+    "sampling": "samplings",
+}
 
 
 def _normalize_tuple(value) -> tuple:
@@ -122,8 +130,12 @@ class Experiment:
 
     Parameters are normalized (single entries become one-element
     grids, model entries become :class:`FaultModel` instances, specs
-    are canonicalized) and validated at construction, so an experiment
-    that exists is an experiment that runs.
+    are canonicalized) and validated at construction -- every cell's
+    :class:`~repro.resilience.sweep.SweepRequest` is built here -- so an
+    experiment that exists is an experiment that runs.  The scalar fields (``seed``, ``backend``, ``workload``,
+    ``messages``, ``bound``, ``max_slots``, ``ci_target``) and the
+    entries of the ``metrics``, ``trials`` and ``samplings`` axes mean
+    what the request's fields of the same name mean.
 
     ``backend`` is the *preferred* trial executor; grid cells whose
     metrics mode the backend cannot score fall back automatically
@@ -132,6 +144,11 @@ class Experiment:
     families with structured ``fault_route`` hooks are further
     downgraded per spec inside the sweep preparation; each cell
     records the backend that actually ran.
+
+    A fault *process* on the models axis (``"coupler-renewal:2"``)
+    replays through the temporal engine, which has neither non-uniform
+    sampling nor sequential stopping, so such a grid must keep
+    ``samplings`` uniform and ``ci_target`` unset.
 
     >>> e = Experiment(specs=("pops(2,2)", "sk(2,2,2)"),
     ...                models=("coupler", "processor:2"), trials=8)
@@ -153,56 +170,39 @@ class Experiment:
     ci_target: float | None = None
 
     def __post_init__(self) -> None:
-        from ..resilience.sweep import METRICS_MODES, SAMPLING_MODES, SWEEP_BACKENDS
+        from ..resilience.sweep import SweepRequestError
+        from ..temporal.processes import FaultProcess
 
-        specs = tuple(
-            NetworkSpec.parse(s) for s in _normalize_tuple(self.specs)
-        )
-        if not specs:
-            raise ValueError("an experiment needs at least one spec")
-        models = tuple(_parse_model(m) for m in _normalize_tuple(self.models))
-        if not models:
-            raise ValueError("an experiment needs at least one fault model")
-        metrics = tuple(_normalize_tuple(self.metrics))
-        for mode in metrics:
-            if mode not in METRICS_MODES:
-                known = ", ".join(sorted(METRICS_MODES))
-                raise ValueError(
-                    f"unknown metrics mode {mode!r}; known: {known}"
-                )
-        if not metrics:
-            raise ValueError("an experiment needs at least one metrics mode")
-        trials = tuple(int(t) for t in _normalize_tuple(self.trials))
-        if not trials or any(t < 1 for t in trials):
-            raise ValueError(f"trial counts must be >= 1, got {trials}")
-        if self.backend not in SWEEP_BACKENDS:
-            known = ", ".join(SWEEP_BACKENDS)
-            raise ValueError(
-                f"unknown sweep backend {self.backend!r}; known: {known}"
-            )
-        samplings = tuple(_normalize_tuple(self.samplings))
-        for mode in samplings:
-            if mode not in SAMPLING_MODES:
-                known = ", ".join(SAMPLING_MODES)
-                raise ValueError(
-                    f"unknown sampling mode {mode!r}; known: {known}"
-                )
-        if not samplings:
-            raise ValueError("an experiment needs at least one sampling mode")
-        if self.ci_target is not None and not (
-            isinstance(self.ci_target, (int, float))
-            and not isinstance(self.ci_target, bool)
-            and self.ci_target > 0
+        parse = {"specs": NetworkSpec.parse, "models": _parse_model}
+        for name, noun in (
+            ("specs", "spec"),
+            ("models", "fault model"),
+            ("metrics", "metrics mode"),
+            ("trials", "trial count"),
+            ("samplings", "sampling mode"),
+        ):
+            entries = _normalize_tuple(getattr(self, name))
+            if name in parse:
+                entries = tuple(map(parse[name], entries))
+            if not entries:
+                raise ValueError(f"an experiment needs at least one {noun}")
+            object.__setattr__(self, name, entries)
+        if any(isinstance(m, FaultProcess) for m in self.models) and (
+            self.ci_target is not None
+            or any(mode != "uniform" for mode in self.samplings)
         ):
             raise ValueError(
-                f"ci_target must be a number > 0 or None, "
-                f"got {self.ci_target!r}"
+                "fault-process cells replay through the temporal engine, "
+                "which has neither non-uniform sampling nor ci_target; "
+                "keep samplings uniform and ci_target unset, or split "
+                "the processes into their own experiment"
             )
-        object.__setattr__(self, "specs", specs)
-        object.__setattr__(self, "models", models)
-        object.__setattr__(self, "metrics", metrics)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "samplings", samplings)
+        try:
+            self.compile()
+        except SweepRequestError as exc:
+            if exc.field not in _AXES:
+                raise
+            raise ValueError(f"{_AXES[exc.field]}: {exc}") from None
 
     def _cell_backend(self, metrics_mode: str) -> str:
         """The preferred backend, downgraded where it cannot score.
@@ -218,19 +218,27 @@ class Experiment:
             return "batched"
         return self.backend
 
-    def compile(self) -> list[dict]:
-        """The grid flattened into sweep-request dicts, spec-major order.
+    def compile(self) -> list[tuple[str, object]]:
+        """The grid flattened into ``(spec, cell)`` pairs, spec-major order.
 
-        One dict per cell, shaped for
+        ``spec`` is the canonical string.  A frozen-model cell is its
+        :class:`~repro.resilience.sweep.SweepRequest`, ready for
         :func:`~repro.resilience.sweep.survivability_sweep` /
-        :func:`~repro.resilience.sweep.pooled_survivability_sweeps`
-        (``spec`` is the canonical string; ``model`` a
-        :class:`FaultModel` instance).
+        :func:`~repro.resilience.sweep.pooled_survivability_sweeps`; a
+        fault-process cell is the keyword dict of its temporal replay
+        (``process``, ``trials``, ``seed``, ``workload``, ``messages``,
+        ``bound``, ``metrics``).
         """
-        return [
-            dict(
-                spec=spec.canonical(),
-                model=model,
+        from ..resilience.sweep import SweepRequest
+        from ..temporal.processes import FaultProcess
+
+        def cell(model, metrics_mode, trials, sampling):
+            # a process cell checks the plan's shared values through the
+            # same request as a frozen cell (with a stand-in model), then
+            # replays through the temporal engine
+            process = isinstance(model, FaultProcess)
+            request = SweepRequest(
+                model="coupler" if process else model,
                 trials=trials,
                 seed=self.seed,
                 workload=self.workload,
@@ -242,12 +250,53 @@ class Experiment:
                 ci_target=self.ci_target,
                 sampling=sampling,
             )
-            for spec in self.specs
+            if not process:
+                return request
+            return dict(
+                process=model,
+                trials=trials,
+                seed=self.seed,
+                workload=self.workload,
+                messages=self.messages,
+                bound=self.bound,
+                metrics=metrics_mode,
+            )
+
+        cells = [
+            cell(model, metrics_mode, trials, sampling)
             for model in self.models
             for metrics_mode in self.metrics
             for trials in self.trials
             for sampling in self.samplings
         ]
+        return [(spec.canonical(), c) for spec in self.specs for c in cells]
+
+    def cell_result(self, cell, summary) -> "ExperimentCell":
+        """The :class:`ExperimentCell` of one compiled cell's summary.
+
+        Records the backend that actually ran (a frozen cell's summary
+        knows it); process cells keep the plan's label for their
+        metrics mode.
+        """
+        if isinstance(cell, dict):
+            return ExperimentCell(
+                spec=summary.spec,
+                model=summary.process,
+                faults=summary.faults,
+                metrics=cell["metrics"],
+                backend=self._cell_backend(cell["metrics"]),
+                sampling="uniform",
+                summary=summary,
+            )
+        return ExperimentCell(
+            spec=summary.spec,
+            model=summary.model,
+            faults=summary.faults,
+            metrics=cell.metrics,
+            backend=summary.backend,
+            sampling=cell.sampling,
+            summary=summary,
+        )
 
     def run(self, *, workers=_UNSET_WORKERS, session=None) -> "ExperimentResult":
         """Execute the plan and return its :class:`ExperimentResult`.

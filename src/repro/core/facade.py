@@ -282,85 +282,29 @@ def degrade(
     )
 
 
-def resilience_sweep(
-    spec,
-    *,
-    model="coupler",
-    faults: int | None = None,
-    trials: int = 100,
-    seed: int = 0,
-    workers: int | None = None,
-    workload: str = "uniform",
-    messages: int = 60,
-    bound: int | None = None,
-    max_slots: int = 100_000,
-    metrics: str = "full",
-    backend: str = "batched",
-    ci_target: float | None = None,
-    sampling: str = "uniform",
-):
-    """Monte-Carlo survivability sweep of ``spec`` under ``model``.
+def resilience_sweep(spec, *, workers: int | None = None, **params):
+    """Monte-Carlo survivability sweep of ``spec`` under one fault model.
 
-    Fans ``trials`` seeded fault scenarios (optionally across
-    ``workers`` processes -- the aggregate is worker-count
-    independent) and aggregates per-trial survivability rows into
-    quantile summaries.
+    Fans the trials of one
+    :class:`~repro.resilience.sweep.SweepRequest` (optionally across
+    ``workers`` processes -- the aggregate is worker-count independent)
+    and aggregates per-trial survivability rows into quantile
+    summaries.
 
     Parameters
     ----------
     spec : NetworkSpec, str, dict, or sequence
         The machine to sweep; see :func:`build` for accepted forms.
-    model : str or FaultModel, optional
-        Fault model key or instance (see :func:`degrade`).
-    faults : int, optional
-        Faults injected per trial for string model keys (default 1);
-        combining it with a :class:`FaultModel` instance is an error.
-    trials : int, optional
-        Number of Monte-Carlo trials (default 100).
-    seed : int, optional
-        Sweep seed; per-trial seeds derive from it via SHA-256, so
-        the result is byte-identical for any worker count.
     workers : int, optional
         ``multiprocessing`` processes; ``None``/``0``/``1`` runs
         inline.
-    workload : str, optional
-        Workload scored per trial in ``full`` mode (default
-        ``"uniform"``).
-    messages : int, optional
-        Messages per trial in ``full`` mode (default 60).
-    bound : int, optional
-        Path-length bound; default ``diameter + 2`` (the paper's
-        ``k + 2`` generalized).
-    max_slots : int, optional
-        Hard stop for each trial's simulation (default 100000).
-    metrics : {"full", "paths", "connectivity"}, optional
-        Scoring depth: ``"full"`` (everything, including the degraded
-        slotted simulation), ``"paths"`` (connectivity + route
-        quality), or ``"connectivity"`` (reachability only -- the
-        fast path).
-    backend : {"batched", "vectorized"}, optional
-        Trial executor: ``"batched"`` (default; one built network per
-        process, every metrics mode) or ``"vectorized"`` (flat
-        topology arrays + numpy trial batches; ``connectivity`` and
-        ``paths`` metrics, byte-identical to ``batched``).  A
-        vectorized ``paths`` request for a family with structured
-        routing (stack-Kautz) runs on ``batched``, recorded on the
-        summary's ``backend``/``downgrade_reason``.
-    ci_target : float, optional
-        Sequential-stopping target: run deterministic trial waves
-        until the 95% confidence interval on the survival probability
-        has half-width at most ``ci_target`` (or ``trials`` -- the cap
-        -- is exhausted).  The summary's ``adaptive`` block then
-        reports ``trials_spent`` vs ``trials_requested`` and the final
-        CI.  Must be > 0; default ``None`` runs the fixed trial count.
-    sampling : {"uniform", "stratified", "importance"}, optional
-        Trial-allocation strategy.  ``"stratified"`` splits trials
-        across fault-cardinality strata with a mass-reweighted
-        unbiased estimator; ``"importance"`` biases draws toward the
-        rare high-fault tail and reweights by exact likelihood ratio.
-        Both need a fault model with a known cardinality distribution
-        (``coupler``, ``processor`` or ``bernoulli``) and keep results
-        byte-identical at any worker count.
+    **params
+        The :class:`~repro.resilience.sweep.SweepRequest` fields --
+        ``model``, ``faults``, ``trials``, ``seed``, ``workload``,
+        ``messages``, ``bound``, ``max_slots``, ``metrics`` (default
+        ``"full"``), ``backend``, ``ci_target`` and ``sampling`` --
+        with the defaults and checks documented there.  An unknown
+        keyword raises ``TypeError``, a bad value ``ValueError``.
 
     Returns
     -------
@@ -379,22 +323,7 @@ def resilience_sweep(
     >>> sorted(fast.quantiles)
     ['alive_connectivity', 'connectivity', 'reachable_groups']
     """
-    return default_session().resilience_sweep(
-        spec,
-        model=model,
-        faults=faults,
-        trials=trials,
-        seed=seed,
-        workers=workers,
-        workload=workload,
-        messages=messages,
-        bound=bound,
-        max_slots=max_slots,
-        metrics=metrics,
-        backend=backend,
-        ci_target=ci_target,
-        sampling=sampling,
-    )
+    return default_session().resilience_sweep(spec, workers=workers, **params)
 
 
 def temporal_sweep(
@@ -512,32 +441,7 @@ def temporal_sweep(
     )
 
 
-def design_search(
-    *,
-    max_processors: int,
-    min_processors: int = 2,
-    families=None,
-    model="coupler",
-    faults: int | None = None,
-    trials: int = 100,
-    seed: int = 0,
-    workers: int | None = None,
-    metrics: str = "connectivity",
-    workload: str = "uniform",
-    messages: int = 60,
-    cost_model=None,
-    max_coupler_degree: int | None = None,
-    min_groups: int | None = None,
-    max_groups: int | None = None,
-    max_diameter: int | None = None,
-    min_margin_db: float | None = None,
-    top: int | None = None,
-    parallelism: str = "sweeps",
-    backend: str = "batched",
-    rank_by: str = "survivability-per-cost",
-    ci_target: float | None = None,
-    sampling: str = "uniform",
-):
+def design_search(*, workers: int | None = None, **options):
     """Resilience-aware design search over every registered family.
 
     Enumerates candidate specs in the processor window, prices each
@@ -551,24 +455,13 @@ def design_search(
     ----------
     max_processors, min_processors : int
         Candidate window: every buildable spec with
-        ``min_processors <= N <= max_processors`` is considered.
+        ``min_processors <= N <= max_processors`` is considered
+        (``max_processors`` is required; ``min_processors`` defaults
+        to 2).
     families : iterable of str, optional
         Family keys to search (default: all registered).
-    model : str or FaultModel, optional
-        Fault model key (taking intensity ``faults``, default 1) or a
-        :class:`~repro.resilience.faults.FaultModel` instance carrying
-        its own.
-    faults : int, optional
-        Faults injected per trial for string model keys.
-    trials, seed : int, optional
-        Monte-Carlo trials per candidate and the sweep seed.
     workers : int, optional
         ``multiprocessing`` processes for the sweeps.
-    metrics : {"connectivity", "paths", "full"}, optional
-        Scoring depth per trial (``"connectivity"`` is the fast
-        path and the default).
-    workload, messages : optional
-        Traffic per trial when ``metrics="full"``.
     cost_model : CostModel, optional
         Unit prices for the bill of materials (default
         :data:`~repro.design_search.costing.DEFAULT_COST_MODEL`).
@@ -586,20 +479,19 @@ def design_search(
         another on one pool; ``"candidates"`` schedules every
         candidate's trial batches onto that pool at once.  The ranked
         table is identical.
-    backend : {"batched", "vectorized"}, optional
-        Trial executor for the per-candidate sweeps.
     rank_by : {"survivability-per-cost", "within-bound", "mean-stretch"}, optional
         Ranking criterion for the candidate table.  The path-metric
         rankings need ``metrics="paths"`` or ``"full"``.
-    ci_target : float, optional
-        Sequential stopping per candidate sweep (see
-        :func:`resilience_sweep`); under the default ranking it also
-        arms early discard -- a candidate's sweep ends as soon as its
-        confidence interval can no longer overlap the current
-        leader's.  Needs ``parallelism="sweeps"``.
-    sampling : {"uniform", "stratified", "importance"}, optional
-        Trial-allocation strategy for every candidate sweep (see
-        :func:`resilience_sweep`).
+    **sweep
+        The per-candidate sweep's
+        :class:`~repro.resilience.sweep.SweepRequest` fields, except
+        ``bound`` and ``max_slots``: ``model``, ``faults``,
+        ``trials``, ``seed``, ``workload``, ``messages``, ``metrics``
+        (default ``"connectivity"``, the fast path), ``backend``,
+        ``ci_target`` and ``sampling``.  Under the default ranking
+        ``ci_target`` also arms early discard -- a candidate's sweep
+        ends as soon as its confidence interval can no longer overlap
+        the current leader's -- and needs ``parallelism="sweeps"``.
 
     Returns
     -------
@@ -618,49 +510,10 @@ def design_search(
     >>> r.best().spec == r.candidates[0].spec
     True
     """
-    return default_session().design_search(
-        max_processors=max_processors,
-        min_processors=min_processors,
-        families=families,
-        model=model,
-        faults=faults,
-        trials=trials,
-        seed=seed,
-        workers=workers,
-        metrics=metrics,
-        workload=workload,
-        messages=messages,
-        cost_model=cost_model,
-        max_coupler_degree=max_coupler_degree,
-        min_groups=min_groups,
-        max_groups=max_groups,
-        max_diameter=max_diameter,
-        min_margin_db=min_margin_db,
-        top=top,
-        parallelism=parallelism,
-        backend=backend,
-        rank_by=rank_by,
-        ci_target=ci_target,
-        sampling=sampling,
-    )
+    return default_session().design_search(workers=workers, **options)
 
 
-def experiment(
-    specs,
-    *,
-    models=("coupler",),
-    metrics=("connectivity",),
-    trials=100,
-    seed: int = 0,
-    workers: int | None = None,
-    backend: str = "batched",
-    workload: str = "uniform",
-    messages: int = 60,
-    bound: int | None = None,
-    max_slots: int = 100_000,
-    samplings=("uniform",),
-    ci_target: float | None = None,
-):
+def experiment(specs, *, workers: int | None = None, **plan):
     """Run a declarative specs x models x metrics x trials experiment.
 
     Builds an :class:`~repro.core.experiment.Experiment` plan over the
@@ -673,33 +526,24 @@ def experiment(
     specs : spec or iterable of specs
         The machines of the grid; each entry is anything
         :meth:`~repro.core.spec.NetworkSpec.parse` accepts.
+    workers : int, optional
+        Worker-pool size (``None``/``0``/``1`` runs inline); the
+        report is worker-count independent.
     models : iterable, optional
         Fault-model grid entries: a key (``"coupler"``), a
         ``"key:faults"`` string (``"link:2"``), a ``(key, faults)``
         pair or a :class:`~repro.resilience.faults.FaultModel`
-        instance.  Default ``("coupler",)``.
-    metrics : iterable of str, optional
-        Scoring depths (``"connectivity"``, ``"paths"``, ``"full"``).
-    trials : int or iterable of int, optional
-        Monte-Carlo trial counts (a grid axis; default 100).
-    seed : int, optional
-        One seed for every cell; each cell's summary is byte-identical
-        to :func:`resilience_sweep` with the same parameters.
-    workers : int, optional
-        Worker-pool size (``None``/``0``/``1`` runs inline); the
-        report is worker-count independent.
-    backend : {"batched", "vectorized"}, optional
-        Preferred trial executor; cells whose metrics mode it cannot
-        score fall back to ``"batched"``.
-    workload, messages, bound, max_slots : optional
-        Per-cell sweep parameters (see :func:`resilience_sweep`).
-    samplings : str or iterable of str, optional
-        Trial-allocation strategies (a grid axis; default
-        ``("uniform",)``; see :func:`resilience_sweep`).
-    ci_target : float, optional
-        Sequential-stopping half-width target applied to every cell
-        (see :func:`resilience_sweep`); default ``None`` runs fixed
-        trial counts.
+        instance.  Default ``("coupler",)``.  Fault-process keys
+        (``"coupler-renewal:2"``) replay through the temporal engine.
+    metrics, trials, samplings : str/int or iterable, optional
+        Grid axes over the :class:`~repro.resilience.sweep.SweepRequest`
+        fields of the same (singular) name; defaults
+        ``("connectivity",)``, ``100`` and ``("uniform",)``.
+    seed, backend, workload, messages, bound, max_slots, ci_target : optional
+        One value for every cell, meaning what the
+        :class:`~repro.resilience.sweep.SweepRequest` field of that
+        name means.  Cells whose metrics mode ``backend`` cannot score
+        fall back to ``"batched"``.
 
     Returns
     -------
@@ -717,21 +561,7 @@ def experiment(
     >>> r.cell("pops(2,2)").summary.trials
     4
     """
-    return default_session().experiment(
-        specs,
-        models=models,
-        metrics=metrics,
-        trials=trials,
-        seed=seed,
-        workers=workers,
-        backend=backend,
-        workload=workload,
-        messages=messages,
-        bound=bound,
-        max_slots=max_slots,
-        samplings=samplings,
-        ci_target=ci_target,
-    )
+    return default_session().experiment(specs, workers=workers, **plan)
 
 
 # ----------------------------------------------------------------------

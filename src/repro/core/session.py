@@ -299,99 +299,43 @@ class Session:
         """Fault-injected view of ``spec`` (see :func:`repro.degrade`)."""
         self._check_open()
         from ..resilience.degrade import DegradedNetwork
-        from ..resilience.faults import FaultModel, make_fault_model
+        from ..resilience.faults import resolve_fault_model
 
         entry = self._cache.entry(spec)
         net = entry.network
         if scenario is None:
-            if isinstance(model, str):
-                model = make_fault_model(model, 1 if faults is None else faults)
-            elif not isinstance(model, FaultModel):
-                raise TypeError(
-                    f"model must be a fault-model key or FaultModel, "
-                    f"got {type(model).__name__}"
-                )
-            elif faults is not None:
-                raise ValueError(
-                    "faults applies to string model keys; a FaultModel "
-                    "instance already carries its intensity"
-                )
+            model = resolve_fault_model(model, faults)
             scenario = model.scenario(entry.canonical, net, seed)
         return DegradedNetwork(net, scenario)
 
-    def resilience_sweep(
-        self,
-        spec,
-        *,
-        model="coupler",
-        faults: int | None = None,
-        trials: int = 100,
-        seed: int = 0,
-        workers=_UNSET,
-        workload: str = "uniform",
-        messages: int = 60,
-        bound: int | None = None,
-        max_slots: int = 100_000,
-        metrics: str = "full",
-        backend: str = "batched",
-        ci_target: float | None = None,
-        sampling: str = "uniform",
-    ):
+    def resilience_sweep(self, spec, *, workers=_UNSET, **params):
         """Monte-Carlo survivability sweep (see :func:`repro.resilience_sweep`).
 
-        Warm calls reuse the cached built network, topology arrays,
-        intact baseline and the persistent worker pool; the summary is
-        byte-identical to a cold module-level
+        ``**params`` are the fields of one
+        :class:`~repro.resilience.sweep.SweepRequest`.  Warm calls reuse
+        the cached built network, topology arrays, intact baseline and
+        the persistent worker pool; the summary is byte-identical to a
+        cold module-level
         :func:`~repro.resilience.sweep.survivability_sweep`.
         """
+        from ..resilience.sweep import SweepRequest
+
+        return self.run_sweep(spec, SweepRequest(**params), workers=workers)
+
+    def run_sweep(self, spec, request, *, workers=_UNSET):
+        """Run one ``(spec, SweepRequest)`` sweep on the session's caches."""
         self._check_open()
-        from ..obs.trace import span
-        from ..resilience.sweep import _prepare_sweep, _summarize
+        from ..resilience.sweep import survivability_sweep
 
         entry = self._cache.entry(spec)
-        # lazy provider: _prepare_sweep only invokes it once the
-        # request validates, so rejected requests never simulate
-        baseline = (
-            lambda: entry.baseline(
-                workload=workload,
-                messages=messages,
-                seed=seed,
-                max_slots=max_slots,
-            )
-        ) if metrics == "full" else None
-        with span("sweep.prepare", spec=entry.canonical, trials=trials,
-                  backend=backend):
-            prepared = _prepare_sweep(
-                entry.spec,
-                model,
-                faults=faults,
-                trials=trials,
-                seed=seed,
-                workload=workload,
-                messages=messages,
-                bound=bound,
-                max_slots=max_slots,
-                metrics=metrics,
-                backend=backend,
-                ci_target=ci_target,
-                sampling=sampling,
-                _net=entry.network,
-                _baseline=baseline,
-            )
-        executor = self._executor_for(self._effective_workers(workers))
-        # the *executed* backend: a vectorized paths request downgraded
-        # to batched neither needs the arrays nor runs on the kernel
-        plan = prepared.plan
-        arrays = (
-            entry.arrays()
-            if plan.backend == "vectorized" and not executor.parallel
-            else None
+        return survivability_sweep(
+            entry.spec,
+            request,
+            _net=entry.network,
+            _baseline=entry.baseline,
+            _arrays=entry.arrays,
+            _executor=self._executor_for(self._effective_workers(workers)),
         )
-        with span("sweep.execute", spec=plan.canonical, trials=trials,
-                  backend=plan.backend, metrics=plan.metrics):
-            rows = executor.run(prepared, arrays=arrays)
-        with span("sweep.summarize", spec=entry.canonical, trials=trials):
-            return _summarize(prepared, rows)
 
     def temporal_sweep(
         self,
@@ -508,45 +452,18 @@ class Session:
     # ------------------------------------------------------------------
     # Experiments: the declarative plan/execute/report pipeline
     # ------------------------------------------------------------------
-    def experiment(
-        self,
-        specs,
-        *,
-        models=("coupler",),
-        metrics=("connectivity",),
-        trials=100,
-        seed: int = 0,
-        workers=_UNSET,
-        backend: str = "batched",
-        workload: str = "uniform",
-        messages: int = 60,
-        bound: int | None = None,
-        max_slots: int = 100_000,
-        samplings=("uniform",),
-        ci_target: float | None = None,
-    ):
+    def experiment(self, specs, *, workers=_UNSET, **plan):
         """Declare and run an :class:`~repro.core.experiment.Experiment`.
 
-        Convenience wrapper: builds the frozen plan object and hands it
-        to :meth:`run_experiment`.
+        Convenience wrapper: builds the frozen plan object from
+        ``specs`` and the other plan fields and hands it to
+        :meth:`run_experiment`.
         """
         from .experiment import Experiment
 
-        plan = Experiment(
-            specs=specs,
-            models=models,
-            metrics=metrics,
-            trials=trials,
-            seed=seed,
-            backend=backend,
-            workload=workload,
-            messages=messages,
-            bound=bound,
-            max_slots=max_slots,
-            samplings=samplings,
-            ci_target=ci_target,
+        return self.run_experiment(
+            Experiment(specs=specs, **plan), workers=workers
         )
-        return self.run_experiment(plan, workers=workers)
 
     def run_experiment(self, experiment, *, workers=_UNSET):
         """Execute one compiled experiment plan on the session's pool.
@@ -559,16 +476,15 @@ class Session:
 
         from ..obs.trace import span
         from ..resilience.sweep import _prepare_sweep, _summarize
-        from ..temporal.processes import FaultProcess
         from ..temporal.replay import (
             DEFAULT_HORIZON,
             execute_temporal,
             prepare_temporal_sweep,
             summarize_temporal,
         )
-        from .experiment import ExperimentCell, ExperimentResult
+        from .experiment import ExperimentResult
 
-        cells_meta = experiment.compile()
+        cells = experiment.compile()
         effective = self._effective_workers(workers)
         executor = self._executor_for(effective)
         # a grid axis may mix frozen fault models and fault *processes*:
@@ -578,46 +494,19 @@ class Session:
         prepared_list = []
         arrays_list = []
         temporal_prepared: dict[int, object] = {}
-        with span("experiment.prepare", cells=len(cells_meta)):
-            for index, request in enumerate(cells_meta):
-                entry = self._cache.entry(request["spec"])
-                if isinstance(request["model"], FaultProcess):
+        with span("experiment.prepare", cells=len(cells)):
+            for index, (spec, cell) in enumerate(cells):
+                entry = self._cache.entry(spec)
+                if isinstance(cell, dict):  # a fault-process cell
                     temporal_prepared[index] = prepare_temporal_sweep(
                         entry.spec,
-                        request["model"],
                         horizon=DEFAULT_HORIZON,
-                        trials=request["trials"],
-                        seed=request["seed"],
-                        workload=request["workload"],
-                        messages=request["messages"],
-                        bound=request["bound"],
-                        metrics=request["metrics"],
                         _net=entry.network,
+                        **cell,
                     )
                     continue
-                baseline = (
-                    lambda entry=entry, request=request: entry.baseline(
-                        workload=request["workload"],
-                        messages=request["messages"],
-                        seed=request["seed"],
-                        max_slots=request["max_slots"],
-                    )
-                ) if request["metrics"] == "full" else None
                 prepared = _prepare_sweep(
-                    entry.spec,
-                    request["model"],
-                    trials=request["trials"],
-                    seed=request["seed"],
-                    workload=request["workload"],
-                    messages=request["messages"],
-                    bound=request["bound"],
-                    max_slots=request["max_slots"],
-                    metrics=request["metrics"],
-                    backend=request["backend"],
-                    ci_target=request.get("ci_target"),
-                    sampling=request.get("sampling", "uniform"),
-                    _net=entry.network,
-                    _baseline=baseline,
+                    entry.spec, cell, net=entry.network, baseline=entry.baseline
                 )
                 if executor.parallel:
                     prepared = replace(prepared, net=None)
@@ -629,8 +518,8 @@ class Session:
                     else None
                 )
         worker_count = effective if isinstance(effective, int) else 1
-        with span("experiment.execute", cells=len(cells_meta)):
-            if any(p.ci_target is not None for p in prepared_list):
+        with span("experiment.execute", cells=len(cells)):
+            if experiment.ci_target is not None:
                 # adaptive cells need per-wave stop decisions, so a
                 # grid with ci_target runs cell-by-cell on the shared
                 # pool (same bytes, no cross-cell chunk interleaving)
@@ -646,39 +535,23 @@ class Session:
                 index: execute_temporal(tprep, workers=worker_count)
                 for index, tprep in temporal_prepared.items()
             }
-        with span("experiment.summarize", cells=len(cells_meta)):
+        with span("experiment.summarize", cells=len(cells)):
             sweep_results = iter(zip(prepared_list, rows_lists))
-            cells = []
-            for index, request in enumerate(cells_meta):
+            summaries = []
+            for index in range(len(cells)):
                 if index in temporal_prepared:
-                    tprep = temporal_prepared[index]
-                    cells.append(
-                        ExperimentCell(
-                            spec=tprep.plan.canonical,
-                            model=tprep.plan.process.key,
-                            faults=tprep.plan.process.faults,
-                            metrics=tprep.plan.metrics,
-                            backend=request["backend"],
-                            sampling=request.get("sampling", "uniform"),
-                            summary=summarize_temporal(
-                                tprep, temporal_rows[index]
-                            ),
-                        )
-                    )
-                    continue
-                prepared, rows = next(sweep_results)
-                cells.append(
-                    ExperimentCell(
-                        spec=prepared.plan.canonical,
-                        model=prepared.plan.model.key,
-                        faults=prepared.plan.model.faults,
-                        metrics=prepared.plan.metrics,
-                        backend=prepared.plan.backend,
-                        sampling=prepared.sampling,
-                        summary=_summarize(prepared, rows),
-                    )
-                )
-        return ExperimentResult(experiment=experiment, cells=tuple(cells))
+                    summaries.append(summarize_temporal(
+                        temporal_prepared[index], temporal_rows[index]
+                    ))
+                else:
+                    summaries.append(_summarize(*next(sweep_results)))
+        return ExperimentResult(
+            experiment=experiment,
+            cells=tuple(
+                experiment.cell_result(cell, summary)
+                for (_, cell), summary in zip(cells, summaries)
+            ),
+        )
 
 
 # ----------------------------------------------------------------------

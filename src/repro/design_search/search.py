@@ -32,8 +32,7 @@ from ..core.spec import NetworkSpec
 from ..obs.metrics import REGISTRY
 from ..obs.trace import span
 from ..resilience.sweep import (
-    METRICS_MODES,
-    SWEEP_BACKENDS,
+    SweepRequest,
     _scoped_executor,
     pooled_survivability_sweeps,
     survivability_sweep,
@@ -312,14 +311,7 @@ def design_search(
     max_processors: int,
     min_processors: int = 2,
     families=None,
-    model="coupler",
-    faults: int | None = None,
-    trials: int = 100,
-    seed: int = 0,
     workers: int | None = None,
-    metrics: str = "connectivity",
-    workload: str = "uniform",
-    messages: int = 60,
     cost_model: CostModel | None = None,
     max_coupler_degree: int | None = None,
     min_groups: int | None = None,
@@ -328,12 +320,10 @@ def design_search(
     min_margin_db: float | None = None,
     top: int | None = None,
     parallelism: str = "sweeps",
-    backend: str = "batched",
     rank_by: str = "survivability-per-cost",
-    ci_target: float | None = None,
-    sampling: str = "uniform",
     _executor=None,
     _enumerator=None,
+    **sweep,
 ) -> DesignSearchResult:
     """Search the candidate window for survivability-per-cost winners.
 
@@ -348,9 +338,13 @@ def design_search(
     sweeping those would crown never-faulted designs -- they are
     reported in ``skipped_underfaulted`` instead), prices the rest via
     their bill of materials,
-    and runs one seeded survivability sweep per candidate
-    (``metrics="connectivity"`` by default -- the fast path; pass
-    ``"paths"`` or ``"full"`` for deeper scoring).  Candidates come
+    and runs one seeded survivability sweep per candidate.  ``**sweep``
+    are the fields of that one
+    :class:`~repro.resilience.sweep.SweepRequest` (checked once, before
+    enumeration), except ``bound`` and ``max_slots``: every candidate
+    is held to its own ``diameter + 2`` bound.  ``metrics`` defaults to
+    ``"connectivity"`` -- the fast path; pass ``"paths"`` or ``"full"``
+    for deeper scoring.  Candidates come
     back ranked by survivability per 1000 cost units (ties: cheaper
     first, then spec order), with the (cost, survivability, diameter)
     Pareto front marked.  ``top`` truncates the report to the best
@@ -362,9 +356,7 @@ def design_search(
     another on one ``workers``-process pool; ``"candidates"``
     schedules every candidate's trial batches onto that pool at once,
     so small per-candidate sweeps no longer leave workers idle.
-    ``backend`` selects the trial executor per sweep (``"batched"``
-    default, ``"vectorized"`` for connectivity/paths metrics at
-    scale).  ``rank_by`` picks the candidate ordering:
+    ``rank_by`` picks the candidate ordering:
     ``"survivability-per-cost"`` (default), or the path-quality
     orderings ``"within-bound"`` (highest fraction of trials meeting
     the ``k + 2`` bound first) and ``"mean-stretch"`` (lowest degraded
@@ -380,9 +372,7 @@ def design_search(
     table, marked ``early_discarded``, with whatever trials it spent).
     Needs ``parallelism="sweeps"`` (candidates must run in order for
     the leader bound to exist); deterministic because candidate order,
-    wave schedules and estimates all are.  ``sampling`` selects the
-    trial-allocation strategy of every candidate sweep (see
-    :func:`~repro.resilience.sweep.survivability_sweep`).
+    wave schedules and estimates all are.
     ``_executor`` (internal, session
     plumbing) reuses an injected
     :class:`~repro.resilience.sweep.PersistentSweepExecutor` for every
@@ -397,73 +387,49 @@ def design_search(
     >>> r.best().survivability_per_kilocost >= r.candidates[-1].survivability_per_kilocost
     True
     """
-    if metrics not in METRICS_MODES:
-        known = ", ".join(sorted(METRICS_MODES))
-        raise ValueError(f"unknown metrics mode {metrics!r}; known: {known}")
+    fixed = sorted({"bound", "max_slots"} & set(sweep))
+    if fixed:
+        raise TypeError(
+            f"design_search() got an unexpected keyword argument {fixed[0]!r}"
+        )
+    request = SweepRequest(**{"metrics": "connectivity", **sweep})
     if parallelism not in PARALLELISM_MODES:
         known = ", ".join(PARALLELISM_MODES)
         raise ValueError(
             f"unknown parallelism mode {parallelism!r}; known: {known}"
         )
-    if backend not in SWEEP_BACKENDS:
-        known = ", ".join(SWEEP_BACKENDS)
-        raise ValueError(f"unknown sweep backend {backend!r}; known: {known}")
     if rank_by not in RANKINGS:
         known = ", ".join(RANKINGS)
         raise ValueError(f"unknown ranking {rank_by!r}; known: {known}")
-    if rank_by != "survivability-per-cost" and metrics == "connectivity":
+    if rank_by != "survivability-per-cost" and request.metrics == "connectivity":
         raise ValueError(
             f"rank_by={rank_by!r} ranks on path metrics; run with "
             "metrics='paths' (vectorized-backend fast) or 'full'"
         )
-    if ci_target is not None and parallelism == "candidates":
+    if request.ci_target is not None and parallelism == "candidates":
         raise ValueError(
             "ci_target needs parallelism='sweeps': early discard "
             "compares each candidate's CI against the leader's as the "
             "candidates run in order, which the shared-pool candidate "
             "scheduling cannot do"
         )
-    from ..resilience.faults import FaultModel, make_fault_model
-
-    # same contract as repro.degrade / resilience_sweep: a string key
-    # takes intensity `faults` (default 1), an instance already
-    # carries its own
-    if isinstance(model, FaultModel):
-        if faults is not None:
-            raise ValueError(
-                "faults applies to string model keys; a FaultModel "
-                "instance already carries its intensity"
-            )
-        fault_model = model
-    else:
-        fault_model = make_fault_model(model, 1 if faults is None else faults)
     pricing = cost_model if cost_model is not None else DEFAULT_COST_MODEL
     keys = tuple(family_keys()) if families is None else tuple(
         get_family(k).key for k in families
-    )
-    sweep_kw = dict(
-        trials=trials,
-        seed=seed,
-        workload=workload,
-        messages=messages,
-        metrics=metrics,
-        backend=backend,
-        ci_target=ci_target,
-        sampling=sampling,
     )
     pooled = parallelism == "candidates"
     #: (spec, (N, groups, degree, diameter), cost, margin) per eligible
     #: candidate -- shape scalars, not the built networks, which only
     #: the executor's bounded context cache keeps
     records: list[tuple[NetworkSpec, tuple[int, int, int, int], float, float]] = []
-    requests: list[dict] = []
+    requests: list[tuple[NetworkSpec, SweepRequest]] = []
     summaries = []
     discarded_specs: set[str] = set()
     #: best score-CI lower bound seen so far: (1000 / cost) * survival
     #: CI low of the leading candidate (default ranking only)
     leader_low = float("-inf")
     discard_armed = (
-        ci_target is not None and rank_by == "survivability-per-cost"
+        request.ci_target is not None and rank_by == "survivability-per-cost"
     )
     skipped_underfaulted: list[str] = []
     def _count(outcome: str) -> None:
@@ -498,8 +464,8 @@ def design_search(
                 # would be swept with silently capped (even zero) faults
                 # and score as immune -- skip it instead of letting it
                 # dominate the front
-                capacity = fault_model.max_faults(net)
-                if capacity is not None and capacity < fault_model.faults:
+                capacity = request.model.max_faults(net)
+                if capacity is not None and capacity < request.model.faults:
                     skipped_underfaulted.append(spec.canonical())
                     _count("underfaulted")
                     continue
@@ -526,9 +492,7 @@ def design_search(
                     # no _net here: each candidate's network is rebuilt
                     # from its spec when its sweep runs, so the window's
                     # built networks are never all held at once
-                    requests.append(
-                        dict(spec=spec, model=fault_model, **sweep_kw)
-                    )
+                    requests.append((spec, request))
                 else:
                     extra_stop = None
                     if discard_armed:
@@ -545,11 +509,10 @@ def design_search(
                             return False
                     summary = survivability_sweep(
                         spec,
-                        fault_model,
+                        request,
                         _net=net,
                         _executor=executor,
                         _extra_stop=extra_stop,
-                        **sweep_kw,
                     )
                     if discard_armed and summary.adaptive is not None:
                         leader_low = max(
@@ -611,16 +574,16 @@ def design_search(
         max_processors=max_processors,
         min_processors=min_processors,
         families=keys,
-        model=fault_model.key,
-        faults=fault_model.faults,
-        trials=trials,
-        seed=seed,
-        metrics=metrics,
+        model=request.model.key,
+        faults=request.model.faults,
+        trials=request.trials,
+        seed=request.seed,
+        metrics=request.metrics,
         rank_by=rank_by,
         candidates=tuple(ranked),
         pareto=pareto,
         skipped_underfaulted=tuple(skipped_underfaulted),
         cost_model=pricing.as_dict(),
-        ci_target=ci_target,
-        sampling=sampling,
+        ci_target=request.ci_target,
+        sampling=request.sampling,
     )

@@ -20,7 +20,9 @@ for every registered family -- into something you can *run*:
 * :mod:`~repro.resilience.sweep` -- the Monte-Carlo engine fanning
   scenarios over ``multiprocessing`` workers with per-trial
   deterministic seeds (same seed => byte-identical JSON, any worker
-  count and either backend: ``batched`` or numpy ``vectorized``).
+  count and either backend: ``batched`` or numpy ``vectorized``); its
+  :class:`SweepRequest` declares, defaults and checks every sweep
+  parameter once, for every entry point.
 
 Facade: :func:`repro.degrade` and :func:`repro.resilience_sweep`; CLI:
 ``python -m repro resilience "sk(6,3,2)" --faults 2 --trials 1000``.
@@ -46,6 +48,7 @@ from .faults import (
     coupler_endpoints,
     fault_model_keys,
     make_fault_model,
+    resolve_fault_model,
     scenarios,
     trial_seed,
 )
@@ -61,7 +64,10 @@ from .sweep import (
     METRICS_MODES,
     SAMPLING_MODES,
     SWEEP_BACKENDS,
+    SWEEP_FIELDS,
     PersistentSweepExecutor,
+    SweepRequest,
+    SweepRequestError,
     SweepSummary,
     pooled_survivability_sweeps,
     survivability_sweep,
@@ -72,6 +78,7 @@ __all__ = [
     "METRICS_MODES",
     "SAMPLING_MODES",
     "SWEEP_BACKENDS",
+    "SWEEP_FIELDS",
     "AdversarialFirstHopFaults",
     "BernoulliCouplerFaults",
     "DegradedNetwork",
@@ -82,6 +89,8 @@ __all__ = [
     "PersistentSweepExecutor",
     "ResilienceMetrics",
     "StratifiedSampler",
+    "SweepRequest",
+    "SweepRequestError",
     "SweepSummary",
     "UniformCouplerFaults",
     "UniformLinkFaults",
@@ -96,6 +105,7 @@ __all__ = [
     "measure",
     "path_survival",
     "pooled_survivability_sweeps",
+    "resolve_fault_model",
     "scenarios",
     "survivability_sweep",
     "survival_estimate",

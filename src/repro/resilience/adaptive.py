@@ -63,6 +63,7 @@ __all__ = [
     "allocate_strata",
     "build_strata",
     "cardinality_profile",
+    "check_cardinality_model",
     "survival_estimate",
     "wave_schedule",
     "wilson_interval",
@@ -243,16 +244,36 @@ def _binomial_pmf(m: int, p: float) -> tuple[float, ...]:
     return tuple(math.exp(v) for v in logs)
 
 
+def check_cardinality_model(model: FaultModel) -> None:
+    """Reject ``model`` unless its fault cardinality law is known exactly.
+
+    Non-uniform sampling redistributes trials over fault cardinalities,
+    which needs the model's exact cardinality distribution: only
+    :class:`UniformCouplerFaults`, :class:`UniformProcessorFaults` and
+    :class:`BernoulliCouplerFaults` have one.  The type check is strict
+    -- a subclass with its own ``sample_faults`` would silently break
+    the replayed-draw contract, so it is rejected instead.
+    """
+    kind = type(model)
+    if kind not in (
+        BernoulliCouplerFaults, UniformCouplerFaults, UniformProcessorFaults
+    ):
+        raise ValueError(
+            f"sampling modes other than 'uniform' need a fault model with "
+            f"a known cardinality distribution (coupler, processor or "
+            f"bernoulli); got {kind.__name__}"
+        )
+
+
 def cardinality_profile(model: FaultModel, net) -> CardinalityProfile:
     """The :class:`CardinalityProfile` of ``model`` on ``net``.
 
-    Supported models: :class:`UniformCouplerFaults` and
-    :class:`UniformProcessorFaults` (degenerate pmf at their clamped
-    intensity) and :class:`BernoulliCouplerFaults` (exact binomial).
-    The type check is strict -- a subclass with its own ``sample_faults``
-    would silently break the replayed-draw contract, so it is rejected
-    instead.
+    Supported models (see :func:`check_cardinality_model`):
+    :class:`UniformCouplerFaults` and :class:`UniformProcessorFaults`
+    (degenerate pmf at their clamped intensity) and
+    :class:`BernoulliCouplerFaults` (exact binomial).
     """
+    check_cardinality_model(model)
     kind = type(model)
     if kind is BernoulliCouplerFaults:
         m = net.num_couplers
@@ -267,17 +288,11 @@ def cardinality_profile(model: FaultModel, net) -> CardinalityProfile:
         pmf = [0.0] * (m + 1)
         pmf[k] = 1.0
         return CardinalityProfile(axis="coupler", size=m, pmf=tuple(pmf))
-    if kind is UniformProcessorFaults:
-        n = net.num_processors
-        k = min(model.faults, max(n - 2, 0))
-        pmf = [0.0] * (n + 1)
-        pmf[k] = 1.0
-        return CardinalityProfile(axis="processor", size=n, pmf=tuple(pmf))
-    raise ValueError(
-        f"sampling modes other than 'uniform' need a fault model with a "
-        f"known cardinality distribution (coupler, processor or "
-        f"bernoulli); got {kind.__name__}"
-    )
+    n = net.num_processors
+    k = min(model.faults, max(n - 2, 0))
+    pmf = [0.0] * (n + 1)
+    pmf[k] = 1.0
+    return CardinalityProfile(axis="processor", size=n, pmf=tuple(pmf))
 
 
 def build_strata(
@@ -570,32 +585,28 @@ def make_sampler(
 ):
     """The index-aware sampler for ``sampling``, or ``None`` for uniform.
 
-    A stratified plan needs its wave schedule frozen up front (the
-    per-index stratum map covers the whole ``trials`` horizon), and
-    the schedule in turn depends on the stratum count -- so the
-    profile, strata and waves are all derived here, from the same
-    arguments the sweep validated.
+    ``sampling`` is one of :data:`SAMPLING_MODES`, already checked by
+    the sweep request.  A stratified plan needs its wave schedule
+    frozen up front (the per-index stratum map covers the whole
+    ``trials`` horizon), and the schedule in turn depends on the
+    stratum count -- so the profile, strata and waves are all derived
+    here, from the same arguments the sweep validated.
     """
     if sampling == "uniform":
         return None
     profile = cardinality_profile(model, net)
-    if sampling == "stratified":
-        strata = build_strata(profile)
-        if trials < len(strata):
-            raise ValueError(
-                f"stratified sampling on this model needs at least "
-                f"{len(strata)} trials (one per stratum), got {trials}"
-            )
-        waves = wave_schedule(
-            trials, strata=len(strata), ci_target=ci_target
-        )
-        return StratifiedSampler.plan(model, profile, waves)
     if sampling == "importance":
         return ImportanceSampler.plan(
             model, profile, safe_k=proven_safe_cardinality(profile, net)
         )
-    known = ", ".join(SAMPLING_MODES)
-    raise ValueError(f"unknown sampling mode {sampling!r}; known: {known}")
+    strata = build_strata(profile)
+    if trials < len(strata):
+        raise ValueError(
+            f"stratified sampling on this model needs at least "
+            f"{len(strata)} trials (one per stratum), got {trials}"
+        )
+    waves = wave_schedule(trials, strata=len(strata), ci_target=ci_target)
+    return StratifiedSampler.plan(model, profile, waves)
 
 
 # ----------------------------------------------------------------------
@@ -770,8 +781,8 @@ def run_adaptive(
 ) -> list[dict]:
     """All rows of one adaptive sweep, stopping as soon as the CI allows.
 
-    ``prepared`` is a validated ``_PreparedSweep`` with ``ci_target``
-    set; ``executor`` a ``PersistentSweepExecutor`` (inline or
+    ``prepared`` is a validated ``_PreparedSweep`` whose request sets
+    ``ci_target``; ``executor`` a ``PersistentSweepExecutor`` (inline or
     parallel -- rows and the stop decision are identical either way,
     because waves are index ranges and the decision reads only the
     aggregate prefix).  ``extra_stop``, if given, sees each wave's
@@ -783,10 +794,11 @@ def run_adaptive(
     """
     plan = prepared.plan
     labels = {"backend": plan.backend}
+    request = prepared.request
     waves = wave_schedule(
-        prepared.trials,
+        request.trials,
         strata=num_strata(plan.model),
-        ci_target=prepared.ci_target,
+        ci_target=request.ci_target,
     )
     rows: list[dict] = []
     spent = 0
@@ -806,11 +818,11 @@ def run_adaptive(
             "repro_sweep_adaptive_rounds_total", _ROUNDS_HELP, labels
         ).inc()
         estimate = survival_estimate(plan.model, plan.seed, rows)
-        if estimate["ci_half_width"] <= prepared.ci_target:
+        if estimate["ci_half_width"] <= request.ci_target:
             break
         if extra_stop is not None and extra_stop(estimate):
             break
-    saved = prepared.trials - spent
+    saved = request.trials - spent
     if saved > 0:
         REGISTRY.counter(
             "repro_sweep_trials_saved_total", _SAVED_HELP, labels
@@ -833,19 +845,19 @@ def adaptive_summary_block(prepared, rows: list[dict]) -> dict | None:
     sweeps return ``None`` so their JSON stays byte-identical to the
     pre-adaptive engine.
     """
-    if prepared.ci_target is None and prepared.sampling == "uniform":
+    request, plan = prepared.request, prepared.plan
+    if request.ci_target is None and request.sampling == "uniform":
         return None
-    plan = prepared.plan
     estimate = survival_estimate(plan.model, plan.seed, rows)
     waves = wave_schedule(
-        prepared.trials,
+        request.trials,
         strata=num_strata(plan.model),
-        ci_target=prepared.ci_target,
+        ci_target=request.ci_target,
     )
     return {
-        "sampling": prepared.sampling,
-        "ci_target": prepared.ci_target,
-        "trials_requested": prepared.trials,
+        "sampling": request.sampling,
+        "ci_target": request.ci_target,
+        "trials_requested": request.trials,
         "trials_spent": len(rows),
         "rounds": rounds_spent(waves, len(rows)),
         "survival": round(estimate["survival"], 6),

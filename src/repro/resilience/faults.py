@@ -38,6 +38,7 @@ __all__ = [
     "GroupBlockOutage",
     "FAULT_MODELS",
     "make_fault_model",
+    "resolve_fault_model",
     "fault_model_keys",
     "trial_seed",
     "scenarios",
@@ -362,6 +363,31 @@ def make_fault_model(key: str, faults: int = 1) -> FaultModel:
     if faults < 0:
         raise ValueError(f"faults must be >= 0, got {faults}")
     return cls(faults=faults)
+
+
+def resolve_fault_model(model, faults: int | None = None) -> FaultModel:
+    """``model`` as a :class:`FaultModel` instance.
+
+    A registered key takes intensity ``faults`` (default 1); an instance
+    already carries its own, so combining it with ``faults`` is an
+    error.
+
+    >>> resolve_fault_model("link", 2)
+    UniformLinkFaults(faults=2)
+    """
+    if isinstance(model, str):
+        return make_fault_model(model, 1 if faults is None else faults)
+    if not isinstance(model, FaultModel):
+        raise TypeError(
+            f"model must be a fault-model key or FaultModel, "
+            f"got {type(model).__name__}"
+        )
+    if faults is not None:
+        raise ValueError(
+            "faults applies to string model keys; a FaultModel instance "
+            "already carries its intensity"
+        )
+    return model
 
 
 def trial_seed(seed: int, index: int) -> int:

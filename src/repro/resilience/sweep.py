@@ -64,7 +64,8 @@ import random
 import threading
 from collections import OrderedDict
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -73,14 +74,17 @@ from ..obs.trace import add_complete_event, now_us, span
 from .adaptive import (
     SAMPLING_MODES,
     adaptive_summary_block,
+    check_cardinality_model,
     make_sampler,
     run_adaptive,
 )
 from .degrade import DegradedNetwork
-from .faults import FaultModel, make_fault_model, trial_seed
+from .faults import FaultModel, resolve_fault_model, trial_seed
 from .metrics import connectivity_metrics, measure, path_survival
 
 __all__ = [
+    "SweepRequest",
+    "SweepRequestError",
     "SweepSummary",
     "PersistentSweepExecutor",
     "survivability_sweep",
@@ -88,6 +92,7 @@ __all__ = [
     "METRICS_MODES",
     "SAMPLING_MODES",
     "SWEEP_BACKENDS",
+    "SWEEP_FIELDS",
 ]
 
 #: Per-trial metric keys that get quantile summaries (``full`` mode).
@@ -138,6 +143,230 @@ _VECTOR_BATCH = 4096
 #: source/target gathers) -- so machines that are large in *any*
 #: dimension get smaller batches instead of multi-GB temporaries.
 _VECTOR_CELL_BUDGET = 4_000_000
+
+
+class SweepRequestError(ValueError):
+    """A sweep parameter value that :class:`SweepRequest` rejects.
+
+    ``field`` names the parameter; ``code`` and ``details`` (the
+    ``known`` values of a choice field) are the structured error the
+    serving tier answers with.
+    """
+
+    def __init__(
+        self,
+        field: str,
+        message: str,
+        *,
+        code: str = "bad_request",
+        details: dict | None = None,
+    ) -> None:
+        super().__init__(message)
+        self.field = field
+        self.code = code
+        self.details = details
+
+
+def _check_int(name: str, value, minimum: int | None = None) -> None:
+    """Reject a non-``int`` (``bool`` included) or a value below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        message = f"{name} must be an integer, got {value!r}"
+        raise SweepRequestError(name, message)
+    if minimum is not None and value < minimum:
+        message = f"{name} must be >= {minimum}, got {value}"
+        raise SweepRequestError(name, message)
+
+
+def _unknown(name: str, noun: str, value, known) -> SweepRequestError:
+    """The error for a choice field outside its ``known`` values."""
+    return SweepRequestError(
+        name,
+        f"unknown {noun} {value!r}; known: {', '.join(known)}",
+        details={"known": list(known)},
+    )
+
+
+@dataclass(frozen=True)
+class SweepRequest:
+    """Every parameter of one survivability sweep but ``spec`` and ``workers``.
+
+    The one place sweep parameters are declared, defaulted and checked:
+    :func:`repro.resilience_sweep`, :class:`~repro.core.session.Session`,
+    the CLI, the serving tier, :class:`~repro.core.experiment.Experiment`
+    and :func:`repro.design_search` all build one, so every door accepts
+    the same values.  Construction runs every check that does not depend
+    on the machine and raises ``ValueError`` (a
+    :class:`SweepRequestError`) on a bad value; the spec-dependent rest
+    -- the ``paths`` downgrade, the stratified trial floor, the intact
+    baseline -- happens when a sweep prepares ``(spec, request)``.
+
+    Parameters
+    ----------
+    model : str or FaultModel, optional
+        A registered fault-model key (``"coupler"``, ``"processor"``,
+        ``"link"``, ``"adversarial"``, ``"group"``, ``"bernoulli"``),
+        which takes intensity ``faults``, or a
+        :class:`~repro.resilience.faults.FaultModel` instance, which
+        carries its own.  Stored resolved, as an instance.
+    faults : int, optional
+        Faults per trial for a string ``model`` (``>= 0``, default 1);
+        combining it with an instance is an error.  Folded into
+        ``model`` rather than stored (read ``model.faults``).
+    trials : int, optional
+        Monte-Carlo trials, ``>= 1`` (default 100); the cap when
+        ``ci_target`` is set.
+    seed : int, optional
+        Sweep seed (default 0).  Per-trial seeds derive from it via
+        SHA-256, so the result is byte-identical for any worker count.
+    workload : str, optional
+        Workload run on each degraded machine in ``full`` mode, which
+        must name a registered workload (default ``"uniform"``).
+    messages : int, optional
+        Messages per trial in ``full`` mode, ``>= 1`` (default 60).
+    bound : int, optional
+        Path-length bound, ``>= 0``; default ``diameter + 2`` (the
+        paper's ``k + 2`` generalized).
+    max_slots : int, optional
+        Hard stop for each trial's simulation, ``>= 1`` (default
+        100000).
+    metrics : {"full", "paths", "connectivity"}, optional
+        Scoring depth: ``"full"`` (everything, including the degraded
+        slotted simulation), ``"paths"`` (connectivity plus route
+        quality) or ``"connectivity"`` (reachability only -- the fast
+        path).  The default is ``"full"``; the design search and
+        experiments default to ``"connectivity"``.
+    backend : {"batched", "vectorized"}, optional
+        Trial executor: ``"batched"`` (default; one built network per
+        process, every metrics mode) or ``"vectorized"`` (flat topology
+        arrays and numpy trial batches; ``connectivity`` and ``paths``
+        only, byte-identical to ``batched``).  A vectorized ``paths``
+        request for a family with structured routing (stack-Kautz) runs
+        on ``batched``, recorded on the summary's
+        ``backend``/``downgrade_reason``.
+    ci_target : float, optional
+        Sequential stopping: run deterministic trial waves until the 95%
+        confidence interval on the survival probability has half-width
+        at most ``ci_target`` (``> 0``) or ``trials`` is spent.  The
+        summary's ``adaptive`` block reports ``trials_spent`` vs
+        ``trials_requested`` and the final interval.  Default ``None``
+        runs every trial.
+    sampling : {"uniform", "stratified", "importance"}, optional
+        Trial allocation: ``"stratified"`` splits trials across
+        fault-cardinality strata with a mass-reweighted estimator;
+        ``"importance"`` biases draws toward the rare high-fault tail,
+        reweighted by exact likelihood ratio.  Both need a model with a
+        known cardinality distribution (``coupler``, ``processor`` or
+        ``bernoulli``) and keep results byte-identical at any worker
+        count.
+
+    Examples
+    --------
+    >>> r = SweepRequest(model="link", faults=2, trials=8, metrics="paths")
+    >>> r.model
+    UniformLinkFaults(faults=2)
+    >>> SweepRequest.from_payload(r.to_payload()) == r
+    True
+    """
+
+    model: FaultModel | str = "coupler"
+    faults: InitVar[int | None] = None
+    trials: int = 100
+    seed: int = 0
+    workload: str = "uniform"
+    messages: int = 60
+    bound: int | None = None
+    max_slots: int = 100_000
+    metrics: str = "full"
+    backend: str = "batched"
+    ci_target: float | None = None
+    sampling: str = "uniform"
+
+    def __post_init__(self, faults: int | None) -> None:
+        if faults is not None:
+            _check_int("faults", faults, 0)
+        try:
+            model = resolve_fault_model(self.model, faults)
+        except ValueError as exc:
+            raise SweepRequestError(
+                "model", str(exc), code="invalid_model"
+            ) from None
+        object.__setattr__(self, "model", model)
+        _check_int("trials", self.trials, 1)
+        _check_int("seed", self.seed)
+        _check_int("messages", self.messages, 1)
+        if self.bound is not None:
+            _check_int("bound", self.bound, 0)
+        _check_int("max_slots", self.max_slots, 1)
+        for name in ("workload", "metrics", "backend", "sampling"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise SweepRequestError(
+                    name, f"{name} must be a string, got {value!r}"
+                )
+        if self.metrics not in METRICS_MODES:
+            raise _unknown(
+                "metrics", "metrics mode", self.metrics, sorted(METRICS_MODES)
+            )
+        if self.backend not in SWEEP_BACKENDS:
+            raise _unknown(
+                "backend", "sweep backend", self.backend, SWEEP_BACKENDS
+            )
+        if self.sampling not in SAMPLING_MODES:
+            raise _unknown(
+                "sampling", "sampling mode", self.sampling, SAMPLING_MODES
+            )
+        if self.ci_target is not None:
+            if isinstance(self.ci_target, bool) or not isinstance(
+                self.ci_target, (int, float)
+            ):
+                raise SweepRequestError(
+                    "ci_target",
+                    f"ci_target must be a number > 0 or None, "
+                    f"got {self.ci_target!r}",
+                )
+            if not self.ci_target > 0:
+                raise SweepRequestError(
+                    "ci_target", f"ci_target must be > 0, got {self.ci_target}"
+                )
+            object.__setattr__(self, "ci_target", float(self.ci_target))
+        if self.backend == "vectorized" and self.metrics == "full":
+            raise SweepRequestError(
+                "backend",
+                "the vectorized backend scores metrics='connectivity' and "
+                "'paths'; 'full' (slotted simulation) needs "
+                "backend='batched'",
+            )
+        if self.sampling != "uniform":
+            check_cardinality_model(self.model)
+        if self.metrics == "full":  # only full mode runs the workload
+            from ..core.workloads import get_workload
+
+            get_workload(self.workload)
+
+    def to_payload(self) -> dict[str, object]:
+        """JSON-safe field dict, the model as its registered key + faults."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload.update(model=self.model.key, faults=self.model.faults)
+        return payload
+
+    @classmethod
+    def from_payload(cls, payload) -> "SweepRequest":
+        """The request a field mapping names; unknown keys raise.
+
+        Inverse of :meth:`to_payload` for registry-keyed models.
+        """
+        unknown = sorted(set(payload) - set(SWEEP_FIELDS))
+        if unknown:
+            raise SweepRequestError(
+                unknown[0],
+                f"unknown sweep field(s): {', '.join(unknown)}; "
+                f"known: {', '.join(SWEEP_FIELDS)}",
+            )
+        return cls(**payload)
+
+
+#: The payload field names of :class:`SweepRequest`, in declaration order.
+SWEEP_FIELDS: tuple[str, ...] = tuple(SweepRequest.__dataclass_fields__)
 
 
 @dataclass(frozen=True)
@@ -1042,11 +1271,13 @@ class PersistentSweepExecutor:
         export when the caller already holds the spec's
         :class:`_TopologyArrays`.
         """
-        if prepared.ci_target is not None:
+        if prepared.request.ci_target is not None:
             return run_adaptive(
                 prepared, self, arrays=arrays, extra_stop=extra_stop
             )
-        return self.run_range(prepared, 0, prepared.trials, arrays=arrays)
+        return self.run_range(
+            prepared, 0, prepared.request.trials, arrays=arrays
+        )
 
     def run_range(
         self, prepared: _PreparedSweep, start: int, stop: int, *, arrays=None
@@ -1104,7 +1335,7 @@ class PersistentSweepExecutor:
         for index, _start, rows, _meta in self._map_chunks([
             (i, p.plan, lo, hi)
             for i, p in enumerate(prepared_list)
-            for lo, hi in _index_chunks(p.trials, self.workers)
+            for lo, hi in _index_chunks(p.request.trials, self.workers)
         ]):
             by_sweep[index].extend(rows)
         return by_sweep
@@ -1167,18 +1398,11 @@ class _PreparedSweep:
     """One validated sweep: the worker plan plus parent-only state."""
 
     plan: _SweepPlan
-    trials: int
-    simulate: bool
+    request: SweepRequest
     net: object  # the built network (parent-side only; never pickled)
     #: why ``plan.backend`` differs from the requested backend
     #: (``None`` when it does not); surfaced on the summary
     downgrade: str | None = None
-    #: sequential-stopping half-width target (``None`` = fixed trials)
-    ci_target: float | None = None
-    #: the requested trial-allocation strategy (``"uniform"``,
-    #: ``"stratified"`` or ``"importance"``); the index-aware sampler
-    #: itself rides inside ``plan.model``
-    sampling: str = "uniform"
 
 
 def _intact_baseline(
@@ -1208,69 +1432,25 @@ def _intact_baseline(
 
 
 def _prepare_sweep(
-    spec,
-    model: FaultModel | str = "coupler",
-    *,
-    faults: int | None = None,
-    trials: int = 100,
-    seed: int = 0,
-    workload: str = "uniform",
-    messages: int = 60,
-    bound: int | None = None,
-    max_slots: int = 100_000,
-    metrics: str = "full",
-    backend: str = "batched",
-    ci_target: float | None = None,
-    sampling: str = "uniform",
-    _net=None,
-    _baseline=None,
+    spec, request: SweepRequest, *, net=None, baseline=None
 ) -> _PreparedSweep:
-    """Validate one sweep request and freeze its :class:`_SweepPlan`.
+    """Freeze the :class:`_SweepPlan` of one ``(spec, request)`` sweep.
 
-    ``_net`` and ``_baseline`` are internal fast paths: callers that
-    already hold the built network / the intact-baseline mean latency
-    (sessions, the design search) pass them to skip the recompute;
-    they MUST match what ``spec`` would produce.  ``_baseline`` may be
-    a float or a zero-argument callable producing one -- the callable
-    is only invoked after the request validates (so cache-backed
-    providers never run for rejected requests).
+    The request checked everything that does not depend on the
+    machine; what is left happens here: the vectorized ``paths``
+    downgrade, the index-aware sampler (whose stratified trial floor
+    raises :class:`SweepRequestError`) and the intact baseline.
+    ``net`` and ``baseline`` are internal fast paths
+    for callers that already hold the built network (sessions, the
+    design search) or cache baselines (sessions); ``baseline`` is a
+    callable taking ``workload``/``messages``/``seed``/``max_slots``
+    keywords like :meth:`repro.core.cache.CacheEntry.baseline`, and
+    both MUST match what ``spec`` would produce.
     """
     from ..core.spec import NetworkSpec
 
     parsed = NetworkSpec.parse(spec)
-    if isinstance(model, str):
-        model = make_fault_model(model, 1 if faults is None else faults)
-    elif faults is not None:
-        raise ValueError(
-            "faults applies to string model keys; a FaultModel instance "
-            "already carries its intensity"
-        )
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if ci_target is not None:
-        if not isinstance(ci_target, (int, float)) or isinstance(
-            ci_target, bool
-        ):
-            raise ValueError(
-                f"ci_target must be a number > 0 or None, got {ci_target!r}"
-            )
-        if not ci_target > 0:
-            raise ValueError(f"ci_target must be > 0, got {ci_target}")
-        ci_target = float(ci_target)
-    if sampling not in SAMPLING_MODES:
-        known = ", ".join(SAMPLING_MODES)
-        raise ValueError(f"unknown sampling mode {sampling!r}; known: {known}")
-    if metrics not in METRICS_MODES:
-        known = ", ".join(sorted(METRICS_MODES))
-        raise ValueError(f"unknown metrics mode {metrics!r}; known: {known}")
-    if backend not in SWEEP_BACKENDS:
-        known = ", ".join(SWEEP_BACKENDS)
-        raise ValueError(f"unknown sweep backend {backend!r}; known: {known}")
-    if backend == "vectorized" and metrics == "full":
-        raise ValueError(
-            "the vectorized backend scores metrics='connectivity' and "
-            "'paths'; 'full' (slotted simulation) needs backend='batched'"
-        )
+    backend, metrics = request.backend, request.metrics
     downgrade = None
     if backend == "vectorized" and metrics == "paths":
         from ..core.registry import NetworkFamily, get_family
@@ -1287,14 +1467,20 @@ def _prepare_sweep(
                 "reproduce byte-for-byte; executed on backend='batched'"
             )
             backend = "batched"
-    net = parsed.build() if _net is None else _net
-    if sampling != "uniform":
-        # the index-aware sampler wrapper rides in the plan's model
-        # slot: same key/faults surface, but trial contexts detect
-        # scenario_at/sample_faults_at and pass the trial index through
+    net = parsed.build() if net is None else net
+    # the index-aware sampler wrapper rides in the plan's model slot:
+    # same key/faults surface, but trial contexts detect
+    # scenario_at/sample_faults_at and pass the trial index through
+    try:
         model = make_sampler(
-            model, net, sampling=sampling, trials=trials, ci_target=ci_target
-        )
+            request.model,
+            net,
+            sampling=request.sampling,
+            trials=request.trials,
+            ci_target=request.ci_target,
+        ) or request.model
+    except ValueError as exc:  # the stratified floor: trials per stratum
+        raise SweepRequestError("trials", str(exc)) from None
     if (
         downgrade is None
         and backend == "vectorized"
@@ -1315,46 +1501,32 @@ def _prepare_sweep(
             _DOWNGRADE_HELP,
             {"from": "vectorized", "to": backend},
         ).inc()
-    resolved_bound = net.diameter + 2 if bound is None else bound
-    simulate = metrics == "full"
-    if simulate:
-        # The intact baseline depends only on (workload, messages, seed):
-        # run it once here instead of once per trial.
-        if _baseline is None:
-            baseline_mean_latency = _intact_baseline(
-                net,
-                parsed.family,
-                workload=workload,
-                messages=messages,
-                seed=seed,
-                max_slots=max_slots,
-            )
-        elif callable(_baseline):
-            baseline_mean_latency = _baseline()
-        else:
-            baseline_mean_latency = _baseline
-    else:
-        baseline_mean_latency = None
+    baseline_mean_latency = None
+    if metrics == "full":
+        # the intact baseline depends only on (workload, messages,
+        # seed, max_slots): run it once here instead of once per trial
+        if baseline is None:
+            baseline = partial(_intact_baseline, net, parsed.family)
+        baseline_mean_latency = baseline(
+            workload=request.workload,
+            messages=request.messages,
+            seed=request.seed,
+            max_slots=request.max_slots,
+        )
     plan = _SweepPlan(
         canonical=parsed.canonical(),
         model=model,
-        seed=seed,
-        workload=workload,
-        messages=messages,
-        bound=resolved_bound,
-        max_slots=max_slots,
+        seed=request.seed,
+        workload=request.workload,
+        messages=request.messages,
+        bound=net.diameter + 2 if request.bound is None else request.bound,
+        max_slots=request.max_slots,
         baseline_mean_latency=baseline_mean_latency,
         metrics=metrics,
         backend=backend,
     )
     return _PreparedSweep(
-        plan=plan,
-        trials=trials,
-        simulate=simulate,
-        net=net,
-        downgrade=downgrade,
-        ci_target=ci_target,
-        sampling=sampling,
+        plan=plan, request=request, net=net, downgrade=downgrade
     )
 
 
@@ -1396,7 +1568,7 @@ def _summarize(prepared: _PreparedSweep, rows: list[dict]) -> SweepSummary:
         trials=trials,
         seed=plan.seed,
         workload=plan.workload,
-        messages=plan.messages if prepared.simulate else 0,
+        messages=plan.messages if plan.metrics == "full" else 0,
         bound=plan.bound,
         quantiles=quantiles,
         within_bound_fraction=within_bound_fraction,
@@ -1421,71 +1593,36 @@ def _scoped_executor(executor: PersistentSweepExecutor | None, workers):
 
 def survivability_sweep(
     spec,
-    model: FaultModel | str = "coupler",
+    model: FaultModel | str | SweepRequest = "coupler",
     *,
-    faults: int | None = None,
-    trials: int = 100,
-    seed: int = 0,
     workers: int | None = None,
-    workload: str = "uniform",
-    messages: int = 60,
-    bound: int | None = None,
-    max_slots: int = 100_000,
-    metrics: str = "full",
-    backend: str = "batched",
-    ci_target: float | None = None,
-    sampling: str = "uniform",
     _net=None,
+    _baseline=None,
+    _arrays=None,
     _executor: PersistentSweepExecutor | None = None,
     _extra_stop=None,
+    **params,
 ) -> SweepSummary:
-    """Monte-Carlo survivability of ``spec`` under ``model`` faults.
+    """Monte-Carlo survivability of ``spec`` under one :class:`SweepRequest`.
 
-    ``model`` is a :class:`FaultModel` instance or a registered key
-    (``"coupler"``, ``"processor"``, ``"link"``, ``"adversarial"``,
-    ``"group"``); string keys get intensity ``faults`` (default 1).
-    Passing ``faults`` alongside a :class:`FaultModel` instance is an
-    error -- the instance already carries its intensity.  ``workers``
-    counts ``multiprocessing`` processes (``None``/``0``/``1`` runs
-    inline); the aggregate is identical for every worker count.
+    ``model`` and ``**params`` are the request's fields (see
+    :class:`SweepRequest` for every parameter, its default and its
+    checks); ``model`` may instead be a ready :class:`SweepRequest`,
+    the ``(spec, request)`` form of callers that validated once.
+    ``workers`` counts ``multiprocessing`` processes
+    (``None``/``0``/``1`` runs inline); the aggregate is identical for
+    every worker count, and both backends produce byte-identical JSON
+    for the same seed wherever their metrics modes overlap.
 
-    ``metrics`` selects scoring depth: ``"full"`` (everything,
-    including the degraded slotted simulation), ``"paths"``
-    (connectivity + route quality, no simulation) or
-    ``"connectivity"`` (surviving-base reachability only -- the
-    design-search fast path).  ``backend`` selects the trial scorer:
-    ``"batched"`` (default; shared built network per process) or
-    ``"vectorized"`` (flat topology arrays + batched numpy scoring;
-    ``connectivity`` and ``paths`` metrics, byte-identical to
-    ``batched`` -- the 10^5-10^6-trial path).  Both backends produce
-    byte-identical JSON for the same seed wherever their metrics modes
-    overlap.  Vectorized ``paths`` requests for
-    families with structured ``fault_route`` hooks (stack-Kautz) run
-    on ``batched`` instead, with the reason recorded on the summary's
-    ``downgrade_reason``/``backend`` attributes -- identical numbers,
-    never a silent divergence.  ``_net`` is internal: callers that
-    already built the spec's network (the design search evaluates
-    shape filters on it first) pass it to skip the rebuild; it MUST
-    be the machine ``spec`` names.  ``_executor`` (internal, session
-    plumbing) runs the trials on an injected
-    :class:`PersistentSweepExecutor`; without one the call opens its
-    own, closed before it returns.
-
-    ``ci_target`` switches the sweep to sequential stopping: trials
-    run in deterministic waves until the 95% confidence interval on
-    the survival probability has half-width at most ``ci_target`` (or
-    the ``trials`` cap is hit); the summary's ``adaptive`` block then
-    reports ``trials_spent`` vs ``trials_requested`` and the final CI.
-    ``sampling`` picks the trial-allocation strategy: ``"uniform"``
-    (default, the plain sampler), ``"stratified"`` (trials allocated
-    across fault-cardinality strata, mass-reweighted estimator) or
-    ``"importance"`` (cardinality draws biased toward the rare
-    high-fault tail, likelihood-ratio reweighted).  Both knobs
-    preserve byte-identity at any worker count; non-uniform sampling
-    needs a fault model with a known cardinality distribution
-    (``coupler``, ``processor`` or ``bernoulli``).  ``_extra_stop``
-    (internal, design-search plumbing) is a second stopping predicate
-    evaluated per wave.
+    The underscore arguments are internal plumbing and MUST match what
+    ``spec`` would produce: ``_net`` is the already-built network (the
+    design search evaluates shape filters on it first), ``_baseline``
+    a cached intact-baseline provider and ``_arrays`` a zero-argument
+    provider of the spec's topology arrays (sessions);
+    ``_executor`` runs the trials on an injected
+    :class:`PersistentSweepExecutor` instead of one opened and closed
+    by this call; ``_extra_stop`` is a second stopping predicate
+    evaluated per adaptive wave (the design search's early discard).
 
     >>> s = survivability_sweep("pops(2,2)", "coupler", trials=4, seed=1,
     ...                         messages=8)
@@ -1495,35 +1632,37 @@ def survivability_sweep(
     ...                         metrics="connectivity")
     >>> sorted(c.quantiles)
     ['alive_connectivity', 'connectivity', 'reachable_groups']
-    >>> v = survivability_sweep("pops(2,2)", "coupler", trials=4, seed=1,
-    ...                         metrics="connectivity", backend="vectorized")
+    >>> v = survivability_sweep("pops(2,2)", SweepRequest(
+    ...     trials=4, seed=1, metrics="connectivity", backend="vectorized"))
     >>> v.to_json() == c.to_json()
     True
     """
+    request = (
+        model
+        if isinstance(model, SweepRequest) and not params
+        else SweepRequest(model, **params)
+    )
+    trials = request.trials
     with _scoped_executor(_executor, workers) as executor:
         with span("sweep.prepare", spec=str(spec), trials=trials,
-                  backend=backend):
+                  backend=request.backend):
             prepared = _prepare_sweep(
-                spec,
-                model,
-                faults=faults,
-                trials=trials,
-                seed=seed,
-                workload=workload,
-                messages=messages,
-                bound=bound,
-                max_slots=max_slots,
-                metrics=metrics,
-                backend=backend,
-                ci_target=ci_target,
-                sampling=sampling,
-                _net=_net,
+                spec, request, net=_net, baseline=_baseline
             )
-        with span("sweep.execute", spec=prepared.plan.canonical,
-                  trials=trials, backend=prepared.plan.backend,
-                  metrics=prepared.plan.metrics):
-            rows = executor.run(prepared, extra_stop=_extra_stop)
-    with span("sweep.summarize", spec=prepared.plan.canonical, trials=trials):
+        plan = prepared.plan
+        # the *executed* backend: a vectorized paths request downgraded
+        # to batched neither needs the arrays nor runs on the kernel
+        arrays = (
+            _arrays()
+            if _arrays is not None
+            and plan.backend == "vectorized"
+            and not executor.parallel
+            else None
+        )
+        with span("sweep.execute", spec=plan.canonical, trials=trials,
+                  backend=plan.backend, metrics=plan.metrics):
+            rows = executor.run(prepared, arrays=arrays, extra_stop=_extra_stop)
+    with span("sweep.summarize", spec=plan.canonical, trials=trials):
         return _summarize(prepared, rows)
 
 
@@ -1535,53 +1674,45 @@ def pooled_survivability_sweeps(
 ) -> list[SweepSummary]:
     """Run many survivability sweeps on ONE shared worker pool.
 
-    ``requests`` is an iterable of dicts of
-    :func:`survivability_sweep` keyword arguments (``spec`` required,
-    same defaults; per-request ``workers`` is rejected since the pool
-    is shared).  Instead of running the sweeps one after another,
-    every sweep's trial-index chunks are scheduled onto a single pool,
-    so many small sweeps -- the design search's candidates -- keep all
-    workers busy at once.  Workers build each sweep's context lazily
-    and cache it per process.
+    ``requests`` is an iterable of ``(spec, SweepRequest)`` pairs.
+    Instead of running the sweeps one after another, every sweep's
+    trial-index chunks are scheduled onto a single pool, so many small
+    sweeps -- the design search's candidates -- keep all workers busy
+    at once.  Workers build each sweep's context lazily and cache it
+    per process.
 
     Returns the summaries in request order; each is **byte-identical**
-    to what :func:`survivability_sweep` returns for the same request,
+    to what :func:`survivability_sweep` returns for the same pair,
     whatever ``workers`` is (``None``/``0``/``1`` runs inline).
     ``executor`` (session plumbing) schedules the same chunks on an
     injected :class:`PersistentSweepExecutor` instead of a pool scoped
     to the call; ``workers`` is ignored in that case.
 
+    >>> fast = SweepRequest(trials=3, metrics="connectivity")
     >>> a, b = pooled_survivability_sweeps(
-    ...     [dict(spec="pops(2,2)", trials=3, metrics="connectivity"),
-    ...      dict(spec="sk(2,2,2)", trials=3, metrics="connectivity")])
+    ...     [("pops(2,2)", fast), ("sk(2,2,2)", fast)])
     >>> (a.spec, b.spec)
     ('pops(2,2)', 'sk(2,2,2)')
     """
     requests = list(requests)
-    for request in requests:
-        if "workers" in request:
-            raise ValueError(
-                "per-request 'workers' is not supported; the pool is "
-                "shared -- pass workers= to pooled_survivability_sweeps"
-            )
     with _scoped_executor(executor, workers) as executor:
         if not executor.parallel or any(
-            r.get("ci_target") is not None for r in requests
+            request.ci_target is not None for _, request in requests
         ):
             # one request at a time: inline, so each built network is
             # released as the context cache turns over; adaptive, since
             # each request needs its per-wave stop decisions (losing
             # cross-sweep chunk interleaving, never bytes)
             summaries = []
-            for request in requests:
-                p = _prepare_sweep(**request)
+            for spec, request in requests:
+                p = _prepare_sweep(spec, request)
                 summaries.append(_summarize(p, executor.run(p)))
             return summaries
         # workers build each plan's context from its canonical spec,
         # so the parent drops the built networks right away
         prepared_list = [
-            replace(_prepare_sweep(**request), net=None)
-            for request in requests
+            replace(_prepare_sweep(spec, request), net=None)
+            for spec, request in requests
         ]
         rows_lists = executor.run_many(prepared_list)
     return [_summarize(p, rows) for p, rows in zip(prepared_list, rows_lists)]

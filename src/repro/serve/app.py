@@ -54,6 +54,7 @@ from ..obs.logging import AccessLogger, new_request_id
 from ..obs.metrics import REGISTRY, MetricsRegistry
 from ..obs.process import process_info
 from ..obs.trace import add_complete_event, now_us, span
+from ..resilience.sweep import SweepRequestError
 from .protocol import (
     ServeError,
     request_key,
@@ -621,8 +622,14 @@ class ReproServer:
             self.coalescer.resolve(key, future, error=exc)
             raise
         except Exception as exc:
-            wrapped = ServeError(
-                f"{type(exc).__name__}: {exc}", code="internal", status=500
+            # a sweep request the built machine rejects (the stratified
+            # trial floor) is the caller's mistake, like a door check
+            wrapped = (
+                ServeError(str(exc), code=exc.code, details=exc.details)
+                if isinstance(exc, SweepRequestError)
+                else ServeError(
+                    f"{type(exc).__name__}: {exc}", code="internal", status=500
+                )
             )
             self.coalescer.resolve(key, future, error=wrapped)
             raise wrapped from exc

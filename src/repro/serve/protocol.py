@@ -142,68 +142,26 @@ def _str_field(payload, name, default):
     return value
 
 
-def _ci_target_field(payload) -> float | None:
-    """Optional ``ci_target``: a number > 0, or ``None``/absent."""
-    value = payload.get("ci_target")
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ServeError(
-            f"'ci_target' must be a number > 0, got {value!r}"
-        )
-    if not value > 0:
-        raise ServeError(f"'ci_target' must be > 0, got {value}")
-    return float(value)
+def _sweep_request(payload: dict, **defaults):
+    """The :class:`~repro.resilience.sweep.SweepRequest` a payload names.
 
+    Only the payload's sweep fields are read; ``defaults`` are
+    per-verb defaults (the design search scores ``connectivity``).
+    The request's own checks become structured 400s: unknown model
+    keys are ``invalid_model``, choice fields carry their ``known``
+    values in ``details``.
+    """
+    from ..resilience.sweep import SWEEP_FIELDS, SweepRequest
 
-def _sampling_field(payload) -> str:
-    """``sampling``: one of the registered trial-allocation modes."""
-    from ..resilience.sweep import SAMPLING_MODES
-
-    sampling = _str_field(payload, "sampling", "uniform")
-    if sampling not in SAMPLING_MODES:
-        raise ServeError(
-            f"unknown sampling mode {sampling!r}",
-            details={"known": list(SAMPLING_MODES)},
-        )
-    return sampling
-
-
-def _fault_model(payload) -> tuple[str, int]:
-    """Normalize ``model``/``faults`` to the registered ``(key, n)``."""
-    from ..resilience.faults import make_fault_model
-
-    model = _str_field(payload, "model", "coupler")
-    faults = _int_field(payload, "faults", None, minimum=0, optional=True)
+    fields = {k: payload[k] for k in SWEEP_FIELDS if k in payload}
     try:
-        resolved = make_fault_model(model, 1 if faults is None else faults)
-    except (KeyError, ValueError) as exc:
-        raise ServeError(str(exc), code="invalid_model") from None
-    return resolved.key, resolved.faults
-
-
-def _metrics_backend(payload, *, default_metrics: str) -> tuple[str, str]:
-    """Validate the metrics/backend pair including the combo rules."""
-    from ..resilience.sweep import METRICS_MODES, SWEEP_BACKENDS
-
-    metrics = _str_field(payload, "metrics", default_metrics)
-    if metrics not in METRICS_MODES:
+        return SweepRequest.from_payload({**defaults, **fields})
+    except (ValueError, TypeError) as exc:
         raise ServeError(
-            f"unknown metrics mode {metrics!r}",
-            details={"known": sorted(METRICS_MODES)},
-        )
-    backend = _str_field(payload, "backend", "batched")
-    if backend not in SWEEP_BACKENDS:
-        raise ServeError(
-            f"unknown sweep backend {backend!r}",
-            details={"known": list(SWEEP_BACKENDS)},
-        )
-    if backend == "vectorized" and metrics == "full":
-        raise ServeError(
-            "the vectorized backend scores metrics='connectivity' and "
-            "'paths'; 'full' needs backend='batched'"
-        )
-    return metrics, backend
+            str(exc),
+            code=getattr(exc, "code", "bad_request"),
+            details=getattr(exc, "details", None),
+        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -216,54 +174,22 @@ def validate_describe(payload) -> dict:
     return {"spec": _canonical_spec(payload, "describe")}
 
 
-#: Every field a ``sweep`` request may carry (all others rejected).
-_SWEEP_FIELDS = (
-    "spec",
-    "model",
-    "faults",
-    "trials",
-    "seed",
-    "workload",
-    "messages",
-    "bound",
-    "max_slots",
-    "metrics",
-    "backend",
-    "ci_target",
-    "sampling",
-)
-
-
 def validate_sweep(payload) -> dict:
     """``sweep`` request -> normalized survivability-sweep arguments.
 
-    Field-for-field the :func:`repro.resilience_sweep` signature minus
-    ``workers`` (pool sizing belongs to the server, never the caller).
-    The result is defaults-complete: every field present, spec
-    canonical, model resolved -- the exact tuple the ISSUE's coalescing
-    key names, ``(spec, model, metrics, trials, seed, backend)``, plus
-    the workload knobs that also shape the answer.
+    ``spec`` plus the :class:`~repro.resilience.sweep.SweepRequest`
+    fields (never ``workers``: pool sizing belongs to the server, not
+    the caller).  The result is defaults-complete -- spec canonical,
+    model resolved to its registered key and ``faults``, every field
+    present -- so requests that differ only in spelling share one
+    coalescing key.
     """
+    from ..resilience.sweep import SWEEP_FIELDS
+
     payload = _require_object(payload, "sweep")
-    _reject_unknown(payload, _SWEEP_FIELDS, "sweep")
+    _reject_unknown(payload, ("spec", *SWEEP_FIELDS), "sweep")
     spec = _canonical_spec(payload, "sweep")
-    model, faults = _fault_model(payload)
-    metrics, backend = _metrics_backend(payload, default_metrics="full")
-    return {
-        "spec": spec,
-        "model": model,
-        "faults": faults,
-        "trials": _int_field(payload, "trials", 100, minimum=1),
-        "seed": _int_field(payload, "seed", 0),
-        "workload": _str_field(payload, "workload", "uniform"),
-        "messages": _int_field(payload, "messages", 60, minimum=1),
-        "bound": _int_field(payload, "bound", None, minimum=0, optional=True),
-        "max_slots": _int_field(payload, "max_slots", 100_000, minimum=1),
-        "metrics": metrics,
-        "backend": backend,
-        "ci_target": _ci_target_field(payload),
-        "sampling": _sampling_field(payload),
-    }
+    return {"spec": spec, **_sweep_request(payload).to_payload()}
 
 
 #: Every field a ``design-search`` request may carry.
@@ -313,10 +239,7 @@ def validate_design_search(payload) -> dict:
             families = [get_family(k).key for k in families]
         except (KeyError, SpecError) as exc:
             raise ServeError(str(exc), code="invalid_family") from None
-    model, faults = _fault_model(payload)
-    metrics, backend = _metrics_backend(
-        payload, default_metrics="connectivity"
-    )
+    request = _sweep_request(payload, metrics="connectivity")
     parallelism = _str_field(payload, "parallelism", "sweeps")
     if parallelism not in PARALLELISM_MODES:
         raise ServeError(
@@ -329,7 +252,7 @@ def validate_design_search(payload) -> dict:
             f"unknown ranking {rank_by!r}",
             details={"known": list(RANKINGS)},
         )
-    if rank_by != "survivability-per-cost" and metrics == "connectivity":
+    if rank_by != "survivability-per-cost" and request.metrics == "connectivity":
         raise ServeError(
             f"rank_by={rank_by!r} ranks on path metrics; request "
             "metrics='paths' or 'full'"
@@ -339,13 +262,15 @@ def validate_design_search(payload) -> dict:
         raise ServeError(
             f"'min_margin_db' must be a number, got {margin!r}"
         )
-    ci_target = _ci_target_field(payload)
-    if ci_target is not None and parallelism == "candidates":
+    if request.ci_target is not None and parallelism == "candidates":
         raise ServeError(
             "ci_target needs parallelism='sweeps' (early discard runs "
             "candidates in order)"
         )
+    sweep = request.to_payload()
+    del sweep["bound"], sweep["max_slots"]  # not design-search fields
     return {
+        **sweep,
         "max_processors": _int_field(
             payload, "max_processors", None, minimum=1
         ),
@@ -353,13 +278,6 @@ def validate_design_search(payload) -> dict:
             payload, "min_processors", 2, minimum=1
         ),
         "families": families,
-        "model": model,
-        "faults": faults,
-        "trials": _int_field(payload, "trials", 100, minimum=1),
-        "seed": _int_field(payload, "seed", 0),
-        "metrics": metrics,
-        "workload": _str_field(payload, "workload", "uniform"),
-        "messages": _int_field(payload, "messages", 60, minimum=1),
         "max_coupler_degree": _int_field(
             payload, "max_coupler_degree", None, minimum=1, optional=True
         ),
@@ -375,10 +293,7 @@ def validate_design_search(payload) -> dict:
         "min_margin_db": None if margin is None else float(margin),
         "top": _int_field(payload, "top", None, minimum=0, optional=True),
         "parallelism": parallelism,
-        "backend": backend,
         "rank_by": rank_by,
-        "ci_target": ci_target,
-        "sampling": _sampling_field(payload),
     }
 
 

@@ -58,64 +58,22 @@ def partition_indices(n_cells: int, shards: int) -> list[list[int]]:
     return [list(range(shard, n_cells, shards)) for shard in range(shards)]
 
 
-def _run_cells(session, requests, indices):
+def _run_cells(session, experiment, indices):
     """Run the given cells on ``session``, yielding ``(index, dict)``.
 
-    The dict mirrors :meth:`ExperimentCell.as_dict` exactly -- same
-    keys, same values -- because the summary comes from the same
-    prepared sweep the single-host path would run.
+    The dict is :meth:`ExperimentCell.as_dict` of the cell the
+    single-host path would report: the same compiled ``(spec, cell)``
+    pair runs as a standalone sweep (or, for a fault-process cell, a
+    temporal replay), whose summary is byte-identical to the cell's.
     """
-    from ..temporal.processes import FaultProcess
-
+    cells = experiment.compile()
     for i in indices:
-        request = requests[i]
-        model = request["model"]
-        if isinstance(model, FaultProcess):
-            # process cells replay through the temporal engine, exactly
-            # as the single-host run_experiment path does
-            summary = session.temporal_sweep(
-                request["spec"],
-                process=model,
-                trials=request["trials"],
-                seed=request["seed"],
-                workload=request["workload"],
-                messages=request["messages"],
-                bound=request["bound"],
-                metrics=request["metrics"],
-            )
-            yield i, {
-                "spec": request["spec"],
-                "model": model.key,
-                "faults": model.faults,
-                "metrics": request["metrics"],
-                "backend": request["backend"],
-                "sampling": request.get("sampling", "uniform"),
-                "summary": summary.as_dict(),
-            }
-            continue
-        summary = session.resilience_sweep(
-            request["spec"],
-            model=model,
-            trials=request["trials"],
-            seed=request["seed"],
-            workload=request["workload"],
-            messages=request["messages"],
-            bound=request["bound"],
-            max_slots=request["max_slots"],
-            metrics=request["metrics"],
-            backend=request["backend"],
-            ci_target=request.get("ci_target"),
-            sampling=request.get("sampling", "uniform"),
-        )
-        yield i, {
-            "spec": request["spec"],
-            "model": model.key,
-            "faults": model.faults,
-            "metrics": request["metrics"],
-            "backend": request["backend"],
-            "sampling": request.get("sampling", "uniform"),
-            "summary": summary.as_dict(),
-        }
+        spec, cell = cells[i]
+        if isinstance(cell, dict):  # a fault-process cell
+            summary = session.temporal_sweep(spec, **cell)
+        else:
+            summary = session.run_sweep(spec, cell)
+        yield i, experiment.cell_result(cell, summary).as_dict()
 
 
 def _shard_worker(shard, payload, indices, workers, out) -> None:
@@ -149,9 +107,8 @@ def _shard_worker(shard, payload, indices, workers, out) -> None:
         # carries only THIS shard's activity.
         REGISTRY.reset()
         experiment = Experiment.from_payload(payload)
-        requests = experiment.compile()
         with Session(workers=workers) as session:
-            for i, cell in _run_cells(session, requests, indices):
+            for i, cell in _run_cells(session, experiment, indices):
                 out.put(("cell", i, cell))
         out.put(("metrics", shard, REGISTRY.drain()))
         out.put(("done", shard))
@@ -171,14 +128,13 @@ def iter_sharded_cells(experiment, *, shards: int, workers: int = 0):
     sizes each worker Session's own pool (default 0: inline trials --
     sharding IS the parallelism).
     """
-    requests = experiment.compile()
-    n_cells = len(requests)
+    n_cells = len(experiment.compile())
     shards = max(1, min(shards, n_cells))
     if shards == 1:
         from ..core.session import Session
 
         with Session(workers=workers) as session:
-            yield from _run_cells(session, requests, range(n_cells))
+            yield from _run_cells(session, experiment, range(n_cells))
         return
 
     ctx = multiprocessing.get_context()

@@ -36,10 +36,13 @@ def _rebuild_per_trial(spec, model, *, faults, trials, seed, messages):
     from repro.resilience.degrade import DegradedNetwork
     from repro.resilience.faults import trial_seed
     from repro.resilience.metrics import measure
-    from repro.resilience.sweep import _prepare_sweep, _summarize
+    from repro.resilience.sweep import SweepRequest, _prepare_sweep, _summarize
 
     prepared = _prepare_sweep(
-        spec, model, faults=faults, trials=trials, seed=seed, messages=messages
+        spec,
+        SweepRequest(
+            model, faults=faults, trials=trials, seed=seed, messages=messages
+        ),
     )
     plan = prepared.plan
     rows = []

@@ -129,6 +129,52 @@ class TestProtocol:
             validate_experiment({"specs": ["pops(2,2)"], "bogus": 1})
         assert err.value.code == "invalid_experiment"
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"model": "link", "sampling": "importance"},
+            {"model": "adversarial", "sampling": "stratified"},
+        ],
+    )
+    def test_sampling_needs_a_cardinality_model_at_the_door(self, fields):
+        with pytest.raises(ServeError) as err:
+            validate_sweep({"spec": "pops(2,2)", **fields})
+        assert (err.value.status, err.value.code) == (400, "bad_request")
+        assert "cardinality distribution" in str(err.value)
+        with pytest.raises(ServeError) as err:
+            validate_design_search({"max_processors": 8, **fields})
+        assert (err.value.status, err.value.code) == (400, "bad_request")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"models": ["link:1"], "samplings": ["importance"]},
+            {"messages": "x"},
+            {"max_slots": 0},
+            {"seed": "abc"},
+            {"bound": -3},
+        ],
+    )
+    def test_experiment_cell_values_rejected_at_the_door(self, fields):
+        with pytest.raises(ServeError) as err:
+            validate_experiment({"specs": ["pops(2,2)"], **fields})
+        assert (err.value.status, err.value.code) == (400, "invalid_experiment")
+
+    def test_sweep_errors_keep_their_codes_and_details(self):
+        with pytest.raises(ServeError) as err:
+            validate_sweep({"spec": "pops(2,2)", "model": "meteor"})
+        assert err.value.code == "invalid_model"
+        with pytest.raises(ServeError) as err:
+            validate_sweep({"spec": "pops(2,2)", "metrics": "deep"})
+        assert err.value.details == {
+            "known": ["connectivity", "full", "paths"]
+        }
+        with pytest.raises(ServeError) as err:
+            validate_sweep({"spec": "pops(2,2)", "sampling": "sobol"})
+        assert err.value.details == {
+            "known": ["uniform", "stratified", "importance"]
+        }
+
 
 # ----------------------------------------------------------------------
 # Coalescer: single-flight semantics on a bare event loop.
@@ -197,6 +243,24 @@ class TestSharding:
         single = experiment.run(workers=0).to_json()
         merged = run_sharded_experiment(experiment, shards=shards)
         assert sharded_to_json(merged) == single
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_shards_record_the_executed_backend(self, shards):
+        # sk(2,2,2) paths cells downgrade vectorized -> batched; a shard
+        # must label them with the backend that ran, as single-host does
+        experiment = Experiment(
+            specs=("sk(2,2,2)", "pops(2,2)"),
+            metrics=("paths",),
+            backend="vectorized",
+            trials=(4,),
+            seed=1,
+        )
+        single = experiment.run(workers=0).to_json()
+        merged = run_sharded_experiment(experiment, shards=shards)
+        assert sharded_to_json(merged) == single
+        assert [c["backend"] for c in merged["cells"]] == [
+            "batched", "vectorized"
+        ]
 
     def test_cells_stream_in_index_order(self):
         experiment = Experiment(
@@ -294,6 +358,41 @@ class TestHTTP:
         after = server.stats()["coalescer"]
         assert after["leaders"] - before["leaders"] == 1
         assert after["followers"] - before["followers"] == 7
+
+    @pytest.mark.parametrize(
+        "verb,payload,code",
+        [
+            ("sweep",
+             {"spec": "pops(2,2)", "model": "link", "sampling": "importance"},
+             "bad_request"),
+            ("design-search",
+             {"max_processors": 8, "model": "link", "sampling": "importance"},
+             "bad_request"),
+            ("experiment",
+             {"specs": ["pops(2,2)"], "models": ["link:1"],
+              "samplings": ["importance"]},
+             "invalid_experiment"),
+            ("experiment", {"specs": ["pops(2,2)"], "messages": "x"},
+             "invalid_experiment"),
+            ("experiment", {"specs": ["pops(2,2)"], "max_slots": 0},
+             "invalid_experiment"),
+            # checks that need the built machine: the stratified trial
+            # floor, and a full-mode workload that does not exist
+            ("sweep",
+             {"spec": "pops(2,2)", "model": "bernoulli", "faults": 2,
+              "sampling": "stratified", "trials": 1,
+              "metrics": "connectivity"},
+             "bad_request"),
+            ("sweep", {"spec": "pops(2,2)", "workload": "nope"},
+             "bad_request"),
+        ],
+    )
+    def test_caller_mistakes_are_structured_400s(
+        self, server, verb, payload, code
+    ):
+        with pytest.raises(ServeHTTPError) as err:
+            server.post(verb, payload)
+        assert (err.value.status, err.value.code) == (400, code)
 
     def test_bad_spec_maps_to_400(self, server):
         with pytest.raises(ServeHTTPError) as err:

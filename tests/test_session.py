@@ -26,6 +26,7 @@ from repro.design_search.search import design_search as raw_design_search
 from repro.obs.trace import disable_tracing, enable_tracing
 from repro.resilience import FaultModel, PersistentSweepExecutor
 from repro.resilience.sweep import (
+    SweepRequest,
     pooled_survivability_sweeps,
     survivability_sweep,
 )
@@ -332,9 +333,9 @@ class TestPersistentExecutor:
 
     def test_pooled_sweeps_executor_matches_oneshot(self):
         requests = [
-            dict(spec="pops(2,2)", trials=5, metrics="connectivity"),
-            dict(spec="sk(2,2,2)", trials=7, metrics="connectivity",
-                 backend="vectorized"),
+            ("pops(2,2)", SweepRequest(trials=5, metrics="connectivity")),
+            ("sk(2,2,2)", SweepRequest(trials=7, metrics="connectivity",
+                                       backend="vectorized")),
         ]
         oneshot = pooled_survivability_sweeps(requests, workers=2)
         with PersistentSweepExecutor(workers=2) as ex:
@@ -376,9 +377,9 @@ class TestScopedExecutorTeardown:
         before = set(multiprocessing.active_children())
         summaries = pooled_survivability_sweeps(
             [
-                dict(spec="pops(2,2)", trials=6, metrics="connectivity"),
-                dict(spec="sk(2,2,2)", trials=6, metrics="connectivity",
-                     backend="vectorized"),
+                ("pops(2,2)", SweepRequest(trials=6, metrics="connectivity")),
+                ("sk(2,2,2)", SweepRequest(trials=6, metrics="connectivity",
+                                           backend="vectorized")),
             ],
             workers=2,
         )
@@ -465,10 +466,10 @@ class TestExperiment:
         )
         plan = exp.compile()
         assert len(plan) == 8
-        assert [p["spec"] for p in plan[:4]] == ["pops(2,2)"] * 4
-        assert [p["trials"] for p in plan[:4]] == [4, 8, 4, 8]
-        assert plan[0]["model"].key == "coupler"
-        assert plan[2]["model"].faults == 2
+        assert [spec for spec, _ in plan[:4]] == ["pops(2,2)"] * 4
+        assert [r.trials for _, r in plan[:4]] == [4, 8, 4, 8]
+        assert plan[0][1].model.key == "coupler"
+        assert plan[2][1].model.faults == 2
 
     def test_single_entries_normalize(self):
         exp = Experiment(specs="pops(2,2)", models="coupler:3", trials=5)
@@ -482,7 +483,7 @@ class TestExperiment:
             backend="vectorized",
             trials=2,
         )
-        backends = [p["backend"] for p in exp.compile()]
+        backends = [r.backend for _, r in exp.compile()]
         assert backends == ["vectorized", "batched"]
 
     @pytest.mark.parametrize(

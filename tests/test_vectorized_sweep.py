@@ -17,6 +17,7 @@ from repro.__main__ import main
 from repro.core import design_search
 from repro.resilience import (
     SWEEP_BACKENDS,
+    SweepRequest,
     pooled_survivability_sweeps,
     survivability_sweep,
 )
@@ -161,28 +162,25 @@ class TestTopologyArrays:
 # ----------------------------------------------------------------------
 class TestPooledSweeps:
     REQUESTS = [
-        dict(spec="sk(2,2,2)", model="coupler", faults=1, **CONN),
-        dict(
-            spec="pops(2,3)",
-            model="link",
-            faults=1,
-            backend="vectorized",
-            **CONN,
+        ("sk(2,2,2)", SweepRequest(model="coupler", faults=1, **CONN)),
+        (
+            "pops(2,3)",
+            SweepRequest(
+                model="link",
+                faults=1,
+                backend="vectorized",
+                **CONN,
+            ),
         ),
-        dict(spec="pops(2,2)", model="coupler", faults=1, trials=8, seed=7,
-             messages=8),
+        ("pops(2,2)", SweepRequest(model="coupler", faults=1, trials=8,
+                                   seed=7, messages=8)),
     ]
 
     def _solo(self):
-        out = []
-        for request in self.REQUESTS:
-            request = dict(request)
-            out.append(
-                survivability_sweep(
-                    request.pop("spec"), request.pop("model"), **request
-                )
-            )
-        return out
+        return [
+            survivability_sweep(spec, request)
+            for spec, request in self.REQUESTS
+        ]
 
     @pytest.mark.parametrize("workers", [None, 2, 4])
     def test_matches_per_sweep_execution(self, workers):
@@ -197,7 +195,7 @@ class TestPooledSweeps:
     def test_legacy_backend_has_no_pooled_form(self):
         with pytest.raises(ValueError, match="unknown sweep backend 'legacy'"):
             pooled_survivability_sweeps(
-                [dict(spec="pops(2,2)", trials=2, backend="legacy")]
+                [("pops(2,2)", SweepRequest(trials=2, backend="legacy"))]
             )
 
 
