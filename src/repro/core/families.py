@@ -63,6 +63,90 @@ def _ii_routing_table(d: int, n: int):
     return build_routing_table(base.without_loops())
 
 
+class CandidateTable:
+    """The Sec. 2.5 candidates of ``KG(d, k)``, compiled per group pair.
+
+    :attr:`links` numbers the undirected non-loop links of the base
+    graph densely, in arc order, under either orientation, so a link
+    mask has at most ``groups * d`` bits.  :meth:`candidates` compiles
+    one ordered pair from
+    :func:`~repro.routing.fault_tolerant.candidate_paths` itself, in
+    its order, the first time that pair is asked for; the entry is a
+    tuple of ``(internal, links, path)`` triples -- a bitmask of the
+    candidate's internal groups, a bitmask of the links it crosses, and
+    its group path -- never mutated once stored.  A candidate survives
+    a scenario when both masks miss :meth:`fault_masks`.
+    """
+
+    def __init__(self, d: int, k: int) -> None:
+        self._net = StackKautzNetwork(1, d, k)
+        self._arcs = self._net.base_graph().arc_array().tolist()
+        self.links: dict[tuple[int, int], int] = {}
+        for u, v in self._arcs:
+            if u != v and (u, v) not in self.links:
+                self.links[u, v] = self.links[v, u] = len(self.links) // 2
+        self._pairs: dict[tuple[int, int], tuple] = {}
+
+    def fault_masks(self, groups, couplers) -> tuple[int, int]:
+        """Dead ``groups`` and ``couplers`` (hyperarc ids) as bitmasks.
+
+        The meaning of ``FaultSet.from_indices`` plus ``blocks_arc``:
+        loop couplers carry no link, and a dead coupler blocks its link
+        in both orientations.
+        """
+        group_mask = link_mask = 0
+        for g in groups:
+            group_mask |= 1 << g
+        for c in couplers:
+            u, v = self._arcs[c]
+            if u != v:
+                link_mask |= 1 << self.links[u, v]
+        return group_mask, link_mask
+
+    def candidates(
+        self, src_group: int, dst_group: int
+    ) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """The compiled candidates of ``src_group -> dst_group``."""
+        key = (src_group, dst_group)
+        entry = self._pairs.get(key)
+        if entry is None:
+            # an entry is a pure function of (d, k, pair): threads racing
+            # on a miss compile equal tuples and setdefault keeps the
+            # first -- no lock that a forked pool worker could inherit held
+            entry = self._pairs.setdefault(key, self._compile(*key))
+        return entry
+
+    def _compile(self, src_group: int, dst_group: int) -> tuple:
+        from ..routing.fault_tolerant import candidate_paths
+
+        net = self._net
+        out = []
+        for words in candidate_paths(
+            net.group_word(src_group), net.group_word(dst_group), net.degree
+        ):
+            path = tuple(net.group_of_word(w) for w in words)
+            internal = crossed = 0
+            for g in path[1:-1]:
+                internal |= 1 << g
+            for arc in zip(path, path[1:]):
+                crossed |= 1 << self.links[arc]
+            out.append((internal, crossed, path))
+        return tuple(out)
+
+
+@lru_cache(maxsize=16)
+def candidate_table(d: int, k: int) -> CandidateTable:
+    """The per-process :class:`CandidateTable` of ``KG(d, k)``.
+
+    Keyed by ``(d, k)`` alone, like the base graph: the candidate
+    family does not depend on the stacking factor.  Bounded more
+    tightly than the base-graph cache because a fully routed table on
+    a large machine holds tens of MB; an evicted table is recompiled
+    pair by pair, never slower than building the family per route.
+    """
+    return CandidateTable(d, k)
+
+
 @register_family
 class POPSFamily(NetworkFamily):
     """Single-hop ``POPS(t, g)`` (paper Sec. 2.4, Figs. 4-5, 11)."""
@@ -136,22 +220,34 @@ class StackKautzFamily(NetworkFamily):
     ) -> list[int] | None:
         """Sec. 2.5 structured rerouting: the ``<= k + 2`` candidates.
 
-        Word-level :func:`~repro.routing.fault_tolerant.fault_tolerant_route`
-        over the scenario's faults (via ``FaultSet.from_indices``); its
-        link-fault semantics treat a dead coupler as a dead fiber pair,
-        so when that conservative view severs the pair we fall back to
-        the registry default -- directed BFS on the survivors.
+        A table lookup: a new list holding the first of the pair's
+        compiled candidates (:func:`candidate_table`, once per
+        ``(d, k)`` per process) whose internal groups and crossed links
+        miss ``degraded.word_fault_masks()``.  When every candidate is
+        blocked it falls back to the word-level BFS of
+        :func:`~repro.routing.fault_tolerant.fault_tolerant_route` over
+        ``degraded.word_fault_set()``, whose link-fault semantics treat
+        a dead coupler as a dead fiber pair; when that conservative view
+        severs the pair, to the registry default -- directed BFS on the
+        survivors.
         """
-        from ..routing.fault_tolerant import fault_tolerant_route
-
         if src_group == dst_group:
             return [src_group]
-        faults = degraded.word_fault_set()
-        x, y = net.group_word(src_group), net.group_word(dst_group)
-        if x not in faults.nodes and y not in faults.nodes:
-            path = fault_tolerant_route(x, y, net.degree, faults)
-            if path is not None:
-                return [net.group_of_word(w) for w in path]
+        dead_groups, dead_links = degraded.word_fault_masks()
+        table = candidate_table(net.degree, net.diameter)
+        for internal, crossed, path in table.candidates(src_group, dst_group):
+            if not (internal & dead_groups or crossed & dead_links):
+                return list(path)
+        from ..routing.fault_tolerant import fault_tolerant_route
+
+        path = fault_tolerant_route(
+            net.group_word(src_group),
+            net.group_word(dst_group),
+            net.degree,
+            degraded.word_fault_set(),
+        )
+        if path is not None:
+            return [net.group_of_word(w) for w in path]
         return super().fault_route(net, src_group, dst_group, degraded)
 
     def simulator(self, net: StackKautzNetwork, policy=None):

@@ -118,10 +118,12 @@ class NetworkFamily:
         """A group-level path ``src_group -> dst_group`` avoiding faults.
 
         ``degraded`` is a
-        :class:`~repro.resilience.degrade.DegradedNetwork` over ``net``.
-        Returns the list of groups visited (``[g]`` when source and
-        destination coincide) or ``None`` when the faults sever the
-        pair.  The default walks BFS over the surviving base digraph;
+        :class:`~repro.resilience.degrade.DegradedNetwork` over ``net``;
+        its ``fault_route`` answers ``None`` for a dead endpoint group
+        itself, so both groups given here are alive.  Returns the list
+        of groups visited (``[g]`` when source and destination
+        coincide) or ``None`` when the faults sever the pair.  The
+        default walks BFS over the surviving base digraph;
         families with structured fault-tolerant routing (stack-Kautz's
         ``k + 2`` candidate family) override this.
         """

@@ -73,6 +73,7 @@ class DegradedNetwork:
         self._sibling_hop: dict[int, int] = {}
         self._dead_groups: frozenset[int] | None = None
         self._word_faults = None
+        self._word_masks: tuple[int, int] | None = None
 
     # ------------------------------------------------------------------
     # Survivor views
@@ -111,8 +112,10 @@ class DegradedNetwork:
         """The scenario as a word-level :class:`~repro.routing.FaultSet`.
 
         Only meaningful for networks with Kautz-word group labels
-        (stack-Kautz); cached, since it depends on the scenario alone
-        and ``fault_route`` consults it once per ordered group pair.
+        (stack-Kautz); cached, since it depends on the scenario alone.
+        The stack-Kautz ``fault_route`` reads :meth:`word_fault_masks`
+        instead and consults this set only when every compiled
+        candidate of a pair is blocked.
         """
         if self._word_faults is None:
             from ..routing.fault_tolerant import FaultSet
@@ -121,6 +124,24 @@ class DegradedNetwork:
                 self.net, groups=self.dead_groups, couplers=self.dead_couplers
             )
         return self._word_faults
+
+    def word_fault_masks(self) -> tuple[int, int]:
+        """:meth:`word_fault_set` as ``(dead groups, dead links)`` bitmasks.
+
+        In the numbering of the stack-Kautz
+        :class:`~repro.core.families.CandidateTable`
+        (:meth:`~repro.core.families.CandidateTable.fault_masks`).  Only
+        meaningful for stack-Kautz; cached, since ``fault_route``
+        consults it once per ordered group pair.
+        """
+        if self._word_masks is None:
+            from ..core.families import candidate_table
+
+            table = candidate_table(self.net.degree, self.net.diameter)
+            self._word_masks = table.fault_masks(
+                self.dead_groups, self.dead_couplers
+            )
+        return self._word_masks
 
     def surviving_base(self) -> DiGraph:
         """The group-level digraph spanned by surviving couplers."""
@@ -229,12 +250,18 @@ class DegradedNetwork:
         return targets[msg.dst % len(targets)]
 
     def fault_route(self, src_group: int, dst_group: int) -> list[int] | None:
-        """Group-level degraded route, via the family's hook."""
+        """Group-level degraded route, via the family's hook.
+
+        ``None`` when either endpoint group is dead: a dead group has no
+        route, not even to itself, so the hook only sees live endpoints.
+        """
+        n = self.net.num_groups
         for name, g in (("src_group", src_group), ("dst_group", dst_group)):
-            if not 0 <= g < self.net.num_groups:
-                raise IndexError(
-                    f"{name} {g} out of range [0, {self.net.num_groups})"
-                )
+            if not 0 <= g < n:
+                raise IndexError(f"{name} {g} out of range [0, {n})")
+        dead = self.dead_groups
+        if src_group in dead or dst_group in dead:
+            return None
         return self.family.fault_route(self.net, src_group, dst_group, self)
 
     # ------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 from .degrade import DegradedNetwork
 
@@ -190,6 +191,22 @@ def connectivity_metrics(
     return out
 
 
+@lru_cache(maxsize=64)
+def _intact_rows(net) -> tuple[tuple[int, ...], ...] | None:
+    """Intact loopless BFS distance rows of every group, once per network.
+
+    Read-only tuples, shared by every trial on an equal network;
+    ``None`` for single-star machines (no base graph), whose pairs are
+    all one hop apart.
+    """
+    if not hasattr(net, "base_graph"):
+        return None
+    intact = net.base_graph().without_loops()
+    return tuple(
+        tuple(map(int, intact.bfs_distances(g))) for g in range(net.num_groups)
+    )
+
+
 def path_survival(
     degraded: DegradedNetwork, bound: int | None = None
 ) -> tuple[float, int, float, float]:
@@ -216,17 +233,14 @@ def path_survival(
     live = [g for g in range(net.num_groups) if g not in dead]
     if len(live) < 2:
         return 1.0, 0, 1.0, 1.0
-    if hasattr(net, "base_graph"):
-        intact = net.base_graph().without_loops()
-    else:  # single-star machines: every pair one hop apart
-        intact = None
+    rows = _intact_rows(net)
     routed = 0
     within = 0
     max_len = -1
     stretch_terms: list[float] = []
     pairs = 0
     for gu in live:
-        intact_dist = intact.bfs_distances(gu) if intact is not None else None
+        intact_dist = rows[gu] if rows is not None else None
         for gv in live:
             if gv == gu:
                 continue
@@ -239,7 +253,7 @@ def path_survival(
             max_len = max(max_len, length)
             if length <= bound:
                 within += 1
-            d0 = int(intact_dist[gv]) if intact_dist is not None else 1
+            d0 = intact_dist[gv] if intact_dist is not None else 1
             if d0 > 0:
                 stretch_terms.append(length / d0)
     if routed == 0:

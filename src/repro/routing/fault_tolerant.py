@@ -139,7 +139,10 @@ def candidate_paths(x: Word, y: Word, d: int) -> list[list[Word]]:
 
     Simple paths only (cycles dropped), deduplicated, sorted by length.
     The family always contains paths through all ``d`` distinct first
-    hops, which is what fault tolerance needs.
+    hops, which is what fault tolerance needs.  It does not depend on
+    the faults, so the stack-Kautz ``fault_route`` hook compiles it once
+    per ``(d, k)`` and group pair
+    (:class:`~repro.core.families.CandidateTable`).
     """
     if not is_kautz_word(x, d) or not is_kautz_word(y, d):
         raise ValueError(f"{x!r} or {y!r} is not a Kautz word over {{0..{d}}}")
