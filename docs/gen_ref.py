@@ -192,7 +192,7 @@ def _verb_entries():
 
 
 def render_api() -> str:
-    """The API reference page (facade verbs, the sweep parameters, exports)."""
+    """The API reference page (verbs, the request parameters, exports)."""
     import repro
     from repro.core import facade
 
@@ -200,8 +200,8 @@ def render_api() -> str:
         "# API reference",
         "",
         "<!-- GENERATED by docs/gen_ref.py -- edit the docstrings in",
-        "     src/repro/core/facade.py and src/repro/resilience/sweep.py",
-        "     instead and regenerate. -->",
+        "     src/repro/core/facade.py, src/repro/resilience/sweep.py and",
+        "     src/repro/temporal/replay.py instead and regenerate. -->",
         "",
         "Every verb below lives in `repro.core.facade` and is re-exported",
         "at the package top level (`repro.build`, `repro.route`, ...).",
@@ -209,10 +209,15 @@ def render_api() -> str:
         'string (`"sk(6,3,2)"`, `"pops(4,2)"`, `"sii(4,3,10)"`,',
         '`"sops(8)"`), a loose token string, a dict of named parameters,',
         "or an argv-style token list.  Every sweep parameter is",
-        "documented once, on `repro.SweepRequest` below.",
+        "documented once, on `repro.SweepRequest` below, and every",
+        "temporal-sweep parameter on `repro.TemporalRequest`.",
         "",
     ]
-    for name, obj in [*_verb_entries(), ("SweepRequest", repro.SweepRequest)]:
+    requests = [
+        ("SweepRequest", repro.SweepRequest),
+        ("TemporalRequest", repro.TemporalRequest),
+    ]
+    for name, obj in [*_verb_entries(), *requests]:
         signature = str(inspect.signature(obj))
         doc = inspect.getdoc(obj) or "(undocumented)"
         lines += [

@@ -12,9 +12,9 @@ serving-tier guarantees end to end over the wire:
    exposition with the expected families, every response carries an
    ``X-Repro-Request-Id``, and ``--access-log`` writes one JSON line
    per request.
-4. **Error paths** -- a caller mistake (importance sampling on the
-   ``link`` fault model) answers a structured 400 with its request id,
-   never a ``500 internal``.
+4. **Error paths** -- caller mistakes (importance sampling on the
+   ``link`` fault model, a temporal ``curve_points`` above 512) answer
+   a structured 400 with their request id, never a ``500 internal``.
 
 Finally the server is sent SIGTERM and must exit 0 with a silent
 stderr (graceful pool shutdown, no resource-tracker noise).
@@ -53,6 +53,16 @@ def get(port: int, path: str):
         f"http://127.0.0.1:{port}{path}", timeout=30
     ) as response:
         return json.load(response)
+
+
+def rejected(port: int, verb: str, payload: dict):
+    """``(status, request id, error)`` of a request the server refuses."""
+    try:
+        post(port, verb, payload)
+    except urllib.error.HTTPError as exc:
+        request_id = exc.headers.get("X-Repro-Request-Id", "")
+        return exc.code, request_id, json.load(exc)["error"]
+    raise AssertionError(f"{verb} {payload} was accepted")
 
 
 def scrape_metrics(port: int) -> dict[str, str]:
@@ -163,22 +173,19 @@ def main() -> int:
             f"families, {len(log_lines)} access-log lines"
         )
 
-        # 4. a caller mistake is a structured 400, not a 500
-        try:
-            post(port, "sweep", {"spec": "pops(2,2)", "model": "link",
-                                 "sampling": "importance"})
-        except urllib.error.HTTPError as exc:
-            status, request_id = exc.code, exc.headers.get(
-                "X-Repro-Request-Id", ""
-            )
-            error = json.load(exc)["error"]
-        else:
-            raise AssertionError("link + importance sweep was accepted")
-        assert status == 400, (status, error)
-        assert error["code"] == "bad_request", error
-        assert "cardinality distribution" in error["message"], error
-        assert len(request_id) == 16, f"bad request id {request_id!r}"
-        print(f"[serve-smoke] error path OK: 400 {error['code']}")
+        # 4. caller mistakes are structured 400s, not 500s
+        for verb, payload, words in (
+            ("sweep", {"spec": "pops(2,2)", "model": "link",
+                       "sampling": "importance"}, "cardinality distribution"),
+            ("temporal", {"spec": "pops(2,2)", "curve_points": 1000},
+             "curve_points"),
+        ):
+            status, request_id, error = rejected(port, verb, payload)
+            assert status == 400, (status, error)
+            assert error["code"] == "bad_request", error
+            assert words in error["message"], error
+            assert len(request_id) == 16, f"bad request id {request_id!r}"
+            print(f"[serve-smoke] {verb} error path OK: 400 {error['code']}")
 
         proc.send_signal(signal.SIGTERM)
         code = proc.wait(timeout=60)

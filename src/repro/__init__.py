@@ -182,6 +182,7 @@ from .simulation import (
 from .temporal import (
     FaultProcess,
     FaultTrace,
+    TemporalRequest,
     TemporalSummary,
     TrafficMatrix,
     make_fault_process,
@@ -235,6 +236,7 @@ __all__ = [
     "SweepResult",
     "SweepRequest",
     "SweepSummary",
+    "TemporalRequest",
     "TemporalSummary",
     "TrafficMatrix",
     "analysis",

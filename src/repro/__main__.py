@@ -326,6 +326,22 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
     return 0
 
 
+def _temporal_args(args: argparse.Namespace) -> dict:
+    """The :class:`~repro.temporal.replay.TemporalRequest` fields of ``args``.
+
+    Every ``temporal`` flag named like a request field; a flag left at
+    its ``None`` default is omitted, so the request's own default
+    applies.
+    """
+    from .temporal.replay import TEMPORAL_FIELDS
+
+    return {
+        name: getattr(args, name)
+        for name in TEMPORAL_FIELDS
+        if getattr(args, name, None) is not None
+    }
+
+
 def _cmd_temporal(args: argparse.Namespace) -> int:
     from .core import temporal_sweep
 
@@ -333,21 +349,7 @@ def _cmd_temporal(args: argparse.Namespace) -> int:
         spec = NetworkSpec.from_argv(args.spec)
         with _trace_to(args.trace):
             summary = temporal_sweep(
-                spec,
-                process=args.process,
-                faults=args.faults,
-                mtbf=args.mtbf,
-                mttr=args.mttr,
-                law=args.law,
-                horizon=args.horizon,
-                trials=args.trials,
-                seed=args.seed,
-                workers=args.workers,
-                workload=args.workload,
-                messages=args.messages,
-                bound=args.bound,
-                metrics=args.metrics,
-                curve_points=args.curve_points,
+                spec, workers=args.workers, **_temporal_args(args)
             )
     except (SpecError, ValueError) as exc:
         print(exc, file=sys.stderr)

@@ -74,8 +74,8 @@ def _make_model_or_process(key: str, intensity: int):
     """Resolve ``key`` in the fault-model registry, then the processes.
 
     The models axis accepts *fault processes* alongside frozen fault
-    models: a process-keyed cell (``"coupler-renewal:2"``) replays
-    through the temporal engine instead of the one-shot sweep.
+    models: a process-keyed cell (``"coupler-renewal:2"``) is a
+    temporal replay instead of a one-shot sweep.
     """
     from ..resilience.faults import FAULT_MODELS, make_fault_model
     from ..temporal.processes import FAULT_PROCESSES, make_fault_process
@@ -145,10 +145,13 @@ class Experiment:
     downgraded per spec inside the sweep preparation; each cell
     records the backend that actually ran.
 
-    A fault *process* on the models axis (``"coupler-renewal:2"``)
-    replays through the temporal engine, which has neither non-uniform
-    sampling nor sequential stopping, so such a grid must keep
-    ``samplings`` uniform and ``ci_target`` unset.
+    A fault *process* on the models axis (``"coupler-renewal:2"``) is
+    a temporal-replay cell (a
+    :class:`~repro.temporal.replay.TemporalRequest` over the plan's
+    ``trials``, ``seed``, ``workload``, ``messages``, ``bound`` and
+    metrics mode, scheduled on the same pool), which has neither
+    non-uniform sampling nor sequential stopping, so such a grid must
+    keep ``samplings`` uniform and ``ci_target`` unset.
 
     >>> e = Experiment(specs=("pops(2,2)", "sk(2,2,2)"),
     ...                models=("coupler", "processor:2"), trials=8)
@@ -222,20 +225,19 @@ class Experiment:
         """The grid flattened into ``(spec, cell)`` pairs, spec-major order.
 
         ``spec`` is the canonical string.  A frozen-model cell is its
-        :class:`~repro.resilience.sweep.SweepRequest`, ready for
-        :func:`~repro.resilience.sweep.survivability_sweep` /
-        :func:`~repro.resilience.sweep.pooled_survivability_sweeps`; a
-        fault-process cell is the keyword dict of its temporal replay
-        (``process``, ``trials``, ``seed``, ``workload``, ``messages``,
-        ``bound``, ``metrics``).
+        :class:`~repro.resilience.sweep.SweepRequest` and a
+        fault-process cell its
+        :class:`~repro.temporal.replay.TemporalRequest`; either runs
+        through :meth:`~repro.core.session.Session.run_sweep`.
         """
         from ..resilience.sweep import SweepRequest
         from ..temporal.processes import FaultProcess
+        from ..temporal.replay import TemporalRequest
 
         def cell(model, metrics_mode, trials, sampling):
-            # a process cell checks the plan's shared values through the
-            # same request as a frozen cell (with a stand-in model), then
-            # replays through the temporal engine
+            # a process cell checks the plan's sweep-only values
+            # (backend, max_slots, ...) through the same request as a
+            # frozen cell, with a stand-in model
             process = isinstance(model, FaultProcess)
             request = SweepRequest(
                 model="coupler" if process else model,
@@ -252,7 +254,7 @@ class Experiment:
             )
             if not process:
                 return request
-            return dict(
+            return TemporalRequest(
                 process=model,
                 trials=trials,
                 seed=self.seed,
@@ -278,23 +280,18 @@ class Experiment:
         knows it); process cells keep the plan's label for their
         metrics mode.
         """
-        if isinstance(cell, dict):
-            return ExperimentCell(
-                spec=summary.spec,
-                model=summary.process,
-                faults=summary.faults,
-                metrics=cell["metrics"],
-                backend=self._cell_backend(cell["metrics"]),
-                sampling="uniform",
-                summary=summary,
-            )
+        from ..resilience.sweep import SweepRequest
+
+        frozen = isinstance(cell, SweepRequest)
         return ExperimentCell(
             spec=summary.spec,
-            model=summary.model,
+            model=summary.model if frozen else summary.process,
             faults=summary.faults,
             metrics=cell.metrics,
-            backend=summary.backend,
-            sampling=cell.sampling,
+            backend=(
+                summary.backend if frozen else self._cell_backend(cell.metrics)
+            ),
+            sampling=cell.sampling if frozen else "uniform",
             summary=summary,
         )
 
@@ -372,7 +369,7 @@ class ExperimentCell:
     metrics: str
     backend: str
     sampling: str
-    summary: object  # the cell's SweepSummary
+    summary: object  # the cell's SweepSummary or TemporalSummary
 
     def as_dict(self) -> dict[str, object]:
         """JSON-ready view (the summary nested under ``"summary"``)."""

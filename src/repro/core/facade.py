@@ -326,25 +326,7 @@ def resilience_sweep(spec, *, workers: int | None = None, **params):
     return default_session().resilience_sweep(spec, workers=workers, **params)
 
 
-def temporal_sweep(
-    spec,
-    *,
-    process="coupler-renewal",
-    faults: int | None = None,
-    mtbf: float | None = None,
-    mttr: float | None = None,
-    law: str | None = None,
-    horizon: int | None = None,
-    trials: int = 20,
-    seed: int = 0,
-    workers: int | None = None,
-    workload="uniform",
-    messages: int = 60,
-    bound: int | None = None,
-    metrics: str = "connectivity",
-    curve_points: int = 16,
-    traffic=None,
-):
+def temporal_sweep(spec, *, workers: int | None = None, **params):
     """Replay a failure/repair *process* over slot time on ``spec``.
 
     Where :func:`resilience_sweep` scores frozen one-shot fault
@@ -359,49 +341,17 @@ def temporal_sweep(
     ----------
     spec : NetworkSpec, str, dict, or sequence
         The machine to churn; see :func:`build` for accepted forms.
-    process : str or FaultProcess, optional
-        Fault-process key (``"coupler-renewal"``,
-        ``"processor-renewal"``, ``"cascade"``) or a
-        :class:`~repro.temporal.processes.FaultProcess` instance.
-    faults : int, optional
-        Churning components for string process keys (default 1);
-        combining it with a process instance is an error.  A machine
-        whose :meth:`max_faults` capacity is below this is *skipped*
-        (``skipped_underfaulted``), never scored immune.
-    mtbf, mttr : float, optional
-        Mean slots between failures / to repair (defaults 400 / 100)
-        for string process keys.
-    law : {"exponential", "deterministic"}, optional
-        Inter-event law (default ``"exponential"``, the 2-state
-        Markov process).
-    horizon : int, optional
-        Replay length in slots (default 1000).
-    trials : int, optional
-        Independent trace replays (default 20).
-    seed : int, optional
-        Sweep seed; per-trial traces derive from it via SHA-256, so
-        the summary is byte-identical for any worker count.
     workers : int, optional
         ``multiprocessing`` processes; ``None``/``0``/``1`` runs
         inline.
-    workload : str, callable or TrafficMatrix, optional
-        Traffic injected in ``full`` mode (default ``"uniform"``).  A
-        :class:`~repro.temporal.traffic.TrafficMatrix` is accepted
-        anywhere a workload is.
-    messages : int, optional
-        Messages injected per trial in ``full`` mode (default 60).
-    bound : int, optional
-        Path-length bound for ``paths``/``full`` metrics; default
-        ``diameter + 2``.
-    metrics : {"connectivity", "paths", "full"}, optional
-        Scoring depth per trace segment: reachability only (default),
-        plus time-weighted bounded-path quality, or everything
-        including the churned slotted run.
-    curve_points : int, optional
-        Bins of the availability-over-time curve (default 16).
-    traffic : TrafficMatrix, optional
-        Demand matrix scored alongside: adds the time-weighted
-        ``demand_served`` quantile (rate fraction still routable).
+    **params
+        The :class:`~repro.temporal.replay.TemporalRequest` fields --
+        ``process``, ``faults``, ``mtbf``, ``mttr``, ``law``,
+        ``horizon``, ``trials``, ``seed``, ``workload``, ``messages``,
+        ``bound``, ``metrics`` (default ``"connectivity"``),
+        ``curve_points`` and ``traffic`` -- with the defaults and
+        checks documented there.  An unknown keyword raises
+        ``TypeError``, a bad value ``ValueError``.
 
     Returns
     -------
@@ -421,24 +371,7 @@ def temporal_sweep(
     >>> 0.0 <= s.quantiles["availability"]["mean"] <= 1.0
     True
     """
-    return default_session().temporal_sweep(
-        spec,
-        process=process,
-        faults=faults,
-        mtbf=mtbf,
-        mttr=mttr,
-        law=law,
-        horizon=horizon,
-        trials=trials,
-        seed=seed,
-        workers=workers,
-        workload=workload,
-        messages=messages,
-        bound=bound,
-        metrics=metrics,
-        curve_points=curve_points,
-        traffic=traffic,
-    )
+    return default_session().temporal_sweep(spec, workers=workers, **params)
 
 
 def design_search(*, workers: int | None = None, **options):
@@ -534,7 +467,8 @@ def experiment(specs, *, workers: int | None = None, **plan):
         ``"key:faults"`` string (``"link:2"``), a ``(key, faults)``
         pair or a :class:`~repro.resilience.faults.FaultModel`
         instance.  Default ``("coupler",)``.  Fault-process keys
-        (``"coupler-renewal:2"``) replay through the temporal engine.
+        (``"coupler-renewal:2"``) are temporal-replay cells, scheduled
+        on the same pool.
     metrics, trials, samplings : str/int or iterable, optional
         Grid axes over the :class:`~repro.resilience.sweep.SweepRequest`
         fields of the same (singular) name; defaults

@@ -13,10 +13,10 @@ cost.  A :class:`Session` owns
   :meth:`~Session.invalidate`;
 * **persistent worker pools**
   (:class:`~repro.resilience.sweep.PersistentSweepExecutor`, one per
-  worker count): sweeps, experiments and design searches reuse one
-  lazily-started ``multiprocessing`` pool across calls, workers
-  re-initializing their per-process trial context only when the sweep
-  plan changes.
+  worker count): sweeps, temporal replays, experiments and design
+  searches reuse one lazily-started ``multiprocessing`` pool across
+  calls, workers re-initializing their per-process trial context only
+  when the plan changes.
 
 Caching is a latency optimization only: every session method returns
 **byte-identical** output to the stateless module-level path for the
@@ -323,94 +323,74 @@ class Session:
         return self.run_sweep(spec, SweepRequest(**params), workers=workers)
 
     def run_sweep(self, spec, request, *, workers=_UNSET):
-        """Run one ``(spec, SweepRequest)`` sweep on the session's caches."""
+        """Run one ``(spec, request)`` pair on the session's caches and pool.
+
+        ``request`` is a :class:`~repro.resilience.sweep.SweepRequest`
+        (a survivability sweep) or a
+        :class:`~repro.temporal.replay.TemporalRequest` (a temporal
+        replay).
+        """
         self._check_open()
         from ..resilience.sweep import survivability_sweep
+        from ..temporal.replay import TemporalRequest
 
         entry = self._cache.entry(spec)
+        executor = self._executor_for(self._effective_workers(workers))
+        if isinstance(request, TemporalRequest):
+            return self._run_temporal(entry, request, executor)
         return survivability_sweep(
             entry.spec,
             request,
             _net=entry.network,
             _baseline=entry.baseline,
             _arrays=entry.arrays,
-            _executor=self._executor_for(self._effective_workers(workers)),
+            _executor=executor,
         )
 
-    def temporal_sweep(
-        self,
-        spec,
-        *,
-        process="coupler-renewal",
-        faults: int | None = None,
-        mtbf: float | None = None,
-        mttr: float | None = None,
-        law: str | None = None,
-        horizon: int | None = None,
-        trials: int = 20,
-        seed: int = 0,
-        workers=_UNSET,
-        workload="uniform",
-        messages: int = 60,
-        bound: int | None = None,
-        metrics: str = "connectivity",
-        curve_points: int = 16,
-        traffic=None,
-    ):
+    def temporal_sweep(self, spec, *, workers=_UNSET, **params):
         """Replay a fault process over time (see :func:`repro.temporal_sweep`).
 
-        Each trial compiles one deterministic trace from the per-trial
-        SHA-256 seed stream and replays it against the connectivity /
-        paths kernels (and, in ``full`` mode, the slotted simulator);
-        the summary is byte-identical at any worker count.
+        ``**params`` are the fields of one
+        :class:`~repro.temporal.replay.TemporalRequest`.  Warm calls
+        reuse the cached built network and the persistent worker pool
+        that sweeps use; the summary is byte-identical at any worker
+        count.
         """
-        self._check_open()
+        from ..temporal.replay import TemporalRequest
+
+        return self.run_sweep(
+            spec, TemporalRequest(**params), workers=workers
+        )
+
+    def _run_temporal(self, entry, request, executor):
+        """One temporal replay of a cached spec on ``executor``."""
         from ..obs.metrics import REGISTRY
         from ..obs.trace import span
         from ..temporal.replay import (
-            DEFAULT_HORIZON,
             execute_temporal,
             prepare_temporal_sweep,
             summarize_temporal,
         )
 
-        entry = self._cache.entry(spec)
-        resolved_horizon = DEFAULT_HORIZON if horizon is None else horizon
+        trials = request.trials
         with span("temporal.prepare", spec=entry.canonical, trials=trials,
-                  horizon=resolved_horizon):
+                  horizon=request.horizon):
             prepared = prepare_temporal_sweep(
-                entry.spec,
-                process,
-                faults=faults,
-                mtbf=mtbf,
-                mttr=mttr,
-                law=law,
-                horizon=resolved_horizon,
-                trials=trials,
-                seed=seed,
-                workload=workload,
-                messages=messages,
-                bound=bound,
-                metrics=metrics,
-                curve_points=curve_points,
-                traffic=traffic,
-                _net=entry.network,
+                entry.spec, request, _net=entry.network
             )
-        effective = self._effective_workers(workers)
-        worker_count = effective if isinstance(effective, int) else 1
         with span("temporal.execute", spec=entry.canonical, trials=trials,
-                  workers=worker_count):
-            rows = execute_temporal(prepared, workers=worker_count)
+                  workers=executor.workers):
+            rows = execute_temporal(prepared, _executor=executor)
         REGISTRY.counter(
             "repro_temporal_trials_total",
             "Temporal replay trials executed.",
-            {"metrics": metrics},
+            {"metrics": request.metrics},
         ).inc(len(rows))
         if prepared.skipped:
             REGISTRY.counter(
                 "repro_temporal_skips_total",
                 "Temporal sweeps skipped by max_faults capacity accounting.",
-                {"process": prepared.plan.process.key},
+                {"process": request.process.key},
             ).inc()
         with span("temporal.summarize", spec=entry.canonical, trials=trials):
             return summarize_temporal(prepared, rows)
@@ -468,8 +448,9 @@ class Session:
     def run_experiment(self, experiment, *, workers=_UNSET):
         """Execute one compiled experiment plan on the session's pool.
 
-        Every cell's summary is byte-identical to calling
-        :func:`repro.resilience_sweep` with that cell's parameters.
+        Frozen-model and fault-process cells are scheduled together on
+        the one executor; every cell's summary is byte-identical to
+        :meth:`run_sweep` on that cell's ``(spec, request)`` pair.
         """
         self._check_open()
         from dataclasses import replace
@@ -477,47 +458,38 @@ class Session:
         from ..obs.trace import span
         from ..resilience.sweep import _prepare_sweep, _summarize
         from ..temporal.replay import (
-            DEFAULT_HORIZON,
-            execute_temporal,
+            TemporalRequest,
             prepare_temporal_sweep,
             summarize_temporal,
         )
         from .experiment import ExperimentResult
 
         cells = experiment.compile()
-        effective = self._effective_workers(workers)
-        executor = self._executor_for(effective)
-        # a grid axis may mix frozen fault models and fault *processes*:
-        # process cells replay through the temporal engine while the
-        # frozen cells share the persistent pool, and the results are
-        # reassembled in compile() order
+        executor = self._executor_for(self._effective_workers(workers))
         prepared_list = []
         arrays_list = []
-        temporal_prepared: dict[int, object] = {}
         with span("experiment.prepare", cells=len(cells)):
-            for index, (spec, cell) in enumerate(cells):
+            for spec, cell in cells:
                 entry = self._cache.entry(spec)
-                if isinstance(cell, dict):  # a fault-process cell
-                    temporal_prepared[index] = prepare_temporal_sweep(
-                        entry.spec,
-                        horizon=DEFAULT_HORIZON,
-                        _net=entry.network,
-                        **cell,
+                arrays = None
+                if isinstance(cell, TemporalRequest):
+                    prepared = prepare_temporal_sweep(
+                        entry.spec, cell, _net=entry.network
                     )
-                    continue
-                prepared = _prepare_sweep(
-                    entry.spec, cell, net=entry.network, baseline=entry.baseline
-                )
+                else:
+                    prepared = _prepare_sweep(
+                        entry.spec, cell, net=entry.network,
+                        baseline=entry.baseline,
+                    )
+                    if (
+                        prepared.plan.backend == "vectorized"
+                        and not executor.parallel
+                    ):
+                        arrays = entry.arrays()
                 if executor.parallel:
                     prepared = replace(prepared, net=None)
                 prepared_list.append(prepared)
-                arrays_list.append(
-                    entry.arrays()
-                    if prepared.plan.backend == "vectorized"
-                    and not executor.parallel
-                    else None
-                )
-        worker_count = effective if isinstance(effective, int) else 1
+                arrays_list.append(arrays)
         with span("experiment.execute", cells=len(cells)):
             if experiment.ci_target is not None:
                 # adaptive cells need per-wave stop decisions, so a
@@ -531,20 +503,15 @@ class Session:
                 rows_lists = executor.run_many(
                     prepared_list, arrays_list=arrays_list
                 )
-            temporal_rows = {
-                index: execute_temporal(tprep, workers=worker_count)
-                for index, tprep in temporal_prepared.items()
-            }
         with span("experiment.summarize", cells=len(cells)):
-            sweep_results = iter(zip(prepared_list, rows_lists))
-            summaries = []
-            for index in range(len(cells)):
-                if index in temporal_prepared:
-                    summaries.append(summarize_temporal(
-                        temporal_prepared[index], temporal_rows[index]
-                    ))
-                else:
-                    summaries.append(_summarize(*next(sweep_results)))
+            summaries = [
+                summarize_temporal(prepared, rows)
+                if isinstance(cell, TemporalRequest)
+                else _summarize(prepared, rows)
+                for (_, cell), prepared, rows in zip(
+                    cells, prepared_list, rows_lists
+                )
+            ]
         return ExperimentResult(
             experiment=experiment,
             cells=tuple(

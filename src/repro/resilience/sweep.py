@@ -49,9 +49,11 @@ to per-sweep execution.
 Every sweep runs on a :class:`PersistentSweepExecutor`, which owns one
 lazily-started pool and ships each task its frozen plan; workers build
 a trial context the first time they see a plan and reuse it for every
-later chunk.  :class:`repro.core.session.Session` injects a long-lived
-executor; a sweep function called without one opens an executor scoped
-to that call.
+later chunk.  Temporal replays (:mod:`repro.temporal.replay`) run on
+the same executor: their plans build their own trial contexts.
+:class:`repro.core.session.Session` injects a long-lived executor; a
+sweep function called without one opens an executor scoped to that
+call.
 """
 
 from __future__ import annotations
@@ -175,6 +177,25 @@ def _check_int(name: str, value, minimum: int | None = None) -> None:
     if minimum is not None and value < minimum:
         message = f"{name} must be >= {minimum}, got {value}"
         raise SweepRequestError(name, message)
+
+
+def _check_positive(name: str, value) -> None:
+    """Reject a non-number (``bool`` included) or a value not ``> 0``."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and value > 0):
+        message = f"{name} must be a number > 0, got {value!r}"
+        raise SweepRequestError(name, message)
+
+
+def _check_fields(payload, known, noun: str) -> None:
+    """Reject a payload key that is not one of the ``known`` field names."""
+    unknown = sorted(set(payload) - set(known))
+    if unknown:
+        raise SweepRequestError(
+            unknown[0],
+            f"unknown {noun} field(s): {', '.join(unknown)}; "
+            f"known: {', '.join(known)}",
+        )
 
 
 def _unknown(name: str, noun: str, value, known) -> SweepRequestError:
@@ -316,18 +337,7 @@ class SweepRequest:
                 "sampling", "sampling mode", self.sampling, SAMPLING_MODES
             )
         if self.ci_target is not None:
-            if isinstance(self.ci_target, bool) or not isinstance(
-                self.ci_target, (int, float)
-            ):
-                raise SweepRequestError(
-                    "ci_target",
-                    f"ci_target must be a number > 0 or None, "
-                    f"got {self.ci_target!r}",
-                )
-            if not self.ci_target > 0:
-                raise SweepRequestError(
-                    "ci_target", f"ci_target must be > 0, got {self.ci_target}"
-                )
+            _check_positive("ci_target", self.ci_target)
             object.__setattr__(self, "ci_target", float(self.ci_target))
         if self.backend == "vectorized" and self.metrics == "full":
             raise SweepRequestError(
@@ -355,13 +365,7 @@ class SweepRequest:
 
         Inverse of :meth:`to_payload` for registry-keyed models.
         """
-        unknown = sorted(set(payload) - set(SWEEP_FIELDS))
-        if unknown:
-            raise SweepRequestError(
-                unknown[0],
-                f"unknown sweep field(s): {', '.join(unknown)}; "
-                f"known: {', '.join(SWEEP_FIELDS)}",
-            )
+        _check_fields(payload, SWEEP_FIELDS, "sweep")
         return cls(**payload)
 
 
@@ -503,6 +507,18 @@ class _SweepPlan:
     baseline_mean_latency: float | None
     metrics: str
     backend: str = "batched"
+
+    def build_context(self, net=None, arrays=None):
+        """The trial-runner context of this plan (builds what it lacks)."""
+        if self.backend == "vectorized":
+            if arrays is None:
+                if net is None:
+                    from ..core.spec import NetworkSpec
+
+                    net = NetworkSpec.parse(self.canonical).build()
+                arrays = _TopologyArrays.from_network(net)
+            return _VectorContext(self, arrays)
+        return _TrialContext(self, net=net)
 
 
 class _TrialContext:
@@ -1042,22 +1058,8 @@ class _VectorContext:
 
 
 # ----------------------------------------------------------------------
-# Worker plumbing: trial contexts and chunk observation.
+# Worker plumbing: chunk observation (fork-aware metrics + timings).
 # ----------------------------------------------------------------------
-def _make_context(plan: _SweepPlan, net=None, arrays=None):
-    """The trial-runner context for ``plan`` (builds what it lacks)."""
-    if plan.backend == "vectorized":
-        if arrays is None:
-            if net is None:
-                from ..core.spec import NetworkSpec
-
-                net = NetworkSpec.parse(plan.canonical).build()
-            arrays = _TopologyArrays.from_network(net)
-        return _VectorContext(plan, arrays)
-    return _TrialContext(plan, net=net)
-
-
-# -- chunk observation (fork-aware metrics + shipped timings) ---------
 #: Help strings of the sweep metric families, parent- and worker-side.
 _CHUNKS_HELP = "Sweep trial chunks executed"
 _TRIALS_HELP = "Monte-Carlo trials executed"
@@ -1154,34 +1156,37 @@ def _init_persistent_worker() -> None:
     _PERSIST_CTXS = OrderedDict()
 
 
-def _cached_context(cache: OrderedDict, plan: _SweepPlan, **kw):
+def _cached_context(cache: OrderedDict, plan, **kw):
     """The trial context for ``plan``, LRU-cached when the plan hashes.
 
+    ``plan`` is a sweep's :class:`_SweepPlan` or a temporal replay's
+    plan; each builds its own context (``plan.build_context(**kw)``).
     Plans are frozen dataclasses, hashable whenever their fault model
-    is (every built-in model); an unhashable custom model just skips
-    caching and rebuilds per chunk -- correct, only slower.
+    or process (and workload) is -- every built-in one; an unhashable
+    custom one just skips caching and rebuilds per chunk -- correct,
+    only slower.
     """
     try:
         ctx = cache.get(plan)
     except TypeError:
-        return _make_context(plan, **kw)
+        return plan.build_context(**kw)
     if ctx is not None:
         cache.move_to_end(plan)
         return ctx
-    ctx = _make_context(plan, **kw)
+    ctx = plan.build_context(**kw)
     while len(cache) >= _PERSIST_CTX_CACHE:
         cache.popitem(last=False)
     cache[plan] = ctx
     return ctx
 
 
-def _run_persistent_chunk(task: tuple[int, _SweepPlan, int, int]):
-    """Run one sweep's trial range on the worker's context cache.
+def _run_persistent_chunk(task: tuple[int, object, int, int]):
+    """Run one trial range of any plan on the worker's context cache.
 
     The plan travels with the task, so one pool serves any sequence of
-    sweeps: a worker builds the context the first time it sees a plan
-    (from the canonical spec) and reuses it for every later chunk of
-    that plan.
+    sweeps and temporal replays: a worker builds the context the first
+    time it sees a plan (from the canonical spec) and reuses it for
+    every later chunk of that plan.
     """
     index, plan, start, stop = task
     ctx = _cached_context(_PERSIST_CTXS, plan)
@@ -1193,17 +1198,23 @@ class PersistentSweepExecutor:
     """A reusable sweep executor that owns one lazily-started pool.
 
     The pool stays alive across calls and each task carries its frozen
-    :class:`_SweepPlan`, so workers build a trial context only when
-    they meet a new plan.  ``workers`` of ``None``/``0``/``1`` runs
-    inline with a parent-side context cache (warm repeated sweeps skip
-    context rebuilds there too).
+    plan, so workers build a trial context only when they meet a new
+    plan.  ``workers`` of ``None``/``0``/``1`` runs inline with a
+    parent-side context cache (warm repeated sweeps skip context
+    rebuilds there too).
+
+    A *prepared* run is a sweep's :class:`_PreparedSweep` or a prepared
+    temporal replay: its ``plan`` builds the trial context, ``net`` is
+    the parent's built network (or ``None``) and ``trials`` the trial
+    count to schedule.
 
     Rows are **byte-identical** for the same plan at any worker count
     -- trial chunking never changes per-trial seeds or row order.
     :class:`repro.core.session.Session` injects a long-lived executor
     into :func:`survivability_sweep`,
-    :func:`pooled_survivability_sweeps` and the design search; called
-    without one, each of those opens an executor scoped to the call.
+    :func:`pooled_survivability_sweeps`, the design search and
+    :func:`~repro.temporal.replay.execute_temporal`; called without
+    one, each of those opens an executor scoped to the call.
     """
 
     def __init__(self, workers: int | None = None) -> None:
@@ -1258,10 +1269,8 @@ class PersistentSweepExecutor:
         _absorb_chunk_metas((meta for _, _, _, meta in results), dispatched_us)
         return results
 
-    def run(
-        self, prepared: _PreparedSweep, *, arrays=None, extra_stop=None
-    ) -> list[dict]:
-        """All trial rows of one prepared sweep, in trial-index order.
+    def run(self, prepared, *, arrays=None, extra_stop=None) -> list[dict]:
+        """All trial rows of one prepared run, in trial-index order.
 
         A sweep with ``ci_target`` set runs the sequential-stopping wave
         loop (:func:`~repro.resilience.adaptive.run_adaptive`) instead
@@ -1271,18 +1280,17 @@ class PersistentSweepExecutor:
         export when the caller already holds the spec's
         :class:`_TopologyArrays`.
         """
-        if prepared.request.ci_target is not None:
+        request = prepared.request
+        if isinstance(request, SweepRequest) and request.ci_target is not None:
             return run_adaptive(
                 prepared, self, arrays=arrays, extra_stop=extra_stop
             )
-        return self.run_range(
-            prepared, 0, prepared.request.trials, arrays=arrays
-        )
+        return self.run_range(prepared, 0, prepared.trials, arrays=arrays)
 
     def run_range(
-        self, prepared: _PreparedSweep, start: int, stop: int, *, arrays=None
+        self, prepared, start: int, stop: int, *, arrays=None
     ) -> list[dict]:
-        """Rows of trials ``start .. stop - 1`` of one prepared sweep.
+        """Rows of trials ``start .. stop - 1`` of one prepared run.
 
         The adaptive engine's wave primitive: each wave is one
         contiguous index range, so per-trial seeds -- and therefore
@@ -1313,13 +1321,12 @@ class PersistentSweepExecutor:
         ])
         return [row for _, _, rows, _ in chunks for row in rows]
 
-    def run_many(
-        self, prepared_list: list[_PreparedSweep], *, arrays_list=None
-    ) -> list[list[dict]]:
-        """Row lists for many prepared sweeps, scheduled on ONE pool.
+    def run_many(self, prepared_list, *, arrays_list=None) -> list[list[dict]]:
+        """Row lists for many prepared runs, scheduled on ONE pool.
 
-        Returns one row list per input sweep, each identical to what
-        :meth:`run` would produce for it alone.
+        Sweeps and temporal replays mix freely.  Returns one row list
+        per input, each identical to what :meth:`run` would produce for
+        it alone.
         """
         if self._closed:
             raise RuntimeError("executor is closed")
@@ -1335,7 +1342,7 @@ class PersistentSweepExecutor:
         for index, _start, rows, _meta in self._map_chunks([
             (i, p.plan, lo, hi)
             for i, p in enumerate(prepared_list)
-            for lo, hi in _index_chunks(p.request.trials, self.workers)
+            for lo, hi in _index_chunks(p.trials, self.workers)
         ]):
             by_sweep[index].extend(rows)
         return by_sweep
@@ -1403,6 +1410,11 @@ class _PreparedSweep:
     #: why ``plan.backend`` differs from the requested backend
     #: (``None`` when it does not); surfaced on the summary
     downgrade: str | None = None
+
+    @property
+    def trials(self) -> int:
+        """Trials to schedule (an adaptive sweep's cap)."""
+        return self.request.trials
 
 
 def _intact_baseline(
@@ -1530,6 +1542,26 @@ def _prepare_sweep(
     )
 
 
+def _quantile_cells(rows, keys) -> dict[str, dict[str, float]]:
+    """The ``mean/p05/p50/p95/min/max`` cell of each metric in ``keys``.
+
+    Exact nearest-rank quantiles and a sequential-sum mean, rounded to
+    6 places: the summary cell shape of every sweep and temporal replay.
+    """
+    quantiles: dict[str, dict[str, float]] = {}
+    for key in keys:
+        values = sorted(float(r[key]) for r in rows)
+        quantiles[key] = {
+            "mean": round(sum(values) / len(values), 6),
+            "p05": round(_nearest_rank(values, 0.05), 6),
+            "p50": round(_nearest_rank(values, 0.50), 6),
+            "p95": round(_nearest_rank(values, 0.95), 6),
+            "min": round(values[0], 6),
+            "max": round(values[-1], 6),
+        }
+    return quantiles
+
+
 def _summarize(prepared: _PreparedSweep, rows: list[dict]) -> SweepSummary:
     """Aggregate per-trial rows into the deterministic quantile summary.
 
@@ -1540,17 +1572,7 @@ def _summarize(prepared: _PreparedSweep, rows: list[dict]) -> SweepSummary:
     """
     plan, trials = prepared.plan, len(rows)
     summarized = METRICS_MODES[plan.metrics]
-    quantiles: dict[str, dict[str, float]] = {}
-    for key in summarized:
-        values = sorted(float(r[key]) for r in rows)
-        quantiles[key] = {
-            "mean": round(sum(values) / len(values), 6),
-            "p05": round(_nearest_rank(values, 0.05), 6),
-            "p50": round(_nearest_rank(values, 0.50), 6),
-            "p95": round(_nearest_rank(values, 0.95), 6),
-            "min": round(values[0], 6),
-            "max": round(values[-1], 6),
-        }
+    quantiles = _quantile_cells(rows, summarized)
     if "within_bound" in summarized:
         within_full = sum(1 for r in rows if float(r["within_bound"]) >= 1.0)
         within_bound_fraction = round(within_full / trials, 6)

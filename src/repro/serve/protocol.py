@@ -142,26 +142,33 @@ def _str_field(payload, name, default):
     return value
 
 
-def _sweep_request(payload: dict, **defaults):
-    """The :class:`~repro.resilience.sweep.SweepRequest` a payload names.
+def _request(request_type, fields: dict):
+    """The sweep or temporal request ``fields`` name, checked at the door.
 
-    Only the payload's sweep fields are read; ``defaults`` are
-    per-verb defaults (the design search scores ``connectivity``).
-    The request's own checks become structured 400s: unknown model
-    keys are ``invalid_model``, choice fields carry their ``known``
-    values in ``details``.
+    The request's own checks become structured 400s: unknown model and
+    process keys are ``invalid_model``/``invalid_process``, choice
+    fields carry their ``known`` values in ``details``.
     """
-    from ..resilience.sweep import SWEEP_FIELDS, SweepRequest
-
-    fields = {k: payload[k] for k in SWEEP_FIELDS if k in payload}
     try:
-        return SweepRequest.from_payload({**defaults, **fields})
+        return request_type.from_payload(fields)
     except (ValueError, TypeError) as exc:
         raise ServeError(
             str(exc),
             code=getattr(exc, "code", "bad_request"),
             details=getattr(exc, "details", None),
         ) from None
+
+
+def _sweep_request(payload: dict, **defaults):
+    """The :class:`~repro.resilience.sweep.SweepRequest` a payload names.
+
+    Only the payload's sweep fields are read; ``defaults`` are
+    per-verb defaults (the design search scores ``connectivity``).
+    """
+    from ..resilience.sweep import SWEEP_FIELDS, SweepRequest
+
+    fields = {k: payload[k] for k in SWEEP_FIELDS if k in payload}
+    return _request(SweepRequest, {**defaults, **fields})
 
 
 # ----------------------------------------------------------------------
@@ -297,86 +304,26 @@ def validate_design_search(payload) -> dict:
     }
 
 
-#: Every field a ``temporal`` request may carry (all others rejected).
-_TEMPORAL_FIELDS = (
-    "spec",
-    "process",
-    "faults",
-    "mtbf",
-    "mttr",
-    "law",
-    "horizon",
-    "trials",
-    "seed",
-    "workload",
-    "messages",
-    "bound",
-    "metrics",
-    "curve_points",
-)
-
-
-def _positive_float_field(payload, name, default) -> float:
-    value = payload.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ServeError(f"'{name}' must be a number > 0, got {value!r}")
-    if not value > 0:
-        raise ServeError(f"'{name}' must be > 0, got {value}")
-    return float(value)
-
-
 def validate_temporal(payload) -> dict:
     """``temporal`` request -> normalized temporal-sweep arguments.
 
-    Field-for-field the :func:`repro.temporal_sweep` signature minus
-    ``workers`` (pool sizing belongs to the server) and ``traffic``
-    (matrix objects don't cross the JSON boundary yet).  The process
-    resolves through the registry so unknown keys and capacity-free
-    parameter combos fail at the door, and the normalized dict is
+    ``spec`` plus the :class:`~repro.temporal.replay.TemporalRequest`
+    fields minus ``traffic`` (matrix objects don't cross the JSON
+    boundary); never ``workers``, since pool sizing belongs to the
+    server.  The process resolves through the registry, so unknown
+    keys fail at the door, and the normalized dict is
     defaults-complete for exact coalescing.
     """
-    from ..temporal.processes import make_fault_process
-    from ..temporal.replay import TEMPORAL_METRICS_MODES
+    from ..temporal.replay import TEMPORAL_FIELDS, TemporalRequest
 
     payload = _require_object(payload, "temporal")
-    _reject_unknown(payload, _TEMPORAL_FIELDS, "temporal")
+    allowed = [name for name in TEMPORAL_FIELDS if name != "traffic"]
+    _reject_unknown(payload, ("spec", *allowed), "temporal")
     spec = _canonical_spec(payload, "temporal")
-    process = _str_field(payload, "process", "coupler-renewal")
-    faults = _int_field(payload, "faults", None, minimum=1, optional=True)
-    mtbf = _positive_float_field(payload, "mtbf", 400.0)
-    mttr = _positive_float_field(payload, "mttr", 100.0)
-    law = _str_field(payload, "law", "exponential")
-    try:
-        resolved = make_fault_process(
-            process, 1 if faults is None else faults,
-            mtbf=mtbf, mttr=mttr, law=law,
-        )
-    except (KeyError, ValueError) as exc:
-        raise ServeError(str(exc), code="invalid_process") from None
-    metrics = _str_field(payload, "metrics", "connectivity")
-    if metrics not in TEMPORAL_METRICS_MODES:
-        raise ServeError(
-            f"unknown metrics mode {metrics!r}",
-            details={"known": sorted(TEMPORAL_METRICS_MODES)},
-        )
-    return {
-        "spec": spec,
-        "process": resolved.key,
-        "faults": resolved.faults,
-        "mtbf": resolved.mtbf,
-        "mttr": resolved.mttr,
-        "law": resolved.law,
-        "horizon": _int_field(payload, "horizon", 1000, minimum=1),
-        "trials": _int_field(payload, "trials", 20, minimum=1),
-        "seed": _int_field(payload, "seed", 0),
-        "workload": _str_field(payload, "workload", "uniform"),
-        "messages": _int_field(payload, "messages", 60, minimum=1),
-        "bound": _int_field(payload, "bound", None, minimum=0, optional=True),
-        "metrics": metrics,
-        "curve_points": _int_field(
-            payload, "curve_points", 16, minimum=1
-        ),
-    }
+    fields = {k: v for k, v in payload.items() if k != "spec"}
+    normalized = _request(TemporalRequest, fields).to_payload()
+    del normalized["traffic"]
+    return {"spec": spec, **normalized}
 
 
 #: Transport-level experiment fields that are NOT plan fields.

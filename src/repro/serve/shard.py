@@ -62,17 +62,14 @@ def _run_cells(session, experiment, indices):
     """Run the given cells on ``session``, yielding ``(index, dict)``.
 
     The dict is :meth:`ExperimentCell.as_dict` of the cell the
-    single-host path would report: the same compiled ``(spec, cell)``
+    single-host path would report: the same compiled ``(spec, request)``
     pair runs as a standalone sweep (or, for a fault-process cell, a
     temporal replay), whose summary is byte-identical to the cell's.
     """
     cells = experiment.compile()
     for i in indices:
         spec, cell = cells[i]
-        if isinstance(cell, dict):  # a fault-process cell
-            summary = session.temporal_sweep(spec, **cell)
-        else:
-            summary = session.run_sweep(spec, cell)
+        summary = session.run_sweep(spec, cell)
         yield i, experiment.cell_result(cell, summary).as_dict()
 
 

@@ -11,6 +11,8 @@ fault scenarios to *processes* unfolding in slot time:
   and the slotted simulator (views swapped between slots), with the
   availability-over-time / repair-aware survivability /
   mean-time-to-disconnect / delivery-under-churn metric family;
+  :class:`TemporalRequest` declares, defaults and checks every
+  temporal-sweep parameter once, for every door;
 * :mod:`~repro.temporal.traffic` -- demand matrices, per-coupler
   utilization, dimensioning and overload-driven degraded routing.
 """
@@ -30,7 +32,9 @@ from .processes import (
 )
 from .replay import (
     DEFAULT_HORIZON,
+    TEMPORAL_FIELDS,
     TEMPORAL_METRICS_MODES,
+    TemporalRequest,
     TemporalSummary,
     execute_temporal,
     prepare_temporal_sweep,
@@ -61,7 +65,9 @@ __all__ = [
     "fault_process_keys",
     "stream_seed",
     "DEFAULT_HORIZON",
+    "TEMPORAL_FIELDS",
     "TEMPORAL_METRICS_MODES",
+    "TemporalRequest",
     "TemporalSummary",
     "replay_trace",
     "prepare_temporal_sweep",

@@ -22,6 +22,12 @@ Per-trial metrics:
 * ``full`` mode adds ``delivery_ratio`` / ``dropped`` /
   ``mean_latency`` / ``slots`` from the churned slotted run.
 
+A :class:`TemporalRequest` is the one place the temporal parameters
+are declared, defaulted and checked.  Replays run on the sweep
+executor (:class:`~repro.resilience.sweep.PersistentSweepExecutor`):
+a temporal plan builds its own trial context, which the executor
+caches per plan exactly as it caches a sweep's.
+
 Determinism contract: trial ``i`` compiles its trace from
 ``trial_seed(seed, i)`` and trials never share state, so the summary
 is byte-identical for any worker count and any chunking of the trial
@@ -32,20 +38,30 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, fields
+from typing import ClassVar
 
 from ..resilience.degrade import DegradedNetwork
 from ..resilience.faults import trial_seed
 from ..resilience.metrics import connectivity_metrics, path_survival
-from ..resilience.sweep import _index_chunks, _nearest_rank
+from ..resilience.sweep import (
+    SweepRequestError,
+    _check_fields,
+    _check_int,
+    _check_positive,
+    _quantile_cells,
+    _scoped_executor,
+    _unknown,
+)
 from ..simulation.engine import SlottedSimulator
 from .processes import FaultProcess, FaultTrace, make_fault_process
 from .traffic import TrafficMatrix, served_fraction
 
 __all__ = [
     "DEFAULT_HORIZON",
+    "TEMPORAL_FIELDS",
     "TEMPORAL_METRICS_MODES",
+    "TemporalRequest",
     "TemporalSummary",
     "replay_trace",
     "prepare_temporal_sweep",
@@ -53,7 +69,7 @@ __all__ = [
     "summarize_temporal",
 ]
 
-#: Default replay horizon in slots (used by the Experiment grid too).
+#: Default replay horizon in slots.
 DEFAULT_HORIZON = 1000
 
 #: Per-trial metric keys by metrics mode (quantile-summarized).
@@ -88,8 +104,171 @@ TEMPORAL_METRICS_MODES: dict[str, tuple[str, ...]] = {
 
 
 # ----------------------------------------------------------------------
-# Plan / prepared request
+# Request, plan and prepared sweep
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class TemporalRequest:
+    """Every parameter of one temporal sweep but ``spec`` and ``workers``.
+
+    The one place temporal parameters are declared, defaulted and
+    checked: :func:`repro.temporal_sweep`,
+    :class:`~repro.core.session.Session`, :func:`prepare_temporal_sweep`,
+    the CLI, the serving tier and
+    :class:`~repro.core.experiment.Experiment` process cells all build
+    one, so every door accepts the same values.  A bad value raises
+    ``ValueError`` (a :class:`~repro.resilience.sweep.SweepRequestError`)
+    at construction, before any replay work.
+
+    Parameters
+    ----------
+    process : str or FaultProcess, optional
+        A fault-process key (``"coupler-renewal"``, the default,
+        ``"processor-renewal"``, ``"cascade"``), which takes the next
+        four fields, or a :class:`~repro.temporal.processes.FaultProcess`
+        instance, which carries its own (passing both is an error).
+        Stored resolved, as an instance the next four fields fold into.
+    faults : int, optional
+        Churning components, ``>= 0`` (default 1).  A machine whose
+        ``max_faults`` capacity is below this is *skipped*
+        (``skipped_underfaulted``), never scored immune.
+    mtbf, mttr : float, optional
+        Mean slots between failures / to repair, ``> 0`` (defaults 400
+        / 100).
+    law : {"exponential", "deterministic"}, optional
+        Inter-event law (default ``"exponential"``, the Markov process).
+    horizon : int, optional
+        Replay length in slots, ``>= 1`` (default 1000).
+    trials : int, optional
+        Independent trace replays, ``>= 1`` (default 20).
+    seed : int, optional
+        Sweep seed (default 0); per-trial traces derive from it via
+        SHA-256, so the summary is byte-identical at any worker count.
+    workload : str or callable, optional
+        Traffic injected in ``full`` mode (default ``"uniform"``): a
+        workload name, registered when ``metrics="full"``, or a
+        callable such as a :class:`~repro.temporal.traffic.TrafficMatrix`.
+    messages : int, optional
+        Messages per trial in ``full`` mode, ``>= 1`` (default 60).
+    bound : int, optional
+        Path-length bound for ``paths``/``full``, ``>= 0``; default
+        ``diameter + 2``.
+    metrics : {"connectivity", "paths", "full"}, optional
+        Scoring depth per trace segment: reachability only (default),
+        plus bounded-path quality, or also the churned slotted run.
+    curve_points : int, optional
+        Bins of the availability curve, in ``[1, 512]`` (default 16).
+    traffic : TrafficMatrix, optional
+        Demand matrix scored alongside, adding a ``demand_served``
+        quantile.  Python-only: the serving tier does not take it.
+
+    >>> r = TemporalRequest(faults=2, mtbf=60, mttr=20, metrics="paths")
+    >>> r.process
+    CouplerRenewalProcess(faults=2, mtbf=60.0, mttr=20.0, law='exponential')
+    >>> TemporalRequest.from_payload(r.to_payload()) == r
+    True
+    """
+
+    process: FaultProcess | str = "coupler-renewal"
+    faults: InitVar[int | None] = None
+    mtbf: InitVar[float | None] = None
+    mttr: InitVar[float | None] = None
+    law: InitVar[str | None] = None
+    horizon: int = DEFAULT_HORIZON
+    trials: int = 20
+    seed: int = 0
+    workload: object = "uniform"
+    messages: int = 60
+    bound: int | None = None
+    metrics: str = "connectivity"
+    curve_points: int = 16
+    traffic: TrafficMatrix | None = None
+
+    def __post_init__(self, faults, mtbf, mttr, law) -> None:
+        given = dict(faults=faults, mtbf=mtbf, mttr=mttr, law=law)
+        options = {k: v for k, v in given.items() if v is not None}
+        if isinstance(self.process, FaultProcess):
+            if options:
+                raise SweepRequestError(
+                    "process",
+                    "pass either a FaultProcess instance or keyword process "
+                    "parameters (faults/mtbf/mttr/law), not both",
+                )
+        elif isinstance(self.process, str):
+            if faults is not None:
+                _check_int("faults", faults, 0)
+            for name in ("mtbf", "mttr"):
+                if name in options:
+                    _check_positive(name, options[name])
+                    options[name] = float(options[name])
+            try:
+                process = make_fault_process(self.process, **options)
+            except ValueError as exc:  # an unknown process key or law
+                raise SweepRequestError(
+                    "process", str(exc), code="invalid_process"
+                ) from None
+            object.__setattr__(self, "process", process)
+        else:
+            raise SweepRequestError(
+                "process",
+                f"process must be a FaultProcess or a registry key, "
+                f"got {type(self.process).__name__}",
+            )
+        _check_int("horizon", self.horizon, 1)
+        _check_int("trials", self.trials, 1)
+        _check_int("seed", self.seed)
+        _check_int("messages", self.messages, 1)
+        if self.bound is not None:
+            _check_int("bound", self.bound, 0)
+        _check_int("curve_points", self.curve_points)
+        if not 1 <= self.curve_points <= 512:
+            raise SweepRequestError(
+                "curve_points",
+                f"curve_points must be in [1, 512], got {self.curve_points}",
+            )
+        modes = sorted(TEMPORAL_METRICS_MODES)  # a list: no hashing needed
+        if self.metrics not in modes:
+            raise _unknown("metrics", "metrics mode", self.metrics, modes)
+        if isinstance(self.workload, str):
+            if self.metrics == "full":  # only full mode runs the workload
+                from ..core.workloads import get_workload
+
+                get_workload(self.workload)
+        elif not callable(self.workload):
+            message = f"workload must be a name or callable: {self.workload!r}"
+            raise SweepRequestError("workload", message)
+        if not isinstance(self.traffic, (TrafficMatrix, type(None))):
+            message = f"traffic must be a TrafficMatrix: {self.traffic!r}"
+            raise SweepRequestError("traffic", message)
+
+    def to_payload(self) -> dict[str, object]:
+        """The field dict, the process as its registered key + parameters.
+
+        JSON-safe when the workload is a name and ``traffic`` is unset.
+        """
+        process = self.process
+        return {
+            **{f.name: getattr(self, f.name) for f in fields(self)},
+            "process": process.key,
+            "faults": process.faults,
+            "mtbf": float(process.mtbf),
+            "mttr": float(process.mttr),
+            "law": process.law,
+        }
+
+    @classmethod
+    def from_payload(cls, payload) -> "TemporalRequest":
+        """The request a field mapping names; unknown keys raise.
+
+        Inverse of :meth:`to_payload` for registry-keyed processes.
+        """
+        _check_fields(payload, TEMPORAL_FIELDS, "temporal")
+        return cls(**payload)
+
+
+#: The payload field names of :class:`TemporalRequest`, in order.
+TEMPORAL_FIELDS: tuple[str, ...] = tuple(TemporalRequest.__dataclass_fields__)
+
+
 @dataclass(frozen=True)
 class _TemporalPlan:
     """Everything a trial needs, frozen once and shipped to workers."""
@@ -105,94 +284,54 @@ class _TemporalPlan:
     metrics: str
     curve_points: int
     traffic: TrafficMatrix | None
+    #: the executor's chunk-counter label, apart from the sweep backends
+    backend: ClassVar[str] = "temporal"
+
+    def build_context(self, net=None, arrays=None) -> "_TemporalContext":
+        """The trial-runner context of this plan (``arrays`` is unused)."""
+        return _TemporalContext(self, net=net)
 
 
 @dataclass(frozen=True)
 class _PreparedTemporal:
-    """A validated temporal sweep: plan + parent-only network handle."""
+    """A validated temporal sweep: plan + request + parent-only network."""
 
     plan: _TemporalPlan
-    trials: int
+    request: TemporalRequest
     skipped: bool  # capacity accounting said the machine is too small
     net: object = None  # parent-process convenience; never pickled
 
-
-def _resolve_process(process, faults, mtbf, mttr, law) -> FaultProcess:
-    if isinstance(process, FaultProcess):
-        if any(v is not None for v in (faults, mtbf, mttr, law)):
-            raise ValueError(
-                "pass either a FaultProcess instance or keyword process "
-                "parameters (faults/mtbf/mttr/law), not both"
-            )
-        return process
-    if not isinstance(process, str):
-        raise ValueError(
-            f"process must be a FaultProcess or a registry key, "
-            f"got {type(process).__name__}"
-        )
-    return make_fault_process(
-        process,
-        faults if faults is not None else 1,
-        mtbf=mtbf if mtbf is not None else 400.0,
-        mttr=mttr if mttr is not None else 100.0,
-        law=law if law is not None else "exponential",
-    )
+    @property
+    def trials(self) -> int:
+        """Trials to schedule: none for a skipped sweep."""
+        return 0 if self.skipped else self.request.trials
 
 
 def prepare_temporal_sweep(
-    spec,
-    process="coupler-renewal",
-    *,
-    faults: int | None = None,
-    mtbf: float | None = None,
-    mttr: float | None = None,
-    law: str | None = None,
-    horizon: int = DEFAULT_HORIZON,
-    trials: int = 20,
-    seed: int = 0,
-    workload="uniform",
-    messages: int = 60,
-    bound: int | None = None,
-    metrics: str = "connectivity",
-    curve_points: int = 16,
-    traffic: TrafficMatrix | None = None,
-    _net=None,
+    spec, process="coupler-renewal", *, _net=None, **params
 ) -> _PreparedTemporal:
-    """Validate one temporal sweep request into a frozen plan.
+    """Freeze the plan of one ``(spec, TemporalRequest)`` temporal sweep.
 
-    Raises ``ValueError`` on a bad request *before* any replay work;
-    applies the process's ``max_faults`` capacity accounting (a machine
-    too small for the requested churn population is *skipped*, never
-    scored immune).
+    ``process`` and ``**params`` are the :class:`TemporalRequest`
+    fields; ``process`` may instead be a ready request, the
+    ``(spec, request)`` form of callers that validated once.  Raises
+    ``ValueError`` on a bad request *before* any replay work; applies
+    the process's ``max_faults`` capacity accounting (a machine too
+    small for the requested churn population is *skipped*, never
+    scored immune).  ``_net`` is the already-built network of
+    ``spec`` (sessions) and MUST match it.
     """
     from ..core.spec import NetworkSpec
 
-    resolved = _resolve_process(process, faults, mtbf, mttr, law)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if not 1 <= curve_points <= 512:
-        raise ValueError(
-            f"curve_points must be in [1, 512], got {curve_points}"
-        )
-    if metrics not in TEMPORAL_METRICS_MODES:
-        known = ", ".join(sorted(TEMPORAL_METRICS_MODES))
-        raise ValueError(
-            f"unknown metrics mode {metrics!r}; known modes: {known}"
-        )
-    if metrics == "full" and messages < 1:
-        raise ValueError(
-            f"messages must be >= 1 for full metrics, got {messages}"
-        )
-    if traffic is not None and not isinstance(traffic, TrafficMatrix):
-        raise ValueError(
-            f"traffic must be a TrafficMatrix, got {type(traffic).__name__}"
-        )
+    request = (
+        process
+        if isinstance(process, TemporalRequest) and not params
+        else TemporalRequest(process, **params)
+    )
     parsed = NetworkSpec.parse(spec)
     net = _net if _net is not None else parsed.build()
-    cap = resolved.max_faults(net)
-    skipped = cap is not None and resolved.faults > cap
+    cap = request.process.max_faults(net)
+    workload = request.workload
     workload_name = (
         workload
         if isinstance(workload, str)
@@ -200,19 +339,22 @@ def prepare_temporal_sweep(
     )
     plan = _TemporalPlan(
         canonical=parsed.canonical(),
-        process=resolved,
-        seed=int(seed),
-        horizon=int(horizon),
+        process=request.process,
+        seed=request.seed,
+        horizon=request.horizon,
         workload=workload,
         workload_name=str(workload_name),
-        messages=int(messages),
-        bound=net.diameter + 2 if bound is None else int(bound),
-        metrics=metrics,
-        curve_points=int(curve_points),
-        traffic=traffic,
+        messages=request.messages,
+        bound=net.diameter + 2 if request.bound is None else request.bound,
+        metrics=request.metrics,
+        curve_points=request.curve_points,
+        traffic=request.traffic,
     )
     return _PreparedTemporal(
-        plan=plan, trials=int(trials), skipped=skipped, net=net
+        plan=plan,
+        request=request,
+        skipped=cap is not None and request.process.faults > cap,
+        net=net,
     )
 
 
@@ -347,7 +489,11 @@ def replay_trace(ctx, trace: FaultTrace) -> dict[str, object]:
 
 
 class _TemporalContext:
-    """Per-process trial runner over one shared built network."""
+    """Per-process trial runner over one shared built network.
+
+    Read-only once built, so concurrent sweeps share it the way they
+    share a sweep's trial context.
+    """
 
     def __init__(self, plan: _TemporalPlan, net=None, family=None) -> None:
         from ..core.registry import get_family
@@ -383,45 +529,20 @@ class _TemporalContext:
         return [self.run_trial(i) for i in range(start, stop)]
 
 
-# ----------------------------------------------------------------------
-# Execution: inline or over a one-shot worker pool
-# ----------------------------------------------------------------------
-_WORKER_CTX: _TemporalContext | None = None
-
-
-def _init_temporal_worker(plan: _TemporalPlan) -> None:
-    """Pool initializer: build the shared trial context once per process."""
-    global _WORKER_CTX
-    _WORKER_CTX = _TemporalContext(plan)
-
-
-def _run_temporal_chunk(index_range: tuple[int, int]) -> list[dict]:
-    assert _WORKER_CTX is not None, "temporal worker used before init"
-    return _WORKER_CTX.run_range(*index_range)
-
-
 def execute_temporal(
-    prepared: _PreparedTemporal, workers: int = 1
+    prepared: _PreparedTemporal, workers: int = 1, *, _executor=None
 ) -> list[dict[str, object]]:
-    """All trial rows, in trial-index order.
+    """All trial rows, in trial-index order (none for a skipped sweep).
 
-    Trials are pure functions of their index, so sharding the index
-    range over ``workers`` processes returns byte-identical rows for
-    every worker count (chunks are merged back in index order).
+    The trials run on the sweep executor: ``_executor`` is an injected
+    :class:`~repro.resilience.sweep.PersistentSweepExecutor`
+    (sessions); without one, an executor with ``workers`` processes
+    (``None``/``0``/``1`` runs inline) is opened for the call.  Trials
+    are pure functions of their index, so sharding the index range
+    returns byte-identical rows for every worker count.
     """
-    if prepared.skipped:
-        return []
-    if workers <= 1:
-        ctx = _TemporalContext(prepared.plan, net=prepared.net)
-        return ctx.run_range(0, prepared.trials)
-    chunks = _index_chunks(prepared.trials, workers)
-    with multiprocessing.Pool(
-        workers,
-        initializer=_init_temporal_worker,
-        initargs=(prepared.plan,),
-    ) as pool:
-        parts = pool.map(_run_temporal_chunk, chunks)
-    return [row for part in parts for row in part]
+    with _scoped_executor(_executor, workers) as executor:
+        return executor.run(prepared)
 
 
 # ----------------------------------------------------------------------
@@ -545,17 +666,7 @@ def summarize_temporal(
     summarized = list(TEMPORAL_METRICS_MODES[plan.metrics])
     if plan.traffic is not None:
         summarized.append("demand_served")
-    quantiles: dict[str, dict[str, float]] = {}
-    for key in summarized:
-        values = sorted(float(r[key]) for r in rows)
-        quantiles[key] = {
-            "mean": round(sum(values) / len(values), 6),
-            "p05": round(_nearest_rank(values, 0.05), 6),
-            "p50": round(_nearest_rank(values, 0.50), 6),
-            "p95": round(_nearest_rank(values, 0.95), 6),
-            "min": round(values[0], 6),
-            "max": round(values[-1], 6),
-        }
+    quantiles = _quantile_cells(rows, summarized)
     curve = tuple(
         round(
             math.fsum(r["_curve"][b] for r in rows) / trials,

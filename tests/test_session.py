@@ -493,6 +493,11 @@ class TestExperiment:
             (dict(specs="pops(2,2)", metrics=("nope",)), "metrics mode"),
             (dict(specs="pops(2,2)", trials=0), "trial counts"),
             (dict(specs="pops(2,2)", backend="warp"), "backend"),
+            # a process-only grid still checks the sweep-only fields
+            (dict(specs="pops(2,2)", models=("coupler-renewal:1",),
+                  backend="nope"), "backend"),
+            (dict(specs="pops(2,2)", models=("cascade:1",), max_slots=0),
+             "max_slots"),
             (dict(specs="pops(2,2)", models=("coupler:x",)), "malformed"),
             (dict(specs="pops(2,2)", models=(3.5,)), "cannot parse"),
         ],

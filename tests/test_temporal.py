@@ -466,3 +466,133 @@ class TestServeTemporal:
             with pytest.raises(ServeHTTPError) as exc:
                 client.temporal("sk(2,2,2)", process="unknown-process")
             assert exc.value.status == 400
+            # both used to pass the door and fail mid-execution as 500s
+            for fields in (
+                {"curve_points": 1000},
+                {"metrics": "full", "workload": "no-such-workload"},
+            ):
+                with pytest.raises(ServeHTTPError) as exc:
+                    client.temporal("sk(2,2,2)", **fields)
+                assert (exc.value.status, exc.value.code) == (
+                    400, "bad_request"
+                )
+
+
+class TestSessionExecutor:
+    """Temporal replay runs on the session's one sweep executor."""
+
+    def test_sweeps_and_process_cells_share_one_pool(self, monkeypatch):
+        """4 replays + a 2x3 grid with 4 process cells build ONE pool."""
+        import multiprocessing.pool
+
+        from repro.core.session import Session
+
+        built = []
+        original = multiprocessing.pool.Pool.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            multiprocessing.pool.Pool, "__init__", counting_init
+        )
+        with Session(workers=2) as session:
+            for seed in range(4):
+                session.temporal_sweep(
+                    "sk(2,2,2)", faults=2, trials=4, horizon=80, seed=seed
+                )
+            result = session.experiment(
+                ["pops(2,2)", "sk(2,2,2)"],
+                models=["coupler:1", "coupler-renewal:1", "cascade:1"],
+                trials=4,
+            )
+        assert [c.model for c in result.cells] == [
+            "coupler", "coupler-renewal", "cascade"
+        ] * 2
+        assert len(built) == 1
+
+    def test_warm_replay_reuses_its_context(self, monkeypatch):
+        from repro.core.session import Session
+        from repro.temporal import replay
+
+        built = []
+        original = replay._TemporalContext.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(replay._TemporalContext, "__init__", counting_init)
+        kw = dict(faults=2, trials=3, horizon=80, seed=1, metrics="full",
+                  messages=6)
+        with Session(workers=0) as session:
+            first = session.temporal_sweep("sk(2,2,2)", **kw).to_json()
+            second = session.temporal_sweep("sk(2,2,2)", **kw).to_json()
+        assert first == second
+        assert len(built) == 1
+
+    def test_threads_share_cached_contexts(self):
+        """8 threads of full replays on one inline session: serial bytes."""
+        import sys
+        import threading
+
+        from repro.core.session import Session
+
+        threads_n = 8
+
+        def replay(session, seed):
+            return session.temporal_sweep(
+                "sk(2,2,2)", faults=2, mtbf=30, mttr=10, trials=2,
+                horizon=100, seed=seed % 2, metrics="full", messages=8,
+            ).to_json()
+
+        with Session(workers=0) as session:
+            expected = [replay(session, seed) for seed in range(threads_n)]
+            session.invalidate()  # cold network, cold contexts
+            results = [None] * threads_n
+            barrier = threading.Barrier(threads_n)
+
+            def run(seed):
+                barrier.wait(timeout=10)
+                results[seed] = replay(session, seed)
+
+            threads = [
+                threading.Thread(target=run, args=(seed,))
+                for seed in range(threads_n)
+            ]
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(old)
+            assert not any(t.is_alive() for t in threads)
+        assert results == expected
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_chunks_counted_under_a_temporal_label(self, workers):
+        from repro.core.session import Session
+        from repro.obs.metrics import REGISTRY
+        from repro.resilience.sweep import _index_chunks
+
+        def count(name, backend):
+            series = REGISTRY.series(name).get((("backend", backend),))
+            return 0 if series is None else series.value
+
+        names = ("repro_sweep_chunks_total", "repro_sweep_trials_total")
+        before = {(n, b): count(n, b) for n in names
+                  for b in ("temporal", "batched")}
+        with Session(workers=workers) as session:
+            session.temporal_sweep("sk(2,2,2)", trials=6, horizon=60)
+            # a skipped replay schedules no chunks
+            session.temporal_sweep("pops(2,2)", faults=99, trials=6)
+        chunks = len(_index_chunks(6, workers)) if workers else 1
+        assert count(names[0], "temporal") - before[names[0], "temporal"] \
+            == chunks
+        assert count(names[1], "temporal") - before[names[1], "temporal"] == 6
+        for name in names:  # no sweep backend's series moved
+            assert count(name, "batched") == before[name, "batched"]
