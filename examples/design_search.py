@@ -71,7 +71,7 @@ def main() -> None:
         print(f"{tag:<18} top-3: {podium}")
 
     # ------------------------------------------------------------------
-    # Why it is tractable: the scoring sweep is the batched backend's
+    # Why it is tractable: the scoring sweep is the vectorized kernel's
     # connectivity fast path -- compare one candidate's sweep to the
     # full-metrics mode.
     # ------------------------------------------------------------------

@@ -15,6 +15,9 @@ serving-tier guarantees end to end over the wire:
 4. **Error paths** -- caller mistakes (importance sampling on the
    ``link`` fault model, a temporal ``curve_points`` above 512) answer
    a structured 400 with their request id, never a ``500 internal``.
+5. **Fast default** -- a ``connectivity`` sweep that names no
+   ``backend`` runs on the vectorized kernel: its chunk shows up in
+   ``repro_sweep_chunks_total{backend="vectorized"}``.
 
 Finally the server is sent SIGTERM and must exit 0 with a silent
 stderr (graceful pool shutdown, no resource-tracker noise).
@@ -65,8 +68,11 @@ def rejected(port: int, verb: str, payload: dict):
     raise AssertionError(f"{verb} {payload} was accepted")
 
 
-def scrape_metrics(port: int) -> dict[str, str]:
-    """GET /metrics; validate the exposition; return name -> kind."""
+def scrape_metrics(port: int) -> tuple[dict[str, str], dict[str, float]]:
+    """GET /metrics; validate the exposition.
+
+    Returns ``(name -> kind, "name{labels}" -> sample value)``.
+    """
     with urllib.request.urlopen(
         f"http://127.0.0.1:{port}/metrics", timeout=30
     ) as response:
@@ -76,6 +82,7 @@ def scrape_metrics(port: int) -> dict[str, str]:
     assert content_type.startswith("text/plain; version=0.0.4"), content_type
     assert len(request_id) == 16, f"bad request id {request_id!r}"
     kinds: dict[str, str] = {}
+    samples: dict[str, float] = {}
     for line in body.splitlines():
         if line.startswith("# TYPE"):
             _, _, name, kind = line.split()
@@ -85,8 +92,8 @@ def scrape_metrics(port: int) -> dict[str, str]:
         else:  # every sample line must be "name[{labels}] number"
             sample, _, value = line.rpartition(" ")
             assert sample, f"malformed sample line {line!r}"
-            float(value)
-    return kinds
+            samples[sample] = float(value)
+    return kinds, samples
 
 
 def main() -> int:
@@ -109,8 +116,10 @@ def main() -> int:
         assert isinstance(health["version"], str) and health["version"]
 
         # 1. concurrent duplicates -> exactly one execution
+        # batched keeps the leader in flight long enough for every
+        # duplicate to join it (the vectorized kernel answers in ~10 ms)
         sweep = {"spec": "sk(2,2,2)", "trials": 500, "seed": 42,
-                 "metrics": "connectivity"}
+                 "metrics": "connectivity", "backend": "batched"}
         results: list = []
 
         def fire() -> None:
@@ -150,7 +159,7 @@ def main() -> int:
         print("[serve-smoke] sharding OK: shards 2 and 3 == single-host")
 
         # 3. observability: /metrics exposition + access log
-        kinds = scrape_metrics(port)
+        kinds, _ = scrape_metrics(port)
         for family, kind in {
             "repro_http_requests_total": "counter",
             "repro_http_request_seconds": "histogram",
@@ -186,6 +195,16 @@ def main() -> int:
             assert words in error["message"], error
             assert len(request_id) == 16, f"bad request id {request_id!r}"
             print(f"[serve-smoke] {verb} error path OK: 400 {error['code']}")
+
+        # 5. a default connectivity sweep runs on the vectorized kernel
+        chunks = 'repro_sweep_chunks_total{backend="vectorized"}'
+        before = scrape_metrics(port)[1].get(chunks, 0.0)
+        post(port, "sweep", {"spec": "sk(2,2,2)", "trials": 64, "seed": 9,
+                             "metrics": "connectivity"})
+        after = scrape_metrics(port)[1].get(chunks, 0.0)
+        assert after > before, f"{chunks}: {before} -> {after}"
+        print(f"[serve-smoke] default backend OK: {chunks} {before:g} -> "
+              f"{after:g}")
 
         proc.send_signal(signal.SIGTERM)
         code = proc.wait(timeout=60)

@@ -497,10 +497,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_backend_flag(parser: argparse.ArgumentParser, help_text: str) -> None:
+    """``--backend``: the accepted values and default of the sweep request."""
+    from .resilience.sweep import SWEEP_BACKENDS, SweepRequest
+
+    parser.add_argument(
+        "--backend",
+        choices=SWEEP_BACKENDS,
+        default=SweepRequest.__dataclass_fields__["backend"].default,
+        help=help_text,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     from .design_search import PARALLELISM_MODES, RANKINGS
-    from .resilience import METRICS_MODES, SAMPLING_MODES, SWEEP_BACKENDS
+    from .resilience import METRICS_MODES, SAMPLING_MODES
     from .temporal import TEMPORAL_METRICS_MODES
 
     metrics_modes = tuple(METRICS_MODES)
@@ -647,12 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(identical results)"
         ),
     )
-    p.add_argument(
-        "--backend",
-        choices=SWEEP_BACKENDS,
-        default="batched",
-        help="trial executor for the per-candidate sweeps",
-    )
+    _add_backend_flag(p, "trial executor for the per-candidate sweeps")
     p.add_argument(
         "--rank-by",
         choices=RANKINGS,
@@ -721,15 +728,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="full",
         help="scoring depth per trial (connectivity/paths skip the simulation)",
     )
-    p.add_argument(
-        "--backend",
-        choices=SWEEP_BACKENDS,
-        default="batched",
-        help=(
-            "trial executor (batched = one built network per process, "
-            "every metrics mode; vectorized = numpy trial batches, "
-            "connectivity/paths metrics)"
-        ),
+    _add_backend_flag(
+        p,
+        "trial executor (batched = one built network per process, "
+        "every metrics mode; vectorized = numpy trial batches, "
+        "connectivity/paths metrics; auto = vectorized wherever it "
+        "can score the sweep)",
     )
     p.add_argument(
         "--ci-target",
@@ -884,14 +888,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="shared worker pool size (results are worker-count independent)",
     )
-    p.add_argument(
-        "--backend",
-        choices=SWEEP_BACKENDS,
-        default="batched",
-        help=(
-            "preferred trial executor; cells whose metrics mode it "
-            "cannot score fall back to batched"
-        ),
+    _add_backend_flag(
+        p,
+        "preferred trial executor; cells whose metrics mode it cannot "
+        "score run as auto",
     )
     p.add_argument(
         "--workload",

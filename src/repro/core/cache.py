@@ -110,8 +110,9 @@ class CacheEntry:
         """The vectorized sweep backend's flat topology arrays.
 
         One :class:`~repro.resilience.sweep._TopologyArrays` export per
-        entry; repeated vectorized sweeps on the same spec skip the
-        re-export entirely.
+        entry; repeated vectorized sweeps and temporal replays (which
+        score their trace segments on the same kernel) on the same spec
+        skip the re-export entirely.
         """
         if self._arrays is None:
             from ..resilience.sweep import _TopologyArrays

@@ -137,13 +137,14 @@ class Experiment:
     entries of the ``metrics``, ``trials`` and ``samplings`` axes mean
     what the request's fields of the same name mean.
 
-    ``backend`` is the *preferred* trial executor; grid cells whose
-    metrics mode the backend cannot score fall back automatically
-    (``vectorized`` scores ``connectivity`` and ``paths`` but not
-    ``full``), so one plan can mix scoring depths.  ``paths`` cells for
-    families with structured ``fault_route`` hooks are further
-    downgraded per spec inside the sweep preparation; each cell
-    records the backend that actually ran.
+    ``backend`` is the *preferred* trial executor (default ``"auto"``,
+    which picks per cell); grid cells whose metrics mode a
+    ``vectorized`` plan cannot score (``full``) run as ``"auto"``, so
+    one plan can mix scoring depths.  ``paths`` cells for families with
+    structured ``fault_route`` hooks are further downgraded per spec
+    inside the sweep preparation; each frozen-model cell records the
+    backend that actually ran, and each fault-process cell
+    ``"temporal"``, the engine that replays it.
 
     A fault *process* on the models axis (``"coupler-renewal:2"``) is
     a temporal-replay cell (a
@@ -164,7 +165,7 @@ class Experiment:
     metrics: tuple = ("connectivity",)
     trials: tuple = (100,)
     seed: int = 0
-    backend: str = "batched"
+    backend: str = "auto"
     workload: str = "uniform"
     messages: int = 60
     bound: int | None = None
@@ -208,17 +209,14 @@ class Experiment:
             raise ValueError(f"{_AXES[exc.field]}: {exc}") from None
 
     def _cell_backend(self, metrics_mode: str) -> str:
-        """The preferred backend, downgraded where it cannot score.
+        """The preferred backend, or ``auto`` where it cannot score.
 
-        ``vectorized`` covers ``connectivity`` and ``paths`` cells;
-        only ``full`` (slotted simulation) falls back to ``batched``
-        here.  A further per-spec downgrade can still happen inside
-        ``_prepare_sweep`` -- ``paths`` cells for families with
-        structured ``fault_route`` hooks run batched, and the executed
-        backend is what each :class:`ExperimentCell` records.
+        ``vectorized`` cannot score ``full`` (slotted simulation)
+        cells.  ``_prepare_sweep`` resolves ``auto`` per spec, and the
+        executed backend is what each :class:`ExperimentCell` records.
         """
         if self.backend == "vectorized" and metrics_mode == "full":
-            return "batched"
+            return "auto"
         return self.backend
 
     def compile(self) -> list[tuple[str, object]]:
@@ -276,11 +274,11 @@ class Experiment:
     def cell_result(self, cell, summary) -> "ExperimentCell":
         """The :class:`ExperimentCell` of one compiled cell's summary.
 
-        Records the backend that actually ran (a frozen cell's summary
-        knows it); process cells keep the plan's label for their
-        metrics mode.
+        Records the backend that actually ran: a frozen cell's summary
+        knows it, and a process cell ran on the temporal engine.
         """
         from ..resilience.sweep import SweepRequest
+        from ..temporal.replay import _TemporalPlan
 
         frozen = isinstance(cell, SweepRequest)
         return ExperimentCell(
@@ -288,9 +286,7 @@ class Experiment:
             model=summary.model if frozen else summary.process,
             faults=summary.faults,
             metrics=cell.metrics,
-            backend=(
-                summary.backend if frozen else self._cell_backend(cell.metrics)
-            ),
+            backend=summary.backend if frozen else _TemporalPlan.backend,
             sampling=cell.sampling if frozen else "uniform",
             summary=summary,
         )

@@ -302,9 +302,11 @@ def resilience_sweep(spec, *, workers: int | None = None, **params):
         The :class:`~repro.resilience.sweep.SweepRequest` fields --
         ``model``, ``faults``, ``trials``, ``seed``, ``workload``,
         ``messages``, ``bound``, ``max_slots``, ``metrics`` (default
-        ``"full"``), ``backend``, ``ci_target`` and ``sampling`` --
-        with the defaults and checks documented there.  An unknown
-        keyword raises ``TypeError``, a bad value ``ValueError``.
+        ``"full"``), ``backend`` (default ``"auto"``: the vectorized
+        kernel wherever it can score the sweep), ``ci_target`` and
+        ``sampling`` -- with the defaults and checks documented there.
+        An unknown keyword raises ``TypeError``, a bad value
+        ``ValueError``.
 
     Returns
     -------
@@ -318,10 +320,9 @@ def resilience_sweep(spec, *, workers: int | None = None, **params):
     >>> s = resilience_sweep("pops(2,2)", faults=1, trials=3, messages=6)
     >>> 0.0 <= s.quantiles["delivery_ratio"]["p50"] <= 1.0
     True
-    >>> fast = resilience_sweep("sk(2,2,2)", trials=4,
-    ...                         metrics="connectivity", backend="vectorized")
-    >>> sorted(fast.quantiles)
-    ['alive_connectivity', 'connectivity', 'reachable_groups']
+    >>> fast = resilience_sweep("sk(2,2,2)", trials=4, metrics="connectivity")
+    >>> sorted(fast.quantiles), fast.backend
+    (['alive_connectivity', 'connectivity', 'reachable_groups'], 'vectorized')
     """
     return default_session().resilience_sweep(spec, workers=workers, **params)
 
@@ -477,7 +478,7 @@ def experiment(specs, *, workers: int | None = None, **plan):
         One value for every cell, meaning what the
         :class:`~repro.resilience.sweep.SweepRequest` field of that
         name means.  Cells whose metrics mode ``backend`` cannot score
-        fall back to ``"batched"``.
+        run as ``"auto"``.
 
     Returns
     -------

@@ -380,7 +380,9 @@ class Session:
             )
         with span("temporal.execute", spec=entry.canonical, trials=trials,
                   workers=executor.workers):
-            rows = execute_temporal(prepared, _executor=executor)
+            rows = execute_temporal(
+                prepared, _executor=executor, _arrays=entry.arrays
+            )
         REGISTRY.counter(
             "repro_temporal_trials_total",
             "Temporal replay trials executed.",
@@ -471,21 +473,20 @@ class Session:
         with span("experiment.prepare", cells=len(cells)):
             for spec, cell in cells:
                 entry = self._cache.entry(spec)
-                arrays = None
                 if isinstance(cell, TemporalRequest):
                     prepared = prepare_temporal_sweep(
                         entry.spec, cell, _net=entry.network
                     )
+                    kernel = True  # replays score on the kernel's arrays
                 else:
                     prepared = _prepare_sweep(
                         entry.spec, cell, net=entry.network,
                         baseline=entry.baseline,
                     )
-                    if (
-                        prepared.plan.backend == "vectorized"
-                        and not executor.parallel
-                    ):
-                        arrays = entry.arrays()
+                    kernel = prepared.plan.backend == "vectorized"
+                arrays = (
+                    entry.arrays() if kernel and not executor.parallel else None
+                )
                 if executor.parallel:
                     prepared = replace(prepared, net=None)
                 prepared_list.append(prepared)

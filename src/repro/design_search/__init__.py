@@ -11,7 +11,7 @@ give the most surviving connectivity per unit of optical hardware?
   design's bill of materials;
 * :mod:`~repro.design_search.search` -- candidate enumeration (the
   :meth:`~repro.core.registry.NetworkFamily.candidate_specs` hook),
-  per-candidate batched survivability sweeps, ranking and the
+  per-candidate survivability sweeps, ranking and the
   (cost, survivability, diameter) Pareto front.
 
 Facade: :func:`repro.design_search`; CLI: ``python -m repro

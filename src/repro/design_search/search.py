@@ -5,7 +5,7 @@ The loop the ROADMAP asks for: enumerate candidate
 (via the :meth:`~repro.core.registry.NetworkFamily.candidate_specs`
 hook), price each through its optical design's bill of materials
 (:mod:`~repro.design_search.costing`), score survivability with the
-batched Monte-Carlo sweep
+Monte-Carlo sweep
 (:func:`~repro.resilience.sweep.survivability_sweep`), and return the
 candidates ranked by survivability per cost together with the Pareto
 front over (cost, survivability, diameter).
@@ -361,8 +361,9 @@ def design_search(
     orderings ``"within-bound"`` (highest fraction of trials meeting
     the ``k + 2`` bound first) and ``"mean-stretch"`` (lowest degraded
     route stretch first), both requiring ``metrics="paths"``/``"full"``
-    -- with ``backend="vectorized"`` those rank at 10^5-trial
-    precision in seconds.
+    -- on the vectorized kernel (the default ``backend="auto"`` picks
+    it for ``paths`` on generic-routing families) those rank at
+    10^5-trial precision in seconds.
     The ranked table is byte-identical across all parallelism modes,
     backends and worker counts.  ``ci_target`` arms sequential
     stopping per candidate sweep and -- under the default ranking --

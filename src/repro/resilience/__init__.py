@@ -20,7 +20,8 @@ for every registered family -- into something you can *run*:
 * :mod:`~repro.resilience.sweep` -- the Monte-Carlo engine fanning
   scenarios over ``multiprocessing`` workers with per-trial
   deterministic seeds (same seed => byte-identical JSON, any worker
-  count and either backend: ``batched`` or numpy ``vectorized``); its
+  count and either backend: ``batched`` or numpy ``vectorized``, which
+  the default ``auto`` picks wherever it can score the sweep); its
   :class:`SweepRequest` declares, defaults and checks every sweep
   parameter once, for every entry point.
 

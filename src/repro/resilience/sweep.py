@@ -9,9 +9,10 @@ the sweep seed and the trial index only), rows are re-ordered by trial
 index, and quantiles use exact nearest-rank selection -- so the same
 seed produces **byte-identical** JSON for any worker count.
 
-Two backends share that contract:
+Two backends share that contract, and the default ``backend="auto"``
+picks between them per sweep (see :func:`_prepare_sweep`):
 
-* the **batched** backend (default) builds one network + family
+* the **batched** backend builds one network + family
   context per process -- so workers never rebuild the topology per
   trial -- shares the intact baseline across all trials, and ships
   workers compact trial-index ranges instead of per-trial argument
@@ -39,7 +40,8 @@ Two backends share that contract:
   whose hook is the generic BFS fallback, and families with structured
   hooks are downgraded to ``batched`` with a recorded reason (see
   :func:`_prepare_sweep`) rather than ever silently diverging.  This
-  is the 10^5-10^6-trial path.
+  is the 10^5-10^6-trial path.  Temporal replays score their trace
+  segments on the same kernel (:meth:`_VectorContext.score`).
 
 :func:`pooled_survivability_sweeps` runs *many* sweeps' trial batches
 on one shared worker pool (the design search's
@@ -81,7 +83,7 @@ from .adaptive import (
     run_adaptive,
 )
 from .degrade import DegradedNetwork
-from .faults import FaultModel, resolve_fault_model, trial_seed
+from .faults import FAULT_MODELS, FaultModel, resolve_fault_model, trial_seed
 from .metrics import connectivity_metrics, measure, path_survival
 
 __all__ = [
@@ -130,8 +132,9 @@ METRICS_MODES: dict[str, tuple[str, ...]] = {
     "full": _SUMMARIZED,
 }
 
-#: Registered trial executors (see the module docstring).
-SWEEP_BACKENDS = ("batched", "vectorized")
+#: Accepted ``backend`` values: the two trial executors (see the module
+#: docstring) and ``auto``, which picks one of them per sweep.
+SWEEP_BACKENDS = ("auto", "batched", "vectorized")
 
 #: Most trials the vectorized backend scores per numpy batch; the
 #: effective batch also shrinks with the group count (see
@@ -256,14 +259,18 @@ class SweepRequest:
         quality) or ``"connectivity"`` (reachability only -- the fast
         path).  The default is ``"full"``; the design search and
         experiments default to ``"connectivity"``.
-    backend : {"batched", "vectorized"}, optional
-        Trial executor: ``"batched"`` (default; one built network per
-        process, every metrics mode) or ``"vectorized"`` (flat topology
-        arrays and numpy trial batches; ``connectivity`` and ``paths``
-        only, byte-identical to ``batched``).  A vectorized ``paths``
-        request for a family with structured routing (stack-Kautz) runs
-        on ``batched``, recorded on the summary's
-        ``backend``/``downgrade_reason``.
+    backend : {"auto", "batched", "vectorized"}, optional
+        Trial executor: ``"batched"`` (one built network per process,
+        every metrics mode) or ``"vectorized"`` (flat topology arrays
+        and numpy trial batches; ``connectivity`` and ``paths`` only,
+        byte-identical to ``batched``).  ``"auto"`` (default) runs
+        ``vectorized`` wherever it can score the sweep -- a built-in
+        fault model, ``connectivity`` metrics, or ``paths`` on a family
+        with the generic ``fault_route`` -- and ``batched`` elsewhere;
+        the summary's ``backend`` records which ran.  An explicit
+        vectorized ``paths`` request for a family with structured
+        routing (stack-Kautz) runs on ``batched``, recorded on the
+        summary's ``backend``/``downgrade_reason``.
     ci_target : float, optional
         Sequential stopping: run deterministic trial waves until the 95%
         confidence interval on the survival probability has half-width
@@ -298,7 +305,7 @@ class SweepRequest:
     bound: int | None = None
     max_slots: int = 100_000
     metrics: str = "full"
-    backend: str = "batched"
+    backend: str = "auto"
     ci_target: float | None = None
     sampling: str = "uniform"
 
@@ -720,6 +727,40 @@ def _proxy_surface_error(exc: Exception, proxy: _ArrayNetworkProxy) -> bool:
     )
 
 
+def _fault_masks(
+    draws, rows: int, arrays: _TopologyArrays
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(dead_processors, direct_couplers)`` boolean masks of ``rows`` rows.
+
+    ``draws`` yields one ``(dead couplers, dead processors)`` pair of
+    index collections per row -- a sampled trial or a trace segment --
+    and may be a lazy iterator, so no draw outlives its row.  Rows it
+    does not fill stay fault-free.  Out-of-range indices are ignored,
+    as :class:`~repro.resilience.degrade.DegradedNetwork` ignores them.
+    """
+    n, m = arrays.num_processors, arrays.num_couplers
+    # (row, index) cells are gathered in Python and set in one scatter
+    # per mask: a numpy assignment per row costs more than the draw
+    c_rows: list[int] = []
+    c_cols: list[int] = []
+    p_rows: list[int] = []
+    p_cols: list[int] = []
+    for j, (couplers, processors) in enumerate(draws):
+        for c in couplers:
+            if 0 <= c < m:
+                c_rows.append(j)
+                c_cols.append(c)
+        for p in processors:
+            if 0 <= p < n:
+                p_rows.append(j)
+                p_cols.append(p)
+    dead = np.zeros((rows, n), dtype=bool)
+    direct = np.zeros((rows, m), dtype=bool)
+    dead[p_rows, p_cols] = True
+    direct[c_rows, c_cols] = True
+    return dead, direct
+
+
 class _VectorContext:
     """Per-process vectorized trial scorer over flat topology arrays.
 
@@ -732,32 +773,41 @@ class _VectorContext:
     frontier expansion), and the metric ratios -- is batched numpy
     over all trials of a chunk at once, with no per-trial
     ``DegradedNetwork`` or Python BFS.
+
+    Sampling (:meth:`_sample_masks`) and scoring (:meth:`score`) are
+    separate steps, so a temporal replay scores its trace segments'
+    fault masks on the same kernel.  ``paths`` (default: the plan's
+    metrics mode is ``"paths"``) adds the route-quality columns; the
+    plan supplies ``bound`` and the ``backend`` label of the kernel
+    counters, and a sweep plan the model and seed it samples from.
     """
 
-    def __init__(self, plan: _SweepPlan, arrays: _TopologyArrays) -> None:
+    def __init__(
+        self, plan, arrays: _TopologyArrays, *, paths: bool | None = None
+    ) -> None:
         self.plan = plan
         self.arrays = arrays
+        self.paths = plan.metrics == "paths" if paths is None else paths
         self._proxy = _ArrayNetworkProxy(arrays)
         g = arrays.num_groups
-        m = arrays.num_couplers
+        cells = max(
+            g**2,
+            arrays.num_processors,
+            int(arrays.src_indptr[-1]),
+            int(arrays.tgt_indptr[-1]),
+            1,
+        )
+        #: rows (trials or segments) per numpy batch
+        self.batch = max(1, min(_VECTOR_BATCH, _VECTOR_CELL_BUDGET // cells))
         self._src_sizes = np.diff(arrays.src_indptr)
         self._tgt_sizes = np.diff(arrays.tgt_indptr)
         #: coupler -> flattened (src_group, dst_group) cell index
         self._pair_id = arrays.endpoints[:, 0] * g + arrays.endpoints[:, 1]
-        #: (n, g) one-hot processor->group incidence for dead counts
-        self._group_onehot = np.zeros(
-            (arrays.num_processors, g), dtype=np.int64
-        )
-        if arrays.num_processors:
-            self._group_onehot[
-                np.arange(arrays.num_processors), arrays.proc_group
-            ] = 1
-        self._group_sizes = self._group_onehot.sum(axis=0)
+        #: (g,) processors per group, the intact alive counts
+        self._group_sizes = np.bincount(arrays.proc_group, minlength=g)
         #: (g, g) intact group distances, the stretch denominators
-        #: (``paths`` mode only; computed once per sweep context)
-        self._intact_dist = (
-            self._intact_group_distances() if plan.metrics == "paths" else None
-        )
+        #: (``paths`` mode only; computed once per context)
+        self._intact_dist = self._intact_group_distances() if self.paths else None
 
     def _intact_group_distances(self) -> np.ndarray:
         """``(g, g)`` BFS distances over the intact loopless group digraph.
@@ -771,7 +821,7 @@ class _VectorContext:
         """
         g = self.arrays.num_groups
         endpoints = self.arrays.endpoints
-        adj = np.zeros((g, g), dtype=np.int16)
+        adj = np.zeros((g, g), dtype=np.float32)
         if len(endpoints):
             off_diag = endpoints[:, 0] != endpoints[:, 1]
             adj[endpoints[off_diag, 0], endpoints[off_diag, 1]] = 1
@@ -780,7 +830,7 @@ class _VectorContext:
         reach = np.eye(g, dtype=bool)
         hops = 0
         while True:
-            grown = (np.matmul(reach.astype(np.int16), adj) > 0) | reach
+            grown = (np.matmul(reach.astype(np.float32), adj) > 0) | reach
             frontier = grown & ~reach
             if not frontier.any():
                 break
@@ -791,18 +841,10 @@ class _VectorContext:
 
     def run_range(self, start: int, stop: int) -> list[dict[str, object]]:
         """Rows of trials ``start .. stop - 1``, in index order."""
-        arrays = self.arrays
-        cells = max(
-            arrays.num_groups**2,
-            arrays.num_processors,
-            int(arrays.src_indptr[-1]),
-            int(arrays.tgt_indptr[-1]),
-            1,
-        )
-        batch = max(1, min(_VECTOR_BATCH, _VECTOR_CELL_BUDGET // cells))
         rows: list[dict[str, object]] = []
-        for lo in range(start, stop, batch):
-            rows.extend(self._run_batch(lo, min(lo + batch, stop)))
+        for lo in range(start, stop, self.batch):
+            hi = min(lo + self.batch, stop)
+            rows.extend(self.score(*self._sample_masks(lo, hi)))
         return rows
 
     def _sample_masks(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -812,61 +854,63 @@ class _VectorContext:
         backend's ``model.scenario(...)`` would make for that trial
         index (same sampler, same ``trial_seed`` stream).
         """
-        plan, arrays = self.plan, self.arrays
-        n, m = arrays.num_processors, arrays.num_couplers
-        dead_proc = np.zeros((hi - lo, n), dtype=bool)
-        direct = np.zeros((hi - lo, m), dtype=bool)
-        sample_at = getattr(plan.model, "sample_faults_at", None)
-        for j in range(hi - lo):
-            rng = random.Random(trial_seed(plan.seed, lo + j))
-            try:
-                if sample_at is not None:
-                    couplers, processors = sample_at(self._proxy, rng, lo + j)
-                else:
-                    couplers, processors = plan.model.sample_faults(
-                        self._proxy, rng
-                    )
-            except (AttributeError, IndexError, TypeError) as exc:
-                # custom models may sample from network surface the
-                # array proxy does not carry -- name the restriction
-                # instead of leaking a deep (possibly pickled) error.
-                # Only errors that actually originate from the proxy's
-                # missing surface are translated: a bug inside the
-                # model's own sample_faults propagates untouched.
-                if not _proxy_surface_error(exc, self._proxy):
-                    raise
-                raise ValueError(
-                    f"fault model {type(plan.model).__name__} needs "
-                    f"network surface the vectorized backend's array "
-                    f"proxy does not provide ({exc}); run it with "
-                    f"backend='batched'"
-                ) from exc
-            hit = [c for c in couplers if 0 <= c < m]
-            if hit:
-                direct[j, hit] = True
-            hit = [p for p in processors if 0 <= p < n]
-            if hit:
-                dead_proc[j, hit] = True
-        return dead_proc, direct
+        if self.arrays.num_processors <= 1:  # score() answers without a draw
+            return _fault_masks((), hi - lo, self.arrays)
+        return _fault_masks(map(self._draw, range(lo, hi)), hi - lo, self.arrays)
 
-    def _run_batch(self, lo: int, hi: int) -> list[dict[str, object]]:
+    def _draw(self, index: int):
+        """``(dead couplers, dead processors)`` sampled for trial ``index``."""
+        plan = self.plan
+        rng = random.Random(trial_seed(plan.seed, index))
+        sample_at = getattr(plan.model, "sample_faults_at", None)
+        try:
+            if sample_at is not None:
+                return sample_at(self._proxy, rng, index)
+            return plan.model.sample_faults(self._proxy, rng)
+        except (AttributeError, IndexError, TypeError) as exc:
+            # custom models may sample from network surface the
+            # array proxy does not carry -- name the restriction
+            # instead of leaking a deep (possibly pickled) error.
+            # Only errors that actually originate from the proxy's
+            # missing surface are translated: a bug inside the
+            # model's own sample_faults propagates untouched.
+            if not _proxy_surface_error(exc, self._proxy):
+                raise
+            raise ValueError(
+                f"fault model {type(plan.model).__name__} needs "
+                f"network surface the vectorized backend's array "
+                f"proxy does not provide ({exc}); run it with "
+                f"backend='batched'"
+            ) from exc
+
+    def score(
+        self, dead_processors: np.ndarray, direct_couplers: np.ndarray
+    ) -> list[dict[str, object]]:
+        """The metrics row of each fault-mask row, in row order.
+
+        ``dead_processors`` is ``(rows, num_processors)`` and
+        ``direct_couplers`` ``(rows, num_couplers)``, both boolean (see
+        :func:`_fault_masks`); row ``j`` scores exactly as
+        :func:`~repro.resilience.metrics.connectivity_metrics` (and, with
+        ``paths``, :func:`~repro.resilience.metrics.path_survival`)
+        score a ``DegradedNetwork`` of those dead sets.  At most
+        :attr:`batch` rows per call keep the working set bounded.
+        """
         arrays = self.arrays
         n, g, m = arrays.num_processors, arrays.num_groups, arrays.num_couplers
-        batch = hi - lo
-        paths_mode = self.plan.metrics == "paths"
+        batch = len(dead_processors)
         if n <= 1:  # the connectivity_metrics() degenerate short-circuit
             degenerate: dict[str, object] = {
                 "connectivity": 1.0,
                 "alive_connectivity": 1.0,
                 "reachable_groups": 1.0,
             }
-            if paths_mode:  # path_survival's < 2 live groups answer
+            if self.paths:  # path_survival's < 2 live groups answer
                 degenerate.update(
                     max_path_length=0, mean_stretch=1.0, within_bound=1.0
                 )
             return [dict(degenerate) for _ in range(batch)]
-        dead_proc, direct = self._sample_masks(lo, hi)
-        dead_i = dead_proc.astype(np.int64)
+        dead_i = dead_processors.astype(np.int64)
         # effective dead couplers (the DegradedNetwork closure): hit
         # directly, or every source processor died, or every target died
         if m:
@@ -877,12 +921,12 @@ class _VectorContext:
                 dead_i[:, arrays.tgt_indices], arrays.tgt_indptr[:-1], axis=1
             )
             dead_coupler = (
-                direct
+                direct_couplers
                 | (src_dead == self._src_sizes)
                 | (tgt_dead == self._tgt_sizes)
             )
         else:
-            dead_coupler = direct
+            dead_coupler = direct_couplers
         # surviving group adjacency, one scatter for the whole batch
         ti, ci = np.nonzero(~dead_coupler)
         counts = np.bincount(
@@ -892,7 +936,10 @@ class _VectorContext:
         diag = np.arange(g)
         dist = None
         hops = 0
-        if paths_mode:
+        # the boolean matmuls run in float32, which has a BLAS path
+        # (integer matmul has none); every entry is 0/1 and every sum
+        # at most g < 2**24, so each product is exact in any order
+        if self.paths:
             # level-synchronous frontier expansion: one boolean matmul
             # per hop, so per-pair *distances* fall out of the frontier
             # masks.  dist[b, u, v] equals bfs_distances(u)[v] on the
@@ -903,9 +950,9 @@ class _VectorContext:
             reach = np.broadcast_to(np.eye(g, dtype=bool), adj.shape).copy()
             dist = np.full((batch, g, g), -1, dtype=np.int64)
             dist[:, diag, diag] = 0
-            adj_i = adj.astype(np.int16)
+            adj_f = adj.astype(np.float32)
             while True:
-                grown = (np.matmul(reach.astype(np.int16), adj_i) > 0) | reach
+                grown = (np.matmul(reach.astype(np.float32), adj_f) > 0) | reach
                 frontier = grown & ~reach
                 if not frontier.any():
                     break
@@ -920,17 +967,19 @@ class _VectorContext:
             reach = adj.copy()
             reach[:, diag, diag] = True
             while True:
-                grown = (
-                    np.matmul(reach.astype(np.int16), reach.astype(np.int16))
-                    > 0
-                )
+                reach_f = reach.astype(np.float32)
+                grown = np.matmul(reach_f, reach_f) > 0
                 if np.array_equal(grown, reach):
                     break
                 reach = grown
         # a same-group pair needs a surviving closed walk at its group:
         # some surviving out-arc (u, v) that is a loop or can get back
         sibling_ok = np.any(adj & np.swapaxes(reach, 1, 2), axis=2)
-        alive_per_group = self._group_sizes[None, :] - dead_i @ self._group_onehot
+        ti, pi = np.nonzero(dead_processors)
+        dead_per_group = np.bincount(
+            ti * g + arrays.proc_group[pi], minlength=batch * g
+        ).reshape(batch, g)
+        alive_per_group = self._group_sizes[None, :] - dead_per_group
         reach_off = reach.copy()
         reach_off[:, diag, diag] = False
         cross = np.einsum(
@@ -956,7 +1005,7 @@ class _VectorContext:
         reachable = np.where(
             num_live >= 2, routed / np.maximum(live_pairs, 1), 1.0
         )
-        if not paths_mode:
+        if not self.paths:
             return [
                 {
                     "connectivity": float(connectivity[j]),
@@ -1065,7 +1114,9 @@ _CHUNKS_HELP = "Sweep trial chunks executed"
 _TRIALS_HELP = "Monte-Carlo trials executed"
 _RUN_HELP = "Wall time of one sweep trial chunk"
 _WAIT_HELP = "Queue wait between chunk dispatch and worker pickup"
-_PATHS_TRIALS_HELP = "Trials scored by the vectorized all-pairs paths kernel"
+_PATHS_TRIALS_HELP = (
+    "Trials (temporal: trace segments) scored by the vectorized paths kernel"
+)
 _PATHS_HOPS_HELP = "BFS frontier expansions per vectorized paths batch"
 _DOWNGRADE_HELP = "Sweeps downgraded from their requested backend"
 
@@ -1443,15 +1494,50 @@ def _intact_baseline(
     return report.mean_latency
 
 
+def _paths_kernel_refusal(family_key: str, net) -> str | None:
+    """Why the vectorized ``paths`` kernel cannot score ``net`` exactly.
+
+    ``None`` when it can.  The kernel's distances are the generic BFS
+    ``fault_route``'s route lengths, and its stretch denominators come
+    from the base graph.  The sweep's ``auto`` rule, its vectorized
+    ``paths`` downgrade and the temporal replay's kernel scoring all
+    decide with this one test.
+    """
+    from ..core.registry import NetworkFamily, get_family
+
+    if type(get_family(family_key)).fault_route is not NetworkFamily.fault_route:
+        # a structured hook (stack-Kautz word-level routing) can return
+        # longer routes than the BFS, so those specs need the batched
+        # fault_route scan
+        return (
+            f"family {family_key!r} overrides fault_route with "
+            "structured routing the vectorized paths kernel cannot "
+            "reproduce byte-for-byte; executed on backend='batched'"
+        )
+    if net.num_groups > 1 and not hasattr(net, "base_graph"):
+        # defensive: no registered multi-group family lacks one today
+        return (
+            f"family {family_key!r} exposes no base_graph() for "
+            "intact distances; executed on backend='batched'"
+        )
+    return None
+
+
 def _prepare_sweep(
     spec, request: SweepRequest, *, net=None, baseline=None
 ) -> _PreparedSweep:
     """Freeze the :class:`_SweepPlan` of one ``(spec, request)`` sweep.
 
     The request checked everything that does not depend on the
-    machine; what is left happens here: the vectorized ``paths``
-    downgrade, the index-aware sampler (whose stratified trial floor
-    raises :class:`SweepRequestError`) and the intact baseline.
+    machine; what is left happens here: the index-aware sampler (whose
+    stratified trial floor raises :class:`SweepRequestError`), the
+    executed backend and the intact baseline.  ``auto`` resolves to
+    ``vectorized`` for a built-in fault model (an instance of one of
+    the ``FAULT_MODELS`` types) scored on ``connectivity``, or on
+    ``paths`` where :func:`_paths_kernel_refusal` has no objection, and
+    to ``batched`` otherwise; an explicit vectorized ``paths`` request
+    the kernel refuses is downgraded, with the reason recorded on the
+    summary and counted.
     ``net`` and ``baseline`` are internal fast paths
     for callers that already hold the built network (sessions, the
     design search) or cache baselines (sessions); ``baseline`` is a
@@ -1462,23 +1548,6 @@ def _prepare_sweep(
     from ..core.spec import NetworkSpec
 
     parsed = NetworkSpec.parse(spec)
-    backend, metrics = request.backend, request.metrics
-    downgrade = None
-    if backend == "vectorized" and metrics == "paths":
-        from ..core.registry import NetworkFamily, get_family
-
-        family = get_family(parsed.family)
-        if type(family).fault_route is not NetworkFamily.fault_route:
-            # the kernel's distances equal the generic BFS fallback's
-            # route lengths; a structured hook (stack-Kautz word-level
-            # routing) can return longer routes, so run those specs on
-            # the batched fault_route scan -- recorded, never silent
-            downgrade = (
-                f"family {parsed.family!r} overrides fault_route with "
-                "structured routing the vectorized paths kernel cannot "
-                "reproduce byte-for-byte; executed on backend='batched'"
-            )
-            backend = "batched"
     net = parsed.build() if net is None else net
     # the index-aware sampler wrapper rides in the plan's model slot:
     # same key/faults surface, but trial contexts detect
@@ -1493,21 +1562,23 @@ def _prepare_sweep(
         ) or request.model
     except ValueError as exc:  # the stratified floor: trials per stratum
         raise SweepRequestError("trials", str(exc)) from None
-    if (
-        downgrade is None
-        and backend == "vectorized"
-        and metrics == "paths"
-        and net.num_groups > 1
-        and not hasattr(net, "base_graph")
-    ):
-        # defensive: stretch denominators come from the base graph;
-        # no registered multi-group family lacks one today
-        downgrade = (
-            f"family {parsed.family!r} exposes no base_graph() for "
-            "intact distances; executed on backend='batched'"
+    backend, metrics = request.backend, request.metrics
+    refusal = None
+    if backend != "batched" and metrics == "paths":
+        refusal = _paths_kernel_refusal(parsed.family, net)
+    downgrade = None
+    if backend == "auto":
+        # a selection rule, not a downgrade: the kernel scores neither
+        # the slotted simulation nor a custom model, whose sampler may
+        # need network surface the array proxy does not carry
+        kernel = (
+            type(request.model) in FAULT_MODELS.values()
+            and metrics != "full"
+            and refusal is None
         )
-        backend = "batched"
-    if downgrade is not None:
+        backend = "vectorized" if kernel else "batched"
+    elif refusal is not None:  # an explicit vectorized paths request
+        downgrade, backend = refusal, "batched"
         REGISTRY.counter(
             "repro_sweep_backend_downgrades_total",
             _DOWNGRADE_HELP,
@@ -1672,8 +1743,8 @@ def survivability_sweep(
                 spec, request, net=_net, baseline=_baseline
             )
         plan = prepared.plan
-        # the *executed* backend: a vectorized paths request downgraded
-        # to batched neither needs the arrays nor runs on the kernel
+        # the *executed* backend: a sweep that runs batched (by auto's
+        # choice or a downgrade) neither needs the arrays nor the kernel
         arrays = (
             _arrays()
             if _arrays is not None

@@ -2,12 +2,18 @@
 
 A :class:`~repro.temporal.processes.FaultTrace` is piecewise constant:
 between events the dead sets do not change, so the replay walks the
-trace's *segments*, scoring each one with the connectivity/paths
-kernels of :mod:`repro.resilience.metrics` weighted by segment length
--- and, in ``full`` mode, drives one slotted simulation across the
-whole horizon through :class:`~repro.resilience.degrade.DegradedNetwork`
-views that swap at segment boundaries (messages in flight experience
-the churn).
+trace's *segments*, weighting each one's score by its length.  The
+segments of a chunk's trials are scored together on the vectorized
+sweep kernel (:meth:`~repro.resilience.sweep._VectorContext.score`),
+which gives the connectivity columns for every family and the ``paths``
+columns wherever the sweep's ``backend="auto"`` would pick that kernel.
+:class:`~repro.resilience.degrade.DegradedNetwork` views are built only
+where something still needs one: ``paths`` on a family with structured
+routing (stack-Kautz, scored by
+:func:`~repro.resilience.metrics.path_survival`), a ``traffic=``
+matrix, and the ``full``-mode slotted simulation, which runs across
+the whole horizon through views that swap at segment boundaries
+(messages in flight experience the churn).
 
 Per-trial metrics:
 
@@ -43,15 +49,19 @@ from typing import ClassVar
 
 from ..resilience.degrade import DegradedNetwork
 from ..resilience.faults import trial_seed
-from ..resilience.metrics import connectivity_metrics, path_survival
+from ..resilience.metrics import path_survival
 from ..resilience.sweep import (
     SweepRequestError,
     _check_fields,
     _check_int,
     _check_positive,
+    _fault_masks,
+    _paths_kernel_refusal,
     _quantile_cells,
     _scoped_executor,
+    _TopologyArrays,
     _unknown,
+    _VectorContext,
 )
 from ..simulation.engine import SlottedSimulator
 from .processes import FaultProcess, FaultTrace, make_fault_process
@@ -288,8 +298,8 @@ class _TemporalPlan:
     backend: ClassVar[str] = "temporal"
 
     def build_context(self, net=None, arrays=None) -> "_TemporalContext":
-        """The trial-runner context of this plan (``arrays`` is unused)."""
-        return _TemporalContext(self, net=net)
+        """The trial-runner context of this plan (builds what it lacks)."""
+        return _TemporalContext(self, net=net, arrays=arrays)
 
 
 @dataclass(frozen=True)
@@ -426,29 +436,71 @@ def replay_trace(ctx, trace: FaultTrace) -> dict[str, object]:
 
     ``ctx`` is a :class:`_TemporalContext` (network + family + plan
     shared across the trials of one process)."""
+    return _replay_traces(ctx, [trace])[0]
+
+
+def _replay_traces(ctx, traces) -> list[dict[str, object]]:
+    """The metrics row of each compiled trace, in order.
+
+    Traces are taken in groups whose segments fill one kernel batch,
+    and each group is scored in one
+    :meth:`~repro.resilience.sweep._VectorContext.score` call (more
+    only for a trace longer than a batch), so a chunk of any size keeps
+    at most about one batch of segments alive.
+    """
+    rows: list[dict[str, object]] = []
+    group: list[tuple[FaultTrace, list]] = []
+    pending = 0
+    for trace in traces:
+        segments = list(trace.segments())
+        group.append((trace, segments))
+        pending += len(segments)
+        if pending >= ctx.kernel.batch:
+            rows.extend(_score_group(ctx, group))
+            group, pending = [], 0
+    if group:
+        rows.extend(_score_group(ctx, group))
+    return rows
+
+
+def _score_group(ctx, group) -> list[dict[str, object]]:
+    """The rows of ``(trace, segments)`` pairs, segments scored together."""
+    kernel = ctx.kernel
+    draws = [(c, p) for _trace, segs in group for _start, _stop, c, p in segs]
+    scored: list[dict[str, object]] = []
+    for lo in range(0, len(draws), kernel.batch):
+        batch = draws[lo : lo + kernel.batch]
+        scored.extend(kernel.score(*_fault_masks(batch, len(batch), kernel.arrays)))
+    rows, lo = [], 0
+    for trace, segs in group:
+        rows.append(_trace_row(ctx, trace, segs, scored[lo : lo + len(segs)]))
+        lo += len(segs)
+    return rows
+
+
+def _trace_row(ctx, trace, segments, scored) -> dict[str, object]:
+    """One trial's row from its segments and their kernel rows."""
     plan = ctx.plan
     horizon = plan.horizon
-    segments = list(trace.segments())
-    views = [
-        DegradedNetwork(
-            ctx.net,
-            trace.scenario_for(dead_c, dead_p),
-            family=ctx.family,
-        )
-        for _start, _stop, dead_c, dead_p in segments
-    ]
-    starts = [start for start, _stop, _c, _p in segments]
+    views = None
+    if ctx.needs_views:
+        views = [
+            DegradedNetwork(
+                ctx.net,
+                trace.scenario_for(dead_c, dead_p),
+                family=ctx.family,
+            )
+            for _start, _stop, dead_c, dead_p in segments
+        ]
 
     alive_segs = []
     survival_weight = 0.0
     time_to_disconnect = float(horizon)
     disconnected = False
-    for (start, stop, _c, _p), view in zip(segments, views):
-        alive = connectivity_metrics(view, with_reachable=False)[
-            "alive_connectivity"
-        ]
+    for (start, stop, _c, _p), seg in zip(segments, scored):
+        alive = seg["alive_connectivity"]
         weight = stop - start
-        alive_segs.append((start, stop, float(alive)))
+        alive_segs.append((start, stop, alive))
         if alive >= 1.0:
             survival_weight += weight
         elif not disconnected:
@@ -465,12 +517,13 @@ def replay_trace(ctx, trace: FaultTrace) -> dict[str, object]:
         "_curve": _bin_curve(alive_segs, horizon, plan.curve_points),
     }
     if plan.metrics in ("paths", "full"):
+        if ctx.kernel.paths:
+            quality = [(s["mean_stretch"], s["within_bound"]) for s in scored]
+        else:
+            quality = [path_survival(v, plan.bound)[2:] for v in views]
         within_acc = 0.0
         stretch_acc = 0.0
-        for (start, stop, _c, _p), view in zip(segments, views):
-            _reach, _max_len, stretch, within = path_survival(
-                view, plan.bound
-            )
+        for (start, stop, _c, _p), (stretch, within) in zip(segments, quality):
             within_acc += (stop - start) * within
             stretch_acc += (stop - start) * stretch
         row["within_bound_time"] = within_acc / horizon
@@ -484,6 +537,7 @@ def replay_trace(ctx, trace: FaultTrace) -> dict[str, object]:
             / horizon
         )
     if plan.metrics == "full":
+        starts = [start for start, _stop, _c, _p in segments]
         row.update(_slotted_metrics(ctx, starts, views))
     return row
 
@@ -491,11 +545,21 @@ def replay_trace(ctx, trace: FaultTrace) -> dict[str, object]:
 class _TemporalContext:
     """Per-process trial runner over one shared built network.
 
+    Trace segments score on a vectorized sweep kernel over the
+    network's topology arrays (``arrays``, or exported here): alive
+    connectivity always, and the ``paths`` columns wherever the kernel
+    scores them exactly (:func:`~repro.resilience.sweep._paths_kernel_refusal`).
+    ``needs_views`` says whether a trial also builds per-segment
+    ``DegradedNetwork`` views: for ``paths`` the kernel refuses, for
+    ``traffic=`` and for the ``full``-mode slotted run.
+
     Read-only once built, so concurrent sweeps share it the way they
     share a sweep's trial context.
     """
 
-    def __init__(self, plan: _TemporalPlan, net=None, family=None) -> None:
+    def __init__(
+        self, plan: _TemporalPlan, net=None, family=None, arrays=None
+    ) -> None:
         from ..core.registry import get_family
         from ..core.spec import NetworkSpec
         from ..core.workloads import resolve_workload
@@ -504,6 +568,19 @@ class _TemporalContext:
         parsed = NetworkSpec.parse(plan.canonical)
         self.net = net if net is not None else parsed.build()
         self.family = family if family is not None else get_family(parsed.family)
+        route_quality = plan.metrics != "connectivity"
+        kernel_paths = (
+            route_quality
+            and _paths_kernel_refusal(parsed.family, self.net) is None
+        )
+        if arrays is None:
+            arrays = _TopologyArrays.from_network(self.net)
+        self.kernel = _VectorContext(plan, arrays, paths=kernel_paths)
+        self.needs_views = (
+            (route_quality and not kernel_paths)
+            or plan.traffic is not None
+            or plan.metrics == "full"
+        )
         self.model = self.net.hypergraph_model()
         self.triples = (
             resolve_workload(
@@ -516,33 +593,40 @@ class _TemporalContext:
             else None
         )
 
-    def run_trial(self, index: int) -> dict[str, object]:
-        """The metrics row of trial ``index``."""
+    def trace(self, index: int) -> FaultTrace:
+        """The compiled fault trace of trial ``index``."""
         plan = self.plan
-        trace = plan.process.trace(
+        return plan.process.trace(
             plan.canonical, self.net, trial_seed(plan.seed, index), plan.horizon
         )
-        return replay_trace(self, trace)
 
     def run_range(self, start: int, stop: int) -> list[dict[str, object]]:
         """Rows of trials ``start .. stop - 1``, in index order."""
-        return [self.run_trial(i) for i in range(start, stop)]
+        return _replay_traces(self, map(self.trace, range(start, stop)))
 
 
 def execute_temporal(
-    prepared: _PreparedTemporal, workers: int = 1, *, _executor=None
+    prepared: _PreparedTemporal,
+    workers: int = 1,
+    *,
+    _executor=None,
+    _arrays=None,
 ) -> list[dict[str, object]]:
     """All trial rows, in trial-index order (none for a skipped sweep).
 
     The trials run on the sweep executor: ``_executor`` is an injected
     :class:`~repro.resilience.sweep.PersistentSweepExecutor`
     (sessions); without one, an executor with ``workers`` processes
-    (``None``/``0``/``1`` runs inline) is opened for the call.  Trials
-    are pure functions of their index, so sharding the index range
-    returns byte-identical rows for every worker count.
+    (``None``/``0``/``1`` runs inline) is opened for the call.
+    ``_arrays`` (sessions) is a zero-argument provider of the spec's
+    cached topology arrays, which an inline run's kernel reuses; it
+    MUST match the spec.  Trials are pure functions of their index, so
+    sharding the index range returns byte-identical rows for every
+    worker count.
     """
     with _scoped_executor(_executor, workers) as executor:
-        return executor.run(prepared)
+        inline = _arrays is not None and not executor.parallel
+        return executor.run(prepared, arrays=_arrays() if inline else None)
 
 
 # ----------------------------------------------------------------------

@@ -77,6 +77,7 @@ class TestWorkerAndBackendByteIdentity:
                 metrics="connectivity",
                 ci_target=0.05,
                 sampling=sampling,
+                backend="batched",
                 workers=workers,
             )
             texts[workers] = summary.to_json()
@@ -113,6 +114,7 @@ class TestWorkerAndBackendByteIdentity:
             metrics="connectivity",
             ci_target=0.08,
             sampling="stratified",
+            backend="batched",
         )
         cold = survivability_sweep("pops(2,3)", model, **kwargs)
         with PersistentSweepExecutor(2) as executor:
@@ -133,6 +135,7 @@ class TestFixedTrialGoldens:
             trials=7,
             seed=3,
             metrics="connectivity",
+            backend="batched",
         ),
         "fixed_sk222_full.json": dict(
             spec="sk(2,2,2)",

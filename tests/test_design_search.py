@@ -84,7 +84,10 @@ class TestBatchedSweepDeterminism:
         assert inline.to_json() == two.to_json() == four.to_json()
 
     def test_connectivity_mode_worker_count_independent(self):
-        kw = dict(faults=2, trials=16, seed=3, metrics="connectivity")
+        kw = dict(
+            faults=2, trials=16, seed=3, metrics="connectivity",
+            backend="batched",
+        )
         inline = survivability_sweep("sk(2,2,2)", "coupler", **kw)
         four = survivability_sweep("sk(2,2,2)", "coupler", workers=4, **kw)
         assert inline.to_json() == four.to_json()
@@ -199,8 +202,8 @@ class TestDesignSearch:
         assert a.to_json() == b.to_json()
 
     def test_worker_count_does_not_change_json(self):
-        a = design_search(**SEARCH_KW)
-        b = design_search(workers=2, **SEARCH_KW)
+        a = design_search(backend="batched", **SEARCH_KW)
+        b = design_search(backend="batched", workers=2, **SEARCH_KW)
         assert a.to_json() == b.to_json()
 
     def test_ranking_is_by_survivability_per_kilocost(self):

@@ -48,7 +48,7 @@ class TestProtocol:
         assert normalized["model"] == "coupler"
         assert normalized["faults"] == 1
         assert normalized["metrics"] == "full"
-        assert normalized["backend"] == "batched"
+        assert normalized["backend"] == "auto"
 
     def test_equivalent_sweeps_share_a_key(self):
         loose = validate_sweep({"spec": "sk 2 2 2"})
@@ -88,7 +88,7 @@ class TestProtocol:
                  "metrics": "full"}
             )
         assert "unknown sweep backend" in str(err.value)
-        assert err.value.details["known"] == ["batched", "vectorized"]
+        assert err.value.details["known"] == ["auto", "batched", "vectorized"]
 
     def test_type_errors_rejected(self):
         with pytest.raises(ServeError):
@@ -339,9 +339,13 @@ class TestHTTP:
         results = []
 
         def fire():
+            # batched keeps the leader busy long enough (~0.3 s, against
+            # ~10 ms on the vectorized kernel) for every duplicate to
+            # arrive while it is in flight
             results.append(
                 server.sweep(
-                    "sk(2,2,2)", trials=400, seed=99, metrics="connectivity"
+                    "sk(2,2,2)", trials=400, seed=99, metrics="connectivity",
+                    backend="batched",
                 )
             )
 

@@ -217,7 +217,10 @@ class TestSweepByteIdentity:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_pool_reuse_determinism_across_worker_counts(self, workers):
         """Warm persistent pools at 1/2/4 workers all match inline."""
-        kw = dict(faults=1, trials=10, seed=5, metrics="connectivity")
+        kw = dict(
+            faults=1, trials=10, seed=5, metrics="connectivity",
+            backend="batched",
+        )
         inline = survivability_sweep("sk(2,2,2)", "coupler", **kw)
         with Session(workers=workers) as s:
             warm_up = s.resilience_sweep("pops(2,2)", **kw)  # other spec
@@ -333,7 +336,8 @@ class TestPersistentExecutor:
 
     def test_pooled_sweeps_executor_matches_oneshot(self):
         requests = [
-            ("pops(2,2)", SweepRequest(trials=5, metrics="connectivity")),
+            ("pops(2,2)", SweepRequest(trials=5, metrics="connectivity",
+                                       backend="batched")),
             ("sk(2,2,2)", SweepRequest(trials=7, metrics="connectivity",
                                        backend="vectorized")),
         ]
@@ -377,7 +381,8 @@ class TestScopedExecutorTeardown:
         before = set(multiprocessing.active_children())
         summaries = pooled_survivability_sweeps(
             [
-                ("pops(2,2)", SweepRequest(trials=6, metrics="connectivity")),
+                ("pops(2,2)", SweepRequest(trials=6, metrics="connectivity",
+                                           backend="batched")),
                 ("sk(2,2,2)", SweepRequest(trials=6, metrics="connectivity",
                                            backend="vectorized")),
             ],
@@ -484,7 +489,9 @@ class TestExperiment:
             trials=2,
         )
         backends = [r.backend for _, r in exp.compile()]
-        assert backends == ["vectorized", "batched"]
+        assert backends == ["vectorized", "auto"]
+        result = exp.run(workers=0)
+        assert [c.backend for c in result.cells] == ["vectorized", "batched"]
 
     @pytest.mark.parametrize(
         "bad,match",

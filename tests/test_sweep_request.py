@@ -137,7 +137,8 @@ def valid_requests(draw):
         "max_slots": draw(st.sampled_from((100_000, 5_000))),
         "metrics": metrics,
         "backend": draw(st.sampled_from(
-            ("batched",) if metrics == "full" else ("batched", "vectorized")
+            ("auto", "batched") if metrics == "full"
+            else ("auto", "batched", "vectorized")
         )),
         "ci_target": draw(st.one_of(
             st.none(), st.floats(0.05, 0.5, allow_nan=False)
@@ -166,7 +167,7 @@ def _normalized(spec, fields):
         "bound": fields.get("bound"),
         "max_slots": fields.get("max_slots", 100_000),
         "metrics": fields.get("metrics", "full"),
-        "backend": fields.get("backend", "batched"),
+        "backend": fields.get("backend", "auto"),
         "ci_target": None if ci_target is None else float(ci_target),
         "sampling": fields.get("sampling", "uniform"),
     }

@@ -65,7 +65,7 @@ class TestPathsByteIdentity:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_worker_counts_byte_identical(self, workers):
         batched = survivability_sweep(
-            "pops(2,3)", "coupler", faults=1, **PATHS
+            "pops(2,3)", "coupler", faults=1, backend="batched", **PATHS
         )
         vectorized = survivability_sweep(
             "pops(2,3)",
@@ -197,7 +197,7 @@ class TestCrossFamilyReachabilityInvariant:
         "model", ["coupler", "processor", "link", "group", "adversarial"]
     )
     def test_reachable_groups_agrees(self, spec, model):
-        kwargs = dict(faults=1, trials=10, seed=3)
+        kwargs = dict(faults=1, trials=10, seed=3, backend="batched")
         paths = survivability_sweep(spec, model, metrics="paths", **kwargs)
         conn = survivability_sweep(
             spec, model, metrics="connectivity", **kwargs

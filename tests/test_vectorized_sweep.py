@@ -55,7 +55,9 @@ class TestVectorizedMatchesBatched:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_worker_counts_byte_identical_to_batched(self, workers):
         """The satellite contract: 1/2/4 workers all agree with batched."""
-        batched = survivability_sweep("sk(2,2,2)", "coupler", faults=1, **CONN)
+        batched = survivability_sweep(
+            "sk(2,2,2)", "coupler", faults=1, backend="batched", **CONN
+        )
         vectorized = survivability_sweep(
             "sk(2,2,2)",
             "coupler",
@@ -91,7 +93,7 @@ class TestVectorizedMatchesBatched:
         assert "mean_stretch" in summary.quantiles
 
     def test_backend_registry_names_both(self):
-        assert SWEEP_BACKENDS == ("batched", "vectorized")
+        assert SWEEP_BACKENDS == ("auto", "batched", "vectorized")
 
     def test_cli_backend_flag_reaches_the_vectorized_path(self, capsys):
         argv = [
@@ -162,7 +164,10 @@ class TestTopologyArrays:
 # ----------------------------------------------------------------------
 class TestPooledSweeps:
     REQUESTS = [
-        ("sk(2,2,2)", SweepRequest(model="coupler", faults=1, **CONN)),
+        (
+            "sk(2,2,2)",
+            SweepRequest(model="coupler", faults=1, backend="batched", **CONN),
+        ),
         (
             "pops(2,3)",
             SweepRequest(
@@ -207,24 +212,29 @@ SEARCH_KW = dict(
 class TestCandidateParallelism:
     def test_candidates_mode_identical_to_per_sweep_mode(self):
         """The satellite contract: the ranked table does not move."""
-        per_sweep = design_search(**SEARCH_KW)
+        per_sweep = design_search(backend="batched", **SEARCH_KW)
         pooled = design_search(
-            parallelism="candidates", workers=2, **SEARCH_KW
+            parallelism="candidates",
+            backend="batched",
+            workers=2,
+            **SEARCH_KW,
         )
         assert pooled.to_json() == per_sweep.to_json()
 
     def test_candidates_mode_inline_identical_too(self):
-        per_sweep = design_search(**SEARCH_KW)
-        inline = design_search(parallelism="candidates", **SEARCH_KW)
+        per_sweep = design_search(backend="batched", **SEARCH_KW)
+        inline = design_search(
+            parallelism="candidates", backend="batched", **SEARCH_KW
+        )
         assert inline.to_json() == per_sweep.to_json()
 
     def test_vectorized_backend_identical_ranked_table(self):
-        batched = design_search(**SEARCH_KW)
+        batched = design_search(backend="batched", **SEARCH_KW)
         vectorized = design_search(backend="vectorized", **SEARCH_KW)
         assert vectorized.to_json() == batched.to_json()
 
     def test_candidates_plus_vectorized_identical(self):
-        baseline = design_search(**SEARCH_KW)
+        baseline = design_search(backend="batched", **SEARCH_KW)
         combined = design_search(
             parallelism="candidates",
             backend="vectorized",
@@ -250,11 +260,10 @@ class TestCandidateParallelism:
             "4",
             "--json",
         ]
-        assert main(argv) == 0
+        assert main([*argv, "--backend", "batched"]) == 0
         baseline = capsys.readouterr().out
-        assert (
-            main([*argv, "--parallelism", "candidates", "--workers", "2"]) == 0
-        )
+        candidates = ["--parallelism", "candidates", "--workers", "2"]
+        assert main([*argv, *candidates, "--backend", "batched"]) == 0
         assert capsys.readouterr().out == baseline
         assert main([*argv, "--backend", "vectorized"]) == 0
         assert capsys.readouterr().out == baseline
