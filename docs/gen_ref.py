@@ -277,7 +277,8 @@ def _option_rows(parser: argparse.ArgumentParser):
             default = "--" if action.default in (False, None) else str(action.default)
         else:
             default = f"`{action.default}`"
-        text = (action.help or "").replace("|", "\\|")
+        # argparse %-formats help, so the CLI escapes a literal "%"
+        text = (action.help or "").replace("%%", "%").replace("|", "\\|")
         if action.choices is not None:
             choices = " / ".join(f"`{c}`" for c in action.choices)
             text = f"{text} ({choices})" if text else f"one of {choices}"

@@ -41,11 +41,20 @@ cost.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
+import re
 import sys
 from contextlib import contextmanager
 
 from .core.spec import NetworkSpec, SpecError, _is_intlike as _is_int
+from .resilience import (
+    METRICS_MODES,
+    SAMPLING_MODES,
+    SWEEP_BACKENDS,
+    SweepRequest,
+)
+from .temporal import RENEWAL_LAWS, TEMPORAL_METRICS_MODES, TemporalRequest
 
 
 @contextmanager
@@ -126,7 +135,11 @@ def _cmd_design(args: argparse.Namespace) -> int:
 def _cmd_otis(args: argparse.Namespace) -> int:
     from .optical import OTIS, OTISLayout
 
-    layout = OTISLayout(OTIS(args.groups, args.size))
+    try:
+        layout = OTISLayout(OTIS(args.groups, args.size))
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     print(layout.render_ascii())
     print()
     print(f"geometry realizes the transpose map: {layout.verify_transpose_geometry()}")
@@ -265,123 +278,87 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_args(args: argparse.Namespace) -> dict:
-    """The sweep-request fields a subcommand's flags carry.
+def _request_args(args: argparse.Namespace, request_type) -> dict:
+    """The fields of ``request_type`` that ``args`` carries, by name.
 
-    Every flag named like a :class:`~repro.resilience.sweep.SweepRequest`
-    field; ``experiment``'s ``--metrics``/``--trials`` are grid axes of
-    the same name.
+    Every flag named like a field of the
+    :class:`~repro.resilience.sweep.SweepRequest` or
+    :class:`~repro.temporal.replay.TemporalRequest`;
+    ``experiment``'s ``--metrics``/``--trials`` are grid axes of the
+    same name.
     """
-    from .resilience.sweep import SWEEP_FIELDS
+    return {
+        name: getattr(args, name)
+        for name in request_type.__dataclass_fields__
+        if name in args
+    }
 
-    return {name: getattr(args, name) for name in SWEEP_FIELDS if name in args}
+
+def _run_and_print(args: argparse.Namespace, verb, **kwargs) -> int:
+    """Run a result subcommand's ``verb`` and print what it returns.
+
+    The one path of ``design-search``, ``resilience``, ``temporal``,
+    ``experiment`` and ``sweep``: the parsed ``spec``/``specs`` and
+    ``--workers`` join ``kwargs``, ``verb`` runs under ``--trace``, a
+    ``SpecError``/``ValueError`` is one stderr line and exit 2, and
+    the result prints as ``to_json()`` under ``--json``, else as
+    ``formatted()``.  A design search that kept no candidate exits 1.
+    """
+    try:
+        if "spec" in args:
+            kwargs["spec"] = NetworkSpec.from_argv(args.spec)
+        if "specs" in args:
+            kwargs["specs"] = [NetworkSpec.parse(s) for s in args.specs]
+        if "workers" in args:
+            kwargs["workers"] = args.workers
+        with _trace_to(args.trace):
+            result = verb(**kwargs)
+    except (SpecError, ValueError) as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    print(result.to_json() if args.json else result.formatted())
+    return 1 if args.command == "design-search" and not len(result) else 0
 
 
 def _cmd_design_search(args: argparse.Namespace) -> int:
     from .core import design_search
+    from .design_search.search import SEARCH_OPTIONS
 
-    try:
-        with _trace_to(args.trace):
-            result = design_search(
-                max_processors=args.max_processors,
-                min_processors=args.min_processors,
-                families=args.families,
-                workers=args.workers,
-                max_coupler_degree=args.max_coupler_degree,
-                min_groups=args.min_groups,
-                max_groups=args.max_groups,
-                max_diameter=args.max_diameter,
-                min_margin_db=args.min_margin_db,
-                top=args.top,
-                parallelism=args.parallelism,
-                rank_by=args.rank_by,
-                **_sweep_args(args),
-            )
-    except (SpecError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    if args.json:
-        print(result.to_json())
-        return 0 if len(result) else 1
-    print(result.formatted())
-    return 0 if len(result) else 1
+    options = {name: getattr(args, name) for name in SEARCH_OPTIONS}
+    sweep = _request_args(args, SweepRequest)
+    return _run_and_print(args, design_search, **options, **sweep)
 
 
 def _cmd_resilience(args: argparse.Namespace) -> int:
     from .core import resilience_sweep
 
-    try:
-        spec = NetworkSpec.from_argv(args.spec)
-        with _trace_to(args.trace):
-            summary = resilience_sweep(
-                spec, workers=args.workers, **_sweep_args(args)
-            )
-    except (SpecError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    if args.json:
-        print(summary.to_json())
-        return 0
-    print(summary.formatted())
-    return 0
-
-
-def _temporal_args(args: argparse.Namespace) -> dict:
-    """The :class:`~repro.temporal.replay.TemporalRequest` fields of ``args``.
-
-    Every ``temporal`` flag named like a request field; a flag left at
-    its ``None`` default is omitted, so the request's own default
-    applies.
-    """
-    from .temporal.replay import TEMPORAL_FIELDS
-
-    return {
-        name: getattr(args, name)
-        for name in TEMPORAL_FIELDS
-        if getattr(args, name, None) is not None
-    }
+    return _run_and_print(args, resilience_sweep, **_request_args(args, SweepRequest))
 
 
 def _cmd_temporal(args: argparse.Namespace) -> int:
     from .core import temporal_sweep
 
-    try:
-        spec = NetworkSpec.from_argv(args.spec)
-        with _trace_to(args.trace):
-            summary = temporal_sweep(
-                spec, workers=args.workers, **_temporal_args(args)
-            )
-    except (SpecError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    if args.json:
-        print(summary.to_json())
-        return 0
-    print(summary.formatted())
-    return 0
+    return _run_and_print(args, temporal_sweep, **_request_args(args, TemporalRequest))
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from .core import experiment
 
-    try:
-        specs = [NetworkSpec.parse(s) for s in args.specs]
-        with _trace_to(args.trace):
-            result = experiment(
-                specs,
-                models=args.models,
-                samplings=args.samplings,
-                workers=args.workers,
-                **_sweep_args(args),
-            )
-    except (SpecError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    if args.json:
-        print(result.to_json())
-        return 0
-    print(result.formatted())
-    return 0
+    return _run_and_print(
+        args,
+        experiment,
+        models=args.models,
+        samplings=args.samplings,
+        **_request_args(args, SweepRequest),
+    )
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .core import sweep
+
+    return _run_and_print(
+        args, sweep, workloads=args.workloads, messages=args.messages, seed=args.seed
+    )
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
@@ -478,48 +455,93 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .core import sweep
+#: The constant each request checks a choice field against.
+_CHOICES = {
+    SweepRequest: {
+        "metrics": METRICS_MODES,
+        "backend": SWEEP_BACKENDS,
+        "sampling": SAMPLING_MODES,
+    },
+    TemporalRequest: {"metrics": TEMPORAL_METRICS_MODES, "law": RENEWAL_LAWS},
+}
 
-    try:
-        specs = [NetworkSpec.parse(s) for s in args.specs]
-        with _trace_to(args.trace):
-            result = sweep(
-                specs, args.workloads, messages=args.messages, seed=args.seed
-            )
-    except (SpecError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    if args.json:
-        print(result.to_json())
-        return 0
-    print(result.formatted())
-    return 0
+#: The shared flags that name no request field: how a command runs and
+#: prints, never what it computes.
+_RUN_FLAGS = {
+    "workers": dict(
+        type=int,
+        default=None,
+        help="multiprocessing workers (results are worker-count independent)",
+    ),
+    "trace": dict(
+        default=None,
+        metavar="PATH",
+        help="write a Chrome trace-event JSON of the run's spans to PATH "
+        "(open in Perfetto or chrome://tracing; results are unchanged)",
+    ),
+    "json": dict(action="store_true", help="machine-readable output"),
+}
 
 
-def _add_backend_flag(parser: argparse.ArgumentParser, help_text: str) -> None:
-    """``--backend``: the accepted values and default of the sweep request."""
-    from .resilience.sweep import SWEEP_BACKENDS, SweepRequest
+def _parameter_help(request_type) -> dict[str, str]:
+    """Each field's entry in the Parameters section of ``request_type``.
 
-    parser.add_argument(
-        "--backend",
-        choices=SWEEP_BACKENDS,
-        default=SweepRequest.__dataclass_fields__["backend"].default,
-        help=help_text,
-    )
+    The text ``docs/gen_ref.py`` renders on the API page, joined into
+    one line, its RST markup stripped and ``%`` escaped for argparse.
+    """
+    doc = inspect.getdoc(request_type)
+    section = doc.split("Parameters\n----------\n", 1)[1]
+    entries: dict[str, list[str]] = {}
+    for line in section.splitlines():
+        header = re.match(r"(\w+) : ", line)
+        if header:
+            entry = entries.setdefault(header.group(1), [])
+        elif line.startswith(" "):
+            entry.append(line.strip())
+        elif line:
+            break  # the next section
+    plain = {}
+    for name, lines in entries.items():
+        text = " ".join(" ".join(lines).split())
+        text = re.sub(r":\w+:`~?(?:\w+\.)*(\w+)`", r"\1", text)
+        plain[name] = text.replace("``", "").replace("%", "%%")
+    return plain
+
+
+def _add_flags(parser, names: str, request_type=None, **overrides) -> None:
+    """Add one ``--name`` flag per space-separated entry of ``names``.
+
+    A field of ``request_type`` takes its type and default from the
+    dataclass field, its choices from the constant the request checks
+    it against and its help from its Parameters entry, so the CLI
+    cannot drift from the API, HTTP and the docs.  Any other name is
+    one of :data:`_RUN_FLAGS`.  ``overrides`` maps a name to the
+    door-level ``add_argument`` keywords that differ.
+    """
+    helps = _parameter_help(request_type) if request_type else {}
+    for name in names.split():
+        if name in _RUN_FLAGS:
+            options = dict(_RUN_FLAGS[name])
+        else:
+            field = request_type.__dataclass_fields__[name]
+            # "int", "float | None", "InitVar[int | None]", ...; else a string
+            words = re.findall(r"\w+", str(field.type))
+            options = {
+                "type": next((t for t in (int, float) if t.__name__ in words), None),
+                "default": field.default,
+                "help": helps[name],
+            }
+            if name in _CHOICES[request_type]:
+                options["choices"] = tuple(_CHOICES[request_type][name])
+        options.update(overrides.get(name, {}))
+        parser.add_argument(f"--{name.replace('_', '-')}", **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     from .design_search import PARALLELISM_MODES, RANKINGS
-    from .resilience import METRICS_MODES, SAMPLING_MODES
-    from .temporal import TEMPORAL_METRICS_MODES
 
-    metrics_modes = tuple(METRICS_MODES)
-    trace_help = (
-        "write a Chrome trace-event JSON of the run's spans to PATH "
-        "(open in Perfetto or chrome://tracing; results are unchanged)"
-    )
+    spec_help = 'network spec ("sk(6,3,2)") or positional (sk 6 3 2)'
     parser = argparse.ArgumentParser(
         prog="repro",
         description="OTIS-based multi-OPS lightwave network toolkit",
@@ -532,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         help='network spec: "sk(6,3,2)" or positional (sk 6 3 2; pops t g; sii s d n; sops n)',
     )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+    _add_flags(p, "json")
     p.set_defaults(func=_cmd_design)
 
     p = sub.add_parser("otis", help="render an OTIS(G, T) lens layout")
@@ -546,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         help='spec + src + dst ("sk(6,3,2)" 0 71) or the positional SK form (6 3 2 0 71)',
     )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+    _add_flags(p, "json")
     p.set_defaults(func=_cmd_route)
 
     p = sub.add_parser("simulate", help="run a workload on any network")
@@ -562,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="uniform",
         help="workload name (uniform, permutation, hotspot, broadcast, group-local, bernoulli)",
     )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+    _add_flags(p, "json")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("describe", help="JSON-ready summary of any network")
@@ -571,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         help='network spec: "sk(6,3,2)" or positional (sk 6 3 2)',
     )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+    _add_flags(p, "json")
     p.set_defaults(func=_cmd_describe)
 
     p = sub.add_parser(
@@ -596,40 +618,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="family keys to search (default: every registered family)",
     )
-    p.add_argument(
-        "--model",
-        default="coupler",
-        help="fault model: coupler, processor, link, adversarial, group",
-    )
-    p.add_argument(
-        "--faults", type=int, default=1, help="faults injected per trial"
-    )
-    p.add_argument(
-        "--trials", type=int, default=100, help="Monte-Carlo trials per candidate"
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="multiprocessing workers per sweep (results are worker-count independent)",
-    )
-    p.add_argument(
-        "--metrics",
-        choices=metrics_modes,
-        default="connectivity",
-        help="scoring depth per trial (connectivity is the fast path)",
-    )
-    p.add_argument(
-        "--workload",
-        default="uniform",
-        help="workload scored per trial (metrics=full only)",
-    )
-    p.add_argument(
-        "--messages",
-        type=int,
-        default=60,
-        help="messages per trial (metrics=full only)",
+    # a door-level default: the search scores connectivity, the fast path
+    _add_flags(
+        p,
+        "model faults trials seed workers metrics workload messages",
+        SweepRequest,
+        metrics={"default": "connectivity"},
     )
     p.add_argument("--max-coupler-degree", type=int, default=None)
     p.add_argument(
@@ -659,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(identical results)"
         ),
     )
-    _add_backend_flag(p, "trial executor for the per-candidate sweeps")
+    _add_flags(p, "backend", SweepRequest)
     p.add_argument(
         "--rank-by",
         choices=RANKINGS,
@@ -669,184 +663,33 @@ def build_parser() -> argparse.ArgumentParser:
             "--metrics paths or full"
         ),
     )
-    p.add_argument(
-        "--ci-target",
-        type=float,
-        default=None,
-        help=(
-            "stop each candidate sweep once its survival CI half-width "
-            "is at most this (arms early discard vs the leader); "
-            "--trials caps the spend"
-        ),
-    )
-    p.add_argument(
-        "--sampling",
-        choices=SAMPLING_MODES,
-        default="uniform",
-        help="trial allocation per candidate sweep (stratified/importance)",
-    )
-    p.add_argument("--trace", default=None, metavar="PATH", help=trace_help)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+    _add_flags(p, "ci_target sampling trace json", SweepRequest)
     p.set_defaults(func=_cmd_design_search)
 
     p = sub.add_parser(
         "resilience",
         help="Monte-Carlo survivability under injected faults",
     )
-    p.add_argument(
-        "spec",
-        nargs="+",
-        help='network spec ("sk(6,3,2)") or positional (sk 6 3 2)',
-    )
-    p.add_argument(
-        "--model",
-        default="coupler",
-        help="fault model: coupler, processor, link, adversarial, group",
-    )
-    p.add_argument(
-        "--faults", type=int, default=1, help="faults injected per trial"
-    )
-    p.add_argument(
-        "--trials", type=int, default=100, help="Monte-Carlo trials"
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="multiprocessing workers (results are worker-count independent)",
-    )
-    p.add_argument("--messages", type=int, default=60)
-    p.add_argument(
-        "--workload",
-        default="uniform",
-        help="workload run on each degraded machine",
-    )
-    p.add_argument(
-        "--metrics",
-        choices=metrics_modes,
-        default="full",
-        help="scoring depth per trial (connectivity/paths skip the simulation)",
-    )
-    _add_backend_flag(
+    p.add_argument("spec", nargs="+", help=spec_help)
+    _add_flags(
         p,
-        "trial executor (batched = one built network per process, "
-        "every metrics mode; vectorized = numpy trial batches, "
-        "connectivity/paths metrics; auto = vectorized wherever it "
-        "can score the sweep)",
+        "model faults trials seed workers messages workload metrics backend "
+        "ci_target sampling trace json",
+        SweepRequest,
     )
-    p.add_argument(
-        "--ci-target",
-        type=float,
-        default=None,
-        help=(
-            "sequential stopping: run trial waves until the survival "
-            "CI half-width is at most this (--trials is the cap)"
-        ),
-    )
-    p.add_argument(
-        "--sampling",
-        choices=SAMPLING_MODES,
-        default="uniform",
-        help=(
-            "trial allocation: stratified (by fault cardinality) or "
-            "importance (rare-event tail, likelihood-ratio reweighted)"
-        ),
-    )
-    p.add_argument("--trace", default=None, metavar="PATH", help=trace_help)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_resilience)
 
     p = sub.add_parser(
         "temporal",
         help="replay seeded failure/repair processes: availability over time",
     )
-    p.add_argument(
-        "spec",
-        nargs="+",
-        help='network spec ("sk(6,3,2)") or positional (sk 6 3 2)',
+    p.add_argument("spec", nargs="+", help=spec_help)
+    _add_flags(
+        p,
+        "process faults mtbf mttr law horizon trials seed workers workload "
+        "messages bound metrics curve_points trace json",
+        TemporalRequest,
     )
-    p.add_argument(
-        "--process",
-        default="coupler-renewal",
-        help=(
-            "fault process: coupler-renewal, processor-renewal, cascade"
-        ),
-    )
-    p.add_argument(
-        "--faults",
-        type=int,
-        default=None,
-        help="components churning through failure/repair cycles (default 1)",
-    )
-    p.add_argument(
-        "--mtbf",
-        type=float,
-        default=None,
-        help="mean slots between failures per component (default 400)",
-    )
-    p.add_argument(
-        "--mttr",
-        type=float,
-        default=None,
-        help="mean slots to repair per failure (default 100)",
-    )
-    p.add_argument(
-        "--law",
-        choices=("exponential", "deterministic"),
-        default=None,
-        help="inter-event law (default exponential, the Markov process)",
-    )
-    p.add_argument(
-        "--horizon",
-        type=int,
-        default=None,
-        help="replay length in slots (default 1000)",
-    )
-    p.add_argument(
-        "--trials", type=int, default=20, help="independent trace replays"
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="multiprocessing workers (results are worker-count independent)",
-    )
-    p.add_argument(
-        "--workload",
-        default="uniform",
-        help="workload injected under churn (metrics=full only)",
-    )
-    p.add_argument(
-        "--messages",
-        type=int,
-        default=60,
-        help="messages per trial (metrics=full only)",
-    )
-    p.add_argument(
-        "--bound",
-        type=int,
-        default=None,
-        help="path-length bound for paths/full metrics (default diameter+2)",
-    )
-    p.add_argument(
-        "--metrics",
-        choices=tuple(TEMPORAL_METRICS_MODES),
-        default="connectivity",
-        help=(
-            "scoring depth per trace segment (full adds the slotted "
-            "simulation under churn)"
-        ),
-    )
-    p.add_argument(
-        "--curve-points",
-        type=int,
-        default=16,
-        help="bins of the availability-over-time curve",
-    )
-    p.add_argument("--trace", default=None, metavar="PATH", help=trace_help)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_temporal)
 
     p = sub.add_parser(
@@ -870,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--metrics",
         nargs="+",
-        choices=metrics_modes,
+        choices=tuple(METRICS_MODES),
         default=["connectivity"],
         help="scoring-depth grid entries",
     )
@@ -881,29 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[100],
         help="Monte-Carlo trial-count grid entries",
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="shared worker pool size (results are worker-count independent)",
-    )
-    _add_backend_flag(
-        p,
-        "preferred trial executor; cells whose metrics mode it cannot "
-        "score run as auto",
-    )
-    p.add_argument(
-        "--workload",
-        default="uniform",
-        help="workload scored per trial (metrics=full cells only)",
-    )
-    p.add_argument(
-        "--messages",
-        type=int,
-        default=60,
-        help="messages per trial (metrics=full cells only)",
-    )
+    _add_flags(p, "seed workers backend workload messages", SweepRequest)
     p.add_argument(
         "--samplings",
         nargs="+",
@@ -911,17 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=["uniform"],
         help="trial-allocation grid entries (a grid axis)",
     )
-    p.add_argument(
-        "--ci-target",
-        type=float,
-        default=None,
-        help=(
-            "sequential-stopping CI half-width target applied to "
-            "every cell (--trials entries cap the spend)"
-        ),
-    )
-    p.add_argument("--trace", default=None, metavar="PATH", help=trace_help)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+    _add_flags(p, "ci_target trace json", SweepRequest)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser(
@@ -1001,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="family keys to include (default: pops sk; 'all' for every registered family)",
     )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+    _add_flags(p, "json")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("sweep", help="specs x workloads scenario matrix")
@@ -1014,8 +825,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--messages", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trace", default=None, metavar="PATH", help=trace_help)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+    _add_flags(p, "trace json")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -33,7 +33,10 @@ from ..obs.metrics import REGISTRY
 from ..obs.trace import span
 from ..resilience.sweep import (
     SweepRequest,
+    SweepRequestError,
+    _check_int,
     _scoped_executor,
+    _unknown,
     pooled_survivability_sweeps,
     survivability_sweep,
 )
@@ -49,11 +52,41 @@ PARALLELISM_MODES = ("sweeps", "candidates")
 #: precision.
 RANKINGS = ("survivability-per-cost", "within-bound", "mean-stretch")
 
+#: The options of :func:`design_search` itself: every keyword but the
+#: sweep fields, ``workers``, ``cost_model`` and the session plumbing.
+SEARCH_OPTIONS = (
+    "max_processors",
+    "min_processors",
+    "families",
+    "max_coupler_degree",
+    "min_groups",
+    "max_groups",
+    "max_diameter",
+    "min_margin_db",
+    "top",
+    "parallelism",
+    "rank_by",
+)
+
+#: The least value of each integer option.  ``None`` leaves a shape
+#: window or ``top`` unset; the processor window is always set.
+_LEAST = {
+    "max_processors": 1,
+    "min_processors": 1,
+    "max_coupler_degree": 1,
+    "min_groups": 1,
+    "max_groups": 1,
+    "max_diameter": 0,
+    "top": 0,
+}
+
 __all__ = [
     "DesignCandidate",
     "DesignSearchResult",
     "PARALLELISM_MODES",
     "RANKINGS",
+    "SEARCH_OPTIONS",
+    "check_search_options",
     "enumerate_candidates",
     "design_search",
 ]
@@ -306,6 +339,50 @@ def _rank_key(rank_by: str):
     return lambda c: (-c.survivability_per_kilocost, c.cost, c.spec)
 
 
+def check_search_options(request: SweepRequest, **options) -> None:
+    """Reject a design-search option before any candidate is built.
+
+    ``options`` are the :data:`SEARCH_OPTIONS` values (``families``
+    aside, which resolves through the registry), ``request`` the
+    per-candidate sweep request.  :func:`design_search` and the serving
+    tier's ``design-search`` validator both run these checks, so every
+    door rejects the same values, each with a
+    :class:`~repro.resilience.sweep.SweepRequestError` naming the
+    option.
+    """
+    for name, least in _LEAST.items():
+        if options[name] is not None or name.endswith("_processors"):
+            _check_int(name, options[name], least)
+    margin = options["min_margin_db"]
+    if margin is not None and (
+        isinstance(margin, bool) or not isinstance(margin, (int, float))
+    ):
+        raise SweepRequestError(
+            "min_margin_db", f"min_margin_db must be a number, got {margin!r}"
+        )
+    parallelism, rank_by = options["parallelism"], options["rank_by"]
+    if parallelism not in PARALLELISM_MODES:
+        raise _unknown(
+            "parallelism", "parallelism mode", parallelism, PARALLELISM_MODES
+        )
+    if rank_by not in RANKINGS:
+        raise _unknown("rank_by", "ranking", rank_by, RANKINGS)
+    if rank_by != "survivability-per-cost" and request.metrics == "connectivity":
+        raise SweepRequestError(
+            "rank_by",
+            f"rank_by={rank_by!r} ranks on path metrics; run with "
+            "metrics='paths' (vectorized-backend fast) or 'full'",
+        )
+    if request.ci_target is not None and parallelism == "candidates":
+        raise SweepRequestError(
+            "ci_target",
+            "ci_target needs parallelism='sweeps': early discard "
+            "compares each candidate's CI against the leader's as the "
+            "candidates run in order, which the shared-pool candidate "
+            "scheduling cannot do",
+        )
+
+
 def design_search(
     *,
     max_processors: int,
@@ -340,9 +417,10 @@ def design_search(
     their bill of materials,
     and runs one seeded survivability sweep per candidate.  ``**sweep``
     are the fields of that one
-    :class:`~repro.resilience.sweep.SweepRequest` (checked once, before
-    enumeration), except ``bound`` and ``max_slots``: every candidate
-    is held to its own ``diameter + 2`` bound.  ``metrics`` defaults to
+    :class:`~repro.resilience.sweep.SweepRequest`, except ``bound`` and
+    ``max_slots``: every candidate is held to its own ``diameter + 2``
+    bound.  The request and every other option are checked once, before
+    enumeration (:func:`check_search_options`).  ``metrics`` defaults to
     ``"connectivity"`` -- the fast path; pass ``"paths"`` or ``"full"``
     for deeper scoring.  Candidates come
     back ranked by survivability per 1000 cost units (ties: cheaper
@@ -394,26 +472,19 @@ def design_search(
             f"design_search() got an unexpected keyword argument {fixed[0]!r}"
         )
     request = SweepRequest(**{"metrics": "connectivity", **sweep})
-    if parallelism not in PARALLELISM_MODES:
-        known = ", ".join(PARALLELISM_MODES)
-        raise ValueError(
-            f"unknown parallelism mode {parallelism!r}; known: {known}"
-        )
-    if rank_by not in RANKINGS:
-        known = ", ".join(RANKINGS)
-        raise ValueError(f"unknown ranking {rank_by!r}; known: {known}")
-    if rank_by != "survivability-per-cost" and request.metrics == "connectivity":
-        raise ValueError(
-            f"rank_by={rank_by!r} ranks on path metrics; run with "
-            "metrics='paths' (vectorized-backend fast) or 'full'"
-        )
-    if request.ci_target is not None and parallelism == "candidates":
-        raise ValueError(
-            "ci_target needs parallelism='sweeps': early discard "
-            "compares each candidate's CI against the leader's as the "
-            "candidates run in order, which the shared-pool candidate "
-            "scheduling cannot do"
-        )
+    check_search_options(
+        request,
+        max_processors=max_processors,
+        min_processors=min_processors,
+        max_coupler_degree=max_coupler_degree,
+        min_groups=min_groups,
+        max_groups=max_groups,
+        max_diameter=max_diameter,
+        min_margin_db=min_margin_db,
+        top=top,
+        parallelism=parallelism,
+        rank_by=rank_by,
+    )
     pricing = cost_model if cost_model is not None else DEFAULT_COST_MODEL
     keys = tuple(family_keys()) if families is None else tuple(
         get_family(k).key for k in families

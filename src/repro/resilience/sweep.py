@@ -229,13 +229,14 @@ class SweepRequest:
     model : str or FaultModel, optional
         A registered fault-model key (``"coupler"``, ``"processor"``,
         ``"link"``, ``"adversarial"``, ``"group"``, ``"bernoulli"``),
-        which takes intensity ``faults``, or a
+        which takes its intensity from ``faults``, or (from Python) a
         :class:`~repro.resilience.faults.FaultModel` instance, which
         carries its own.  Stored resolved, as an instance.
     faults : int, optional
-        Faults per trial for a string ``model`` (``>= 0``, default 1);
-        combining it with an instance is an error.  Folded into
-        ``model`` rather than stored (read ``model.faults``).
+        Faults per trial a model key draws, ``>= 0`` (default 1).  An
+        instance carries its own, so passing both is an error; the
+        count is folded into ``model`` rather than stored (read
+        ``model.faults``).
     trials : int, optional
         Monte-Carlo trials, ``>= 1`` (default 100); the cap when
         ``ci_target`` is set.
@@ -270,14 +271,16 @@ class SweepRequest:
         the summary's ``backend`` records which ran.  An explicit
         vectorized ``paths`` request for a family with structured
         routing (stack-Kautz) runs on ``batched``, recorded on the
-        summary's ``backend``/``downgrade_reason``.
+        summary's ``backend``/``downgrade_reason``.  An experiment runs
+        the ``full`` cells of a ``"vectorized"`` plan as ``"auto"``.
     ci_target : float, optional
         Sequential stopping: run deterministic trial waves until the 95%
         confidence interval on the survival probability has half-width
         at most ``ci_target`` (``> 0``) or ``trials`` is spent.  The
         summary's ``adaptive`` block reports ``trials_spent`` vs
         ``trials_requested`` and the final interval.  Default ``None``
-        runs every trial.
+        runs every trial.  A design search also discards a candidate
+        early once its interval cannot reach the leader's.
     sampling : {"uniform", "stratified", "importance"}, optional
         Trial allocation: ``"stratified"`` splits trials across
         fault-cardinality strata with a mass-reweighted estimator;

@@ -28,6 +28,7 @@ True
 
 from __future__ import annotations
 
+import inspect
 import json
 
 from ..core.spec import NetworkSpec, SpecError
@@ -122,35 +123,16 @@ def _canonical_spec(payload: dict, verb: str) -> str:
         raise ServeError(str(exc), code="invalid_spec") from None
 
 
-def _int_field(payload, name, default, *, minimum=None, optional=False):
-    value = payload.get(name, default)
-    if value is None and (optional or default is None):
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ServeError(
-            f"'{name}' must be an integer, got {value!r}"
-        )
-    if minimum is not None and value < minimum:
-        raise ServeError(f"'{name}' must be >= {minimum}, got {value}")
-    return value
+def _checked(check, *args, **kwargs):
+    """``check(*args, **kwargs)``, a rejection of it a structured 400.
 
-
-def _str_field(payload, name, default):
-    value = payload.get(name, default)
-    if not isinstance(value, str):
-        raise ServeError(f"'{name}' must be a string, got {value!r}")
-    return value
-
-
-def _request(request_type, fields: dict):
-    """The sweep or temporal request ``fields`` name, checked at the door.
-
-    The request's own checks become structured 400s: unknown model and
+    The library's own checks -- the sweep and temporal requests, the
+    design-search options -- become the door's: unknown model and
     process keys are ``invalid_model``/``invalid_process``, choice
     fields carry their ``known`` values in ``details``.
     """
     try:
-        return request_type.from_payload(fields)
+        return check(*args, **kwargs)
     except (ValueError, TypeError) as exc:
         raise ServeError(
             str(exc),
@@ -168,7 +150,7 @@ def _sweep_request(payload: dict, **defaults):
     from ..resilience.sweep import SWEEP_FIELDS, SweepRequest
 
     fields = {k: payload[k] for k in SWEEP_FIELDS if k in payload}
-    return _request(SweepRequest, {**defaults, **fields})
+    return _checked(SweepRequest.from_payload, {**defaults, **fields})
 
 
 # ----------------------------------------------------------------------
@@ -199,39 +181,26 @@ def validate_sweep(payload) -> dict:
     return {"spec": spec, **_sweep_request(payload).to_payload()}
 
 
-#: Every field a ``design-search`` request may carry.
-_DESIGN_SEARCH_FIELDS = (
-    "max_processors",
-    "min_processors",
-    "families",
-    "model",
-    "faults",
-    "trials",
-    "seed",
-    "metrics",
-    "workload",
-    "messages",
-    "max_coupler_degree",
-    "min_groups",
-    "max_groups",
-    "max_diameter",
-    "min_margin_db",
-    "top",
-    "parallelism",
-    "backend",
-    "rank_by",
-    "ci_target",
-    "sampling",
-)
-
-
 def validate_design_search(payload) -> dict:
-    """``design-search`` request -> normalized search arguments."""
+    """``design-search`` request -> normalized search arguments.
+
+    The :data:`~repro.design_search.search.SEARCH_OPTIONS` plus the
+    sweep fields but ``bound`` and ``max_slots``, checked by
+    :func:`~repro.design_search.search.check_search_options` -- the
+    library's own checks -- and defaults-complete, the defaults read
+    from :func:`~repro.design_search.search.design_search` itself.
+    """
     from ..core.registry import get_family
-    from ..design_search.search import PARALLELISM_MODES, RANKINGS
+    from ..design_search.search import (
+        SEARCH_OPTIONS,
+        check_search_options,
+        design_search,
+    )
+    from ..resilience.sweep import SWEEP_FIELDS
 
     payload = _require_object(payload, "design-search")
-    _reject_unknown(payload, _DESIGN_SEARCH_FIELDS, "design-search")
+    sweep_fields = [f for f in SWEEP_FIELDS if f not in ("bound", "max_slots")]
+    _reject_unknown(payload, (*SEARCH_OPTIONS, *sweep_fields), "design-search")
     if "max_processors" not in payload:
         raise ServeError(
             "design-search request needs a 'max_processors' field"
@@ -247,60 +216,19 @@ def validate_design_search(payload) -> dict:
         except (KeyError, SpecError) as exc:
             raise ServeError(str(exc), code="invalid_family") from None
     request = _sweep_request(payload, metrics="connectivity")
-    parallelism = _str_field(payload, "parallelism", "sweeps")
-    if parallelism not in PARALLELISM_MODES:
-        raise ServeError(
-            f"unknown parallelism mode {parallelism!r}",
-            details={"known": list(PARALLELISM_MODES)},
-        )
-    rank_by = _str_field(payload, "rank_by", "survivability-per-cost")
-    if rank_by not in RANKINGS:
-        raise ServeError(
-            f"unknown ranking {rank_by!r}",
-            details={"known": list(RANKINGS)},
-        )
-    if rank_by != "survivability-per-cost" and request.metrics == "connectivity":
-        raise ServeError(
-            f"rank_by={rank_by!r} ranks on path metrics; request "
-            "metrics='paths' or 'full'"
-        )
-    margin = payload.get("min_margin_db")
-    if margin is not None and not isinstance(margin, (int, float)):
-        raise ServeError(
-            f"'min_margin_db' must be a number, got {margin!r}"
-        )
-    if request.ci_target is not None and parallelism == "candidates":
-        raise ServeError(
-            "ci_target needs parallelism='sweeps' (early discard runs "
-            "candidates in order)"
-        )
+    defaults = inspect.signature(design_search).parameters
+    options = {
+        name: payload.get(name, defaults[name].default) for name in SEARCH_OPTIONS
+    }
+    _checked(check_search_options, request, **options)
     sweep = request.to_payload()
     del sweep["bound"], sweep["max_slots"]  # not design-search fields
+    margin = options["min_margin_db"]
     return {
         **sweep,
-        "max_processors": _int_field(
-            payload, "max_processors", None, minimum=1
-        ),
-        "min_processors": _int_field(
-            payload, "min_processors", 2, minimum=1
-        ),
+        **options,
         "families": families,
-        "max_coupler_degree": _int_field(
-            payload, "max_coupler_degree", None, minimum=1, optional=True
-        ),
-        "min_groups": _int_field(
-            payload, "min_groups", None, minimum=1, optional=True
-        ),
-        "max_groups": _int_field(
-            payload, "max_groups", None, minimum=1, optional=True
-        ),
-        "max_diameter": _int_field(
-            payload, "max_diameter", None, minimum=0, optional=True
-        ),
         "min_margin_db": None if margin is None else float(margin),
-        "top": _int_field(payload, "top", None, minimum=0, optional=True),
-        "parallelism": parallelism,
-        "rank_by": rank_by,
     }
 
 
@@ -321,7 +249,7 @@ def validate_temporal(payload) -> dict:
     _reject_unknown(payload, ("spec", *allowed), "temporal")
     spec = _canonical_spec(payload, "temporal")
     fields = {k: v for k, v in payload.items() if k != "spec"}
-    normalized = _request(TemporalRequest, fields).to_payload()
+    normalized = _checked(TemporalRequest.from_payload, fields).to_payload()
     del normalized["traffic"]
     return {"spec": spec, **normalized}
 
@@ -344,6 +272,7 @@ def validate_experiment(payload) -> tuple[object, dict]:
     and a single-host run hold different server resources).
     """
     from ..core.experiment import Experiment
+    from ..resilience.sweep import _check_int
 
     payload = _require_object(payload, "experiment")
     plan_fields = {
@@ -353,6 +282,7 @@ def validate_experiment(payload) -> tuple[object, dict]:
         experiment = Experiment.from_payload(plan_fields)
     except (SpecError, ValueError, TypeError) as exc:
         raise ServeError(str(exc), code="invalid_experiment") from None
-    shards = _int_field(payload, "shards", 0, minimum=0)
+    shards = payload.get("shards", 0)
+    _checked(_check_int, "shards", shards, 0)
     normalized = {**experiment.to_payload(), "shards": shards}
     return experiment, normalized

@@ -133,17 +133,20 @@ class TemporalRequest:
     ----------
     process : str or FaultProcess, optional
         A fault-process key (``"coupler-renewal"``, the default,
-        ``"processor-renewal"``, ``"cascade"``), which takes the next
-        four fields, or a :class:`~repro.temporal.processes.FaultProcess`
-        instance, which carries its own (passing both is an error).
-        Stored resolved, as an instance the next four fields fold into.
+        ``"processor-renewal"``, ``"cascade"``), which takes ``faults``,
+        ``mtbf``, ``mttr`` and ``law``, or (from Python) a
+        :class:`~repro.temporal.processes.FaultProcess` instance, which
+        carries its own (passing both is an error).  Stored resolved,
+        as an instance those four fold into.
     faults : int, optional
         Churning components, ``>= 0`` (default 1).  A machine whose
-        ``max_faults`` capacity is below this is *skipped*
-        (``skipped_underfaulted``), never scored immune.
-    mtbf, mttr : float, optional
-        Mean slots between failures / to repair, ``> 0`` (defaults 400
-        / 100).
+        ``max_faults`` capacity is below this is skipped (listed in
+        ``skipped_underfaulted``), never scored immune.
+    mtbf : float, optional
+        Mean slots between failures per component, ``> 0`` (default
+        400).
+    mttr : float, optional
+        Mean slots to repair per failure, ``> 0`` (default 100).
     law : {"exponential", "deterministic"}, optional
         Inter-event law (default ``"exponential"``, the Markov process).
     horizon : int, optional
@@ -155,8 +158,9 @@ class TemporalRequest:
         SHA-256, so the summary is byte-identical at any worker count.
     workload : str or callable, optional
         Traffic injected in ``full`` mode (default ``"uniform"``): a
-        workload name, registered when ``metrics="full"``, or a
-        callable such as a :class:`~repro.temporal.traffic.TrafficMatrix`.
+        workload name, registered when ``metrics="full"``, or (from
+        Python) a callable such as a
+        :class:`~repro.temporal.traffic.TrafficMatrix`.
     messages : int, optional
         Messages per trial in ``full`` mode, ``>= 1`` (default 60).
     bound : int, optional

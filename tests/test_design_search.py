@@ -14,6 +14,7 @@ import pytest
 import repro
 from repro.__main__ import main
 from repro.core import design_search
+from repro.core.session import Session
 from repro.design_search import (
     DEFAULT_COST_MODEL,
     CostModel,
@@ -22,6 +23,7 @@ from repro.design_search import (
 )
 from repro.design_search.search import _dominates
 from repro.resilience import METRICS_MODES, survivability_sweep
+from repro.serve.protocol import ServeError, validate_design_search
 
 
 def _rebuild_per_trial(spec, model, *, faults, trials, seed, messages):
@@ -453,6 +455,104 @@ class TestFacadeAndCli:
         )
         assert rc == 2
         assert "unknown network family" in capsys.readouterr().err
+
+
+#: Option values ``/v1/design-search`` has always rejected, which the
+#: facade, ``Session`` and the CLI used to run: to an empty table, a
+#: search with the window ignored, or a ``TypeError`` mid-search.
+REJECTED_OPTIONS = [
+    ("top", -1),
+    ("max_diameter", -1),
+    ("min_groups", 0),
+    ("max_groups", 0),
+    ("max_coupler_degree", 0),
+    ("max_coupler_degree", True),
+    ("min_margin_db", "x"),
+    ("min_margin_db", True),
+    ("max_processors", True),
+]
+
+
+class TestEveryDoorRejectsTheSameOptions:
+    @pytest.mark.parametrize("option,value", REJECTED_OPTIONS)
+    def test_rejected_everywhere(self, option, value, capsys):
+        kw = {"max_processors": 8, "families": ("pops",), "trials": 2}
+        kw[option] = value
+        with pytest.raises(ValueError, match=option):
+            repro.design_search(**kw)
+        with Session() as session:
+            with pytest.raises(ValueError, match=option):
+                session.design_search(**kw)
+        argv = ["design-search", "--max-processors", "8", "--families",
+                "pops", "--trials", "2",
+                f"--{option.replace('_', '-')}", str(value)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects ill-typed flags itself
+            code = exc.code
+        assert code == 2
+        capsys.readouterr()
+        with pytest.raises(ServeError) as err:
+            validate_design_search({"max_processors": 8, option: value})
+        assert (err.value.status, err.value.code) == (400, "bad_request")
+
+    def test_rejected_before_any_candidate_is_built(self, monkeypatch):
+        from repro.core.spec import NetworkSpec
+
+        def build(spec):
+            raise AssertionError(f"built {spec}")
+
+        monkeypatch.setattr(NetworkSpec, "build", build)
+        with pytest.raises(ValueError, match="top"):
+            repro.design_search(max_processors=8, top=-1)
+
+    def test_valid_payload_normalizes_as_before(self):
+        # the coalescing key of a valid request, spelled out
+        sweep = {
+            "model": "coupler",
+            "faults": 1,
+            "trials": 100,
+            "seed": 0,
+            "workload": "uniform",
+            "messages": 60,
+            "metrics": "connectivity",
+            "backend": "auto",
+            "ci_target": None,
+            "sampling": "uniform",
+        }
+        defaults = {
+            "max_processors": 8,
+            "min_processors": 2,
+            "families": None,
+            "max_coupler_degree": None,
+            "min_groups": None,
+            "max_groups": None,
+            "max_diameter": None,
+            "min_margin_db": None,
+            "top": None,
+            "parallelism": "sweeps",
+            "rank_by": "survivability-per-cost",
+        }
+        assert validate_design_search({"max_processors": 8}) == {
+            **sweep, **defaults
+        }
+        given = {
+            "max_processors": 12,
+            "min_processors": 3,
+            "families": ["sk", "pops"],
+            "max_coupler_degree": 4,
+            "min_groups": 2,
+            "max_groups": 9,
+            "max_diameter": 0,
+            "min_margin_db": -3,
+            "top": 0,
+            "parallelism": "candidates",
+            "rank_by": "within-bound",
+            "metrics": "paths",
+        }
+        assert validate_design_search(given) == {
+            **sweep, **given, "min_margin_db": -3.0
+        }
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,10 @@ committed, so these tests pin three contracts:
   in the site, and every page in the mkdocs nav exists on disk.
 """
 
+import argparse
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -43,14 +45,23 @@ def gen_ref():
     return module
 
 
-def _subcommands() -> list[str]:
-    import argparse
-
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
     parser = build_parser()
     subactions = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
-    return list(subactions.choices)
+    return dict(subactions.choices)
+
+
+def _subcommands() -> list[str]:
+    return list(_subparsers())
+
+
+def _flag_help(subcommand: str, flag: str) -> str:
+    """The rendered help text of one subcommand flag."""
+    parser = _subparsers()[subcommand]
+    (action,) = [a for a in parser._actions if flag in a.option_strings]
+    return action.help % {}
 
 
 class TestGeneratedPagesAreFresh:
@@ -121,11 +132,51 @@ class TestCliSchemaCrossCheck:
         )
 
 
+class TestCliHelp:
+    """The request-field flags' help is their Parameters docstring entry."""
+
+    @pytest.mark.parametrize("subcommand", _subcommands())
+    def test_every_subcommand_renders_help(self, subcommand):
+        # argparse %-formats help text: a stray "%" would break --help
+        assert subcommand in _subparsers()[subcommand].format_help()
+
+    def test_percent_signs_survive_help_and_reference(self):
+        assert "95% confidence" in _subparsers()["resilience"].format_help()
+        page = (DOCS / "reference" / "cli.md").read_text()
+        assert "95% confidence" in page and "%%" not in page
+
+    def test_model_help_names_every_fault_model(self):
+        from repro.resilience.faults import FAULT_MODELS
+
+        for subcommand in ("resilience", "design-search"):
+            text = _flag_help(subcommand, "--model")
+            for key in FAULT_MODELS:
+                assert f'"{key}"' in text, (subcommand, key)
+
+    def test_process_help_names_every_fault_process(self):
+        from repro.temporal.processes import FAULT_PROCESSES
+
+        text = _flag_help("temporal", "--process")
+        for key in FAULT_PROCESSES:
+            assert f'"{key}"' in text, key
+
+    def test_help_carries_no_rst_markup(self):
+        for parser in _subparsers().values():
+            for action in parser._actions:
+                assert "``" not in (action.help or ""), action.dest
+                assert not re.search(r":\w+:`", action.help or ""), action.dest
+
+
 class TestSiteCoverage:
     def test_every_facade_verb_on_the_api_page(self):
         page = (DOCS / "reference" / "api.md").read_text()
         for name in facade.__all__:
             assert f"`repro.{name}`" in page, name
+
+    def test_readme_lists_every_subcommand(self):
+        readme = (REPO / "README.md").read_text()
+        (listed,) = re.findall(r"python -m repro\s+\{([^}]*)\}", readme)
+        assert listed.split(",") == _subcommands()
 
     def test_every_subcommand_on_the_cli_page(self):
         page = (DOCS / "reference" / "cli.md").read_text()

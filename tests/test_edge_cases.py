@@ -100,6 +100,16 @@ class TestCLIEdges:
         # 13 = 13*1: at least POPS(13,1) exists
         assert "POPS(13,1)" in out
 
+    @pytest.mark.parametrize("groups,size", [(0, 3), (3, 0), (-1, 2)])
+    def test_otis_rejects_an_empty_side(self, groups, size, capsys):
+        # one stderr line and exit 2, like every other bad argument
+        assert main(["otis", str(groups), str(size)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"OTIS needs G >= 1 and T >= 1, got G={groups}, T={size}\n"
+        )
+
 
 class TestRunTrafficGuards:
     def test_max_slots_guard(self):

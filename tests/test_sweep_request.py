@@ -8,13 +8,14 @@ the same request -- and the same summary bytes -- through each of them.
 """
 
 import dataclasses
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.__main__ import _sweep_args, build_parser, main
+from repro.__main__ import _request_args, build_parser, main
 from repro.core.experiment import Experiment
 from repro.core.session import Session
 from repro.resilience import SweepRequest, survivability_sweep
@@ -173,14 +174,78 @@ def _normalized(spec, fields):
     }
 
 
+def _flags(fields):
+    """``--name value`` argv for every field set but ``bound``/``max_slots``.
+
+    Neither is a flag of ``resilience``, ``design-search`` or
+    ``experiment`` (a design search holds each candidate to its own
+    bound).
+    """
+    argv = []
+    for name, value in fields.items():
+        if name not in ("bound", "max_slots") and value is not None:
+            argv += [f"--{name.replace('_', '-')}", str(value)]
+    return argv
+
+
 def _cli_request(spec, fields):
     """The request ``repro resilience`` builds from the same flags."""
-    argv = ["resilience", spec]
-    for name, value in fields.items():
-        if name in ("bound", "max_slots") or value is None:
-            continue  # not resilience flags
-        argv += [f"--{name.replace('_', '-')}", str(value)]
-    return SweepRequest(**_sweep_args(build_parser().parse_args(argv)))
+    args = build_parser().parse_args(["resilience", spec, *_flags(fields)])
+    return SweepRequest(**_request_args(args, SweepRequest))
+
+
+class _Reached(Exception):
+    """Carries the arguments a patched library seam was called with."""
+
+
+def _seam_arguments(target, run):
+    """The ``(args, kwargs)`` the callable ``target`` receives from ``run()``.
+
+    ``target`` is patched to raise them as :class:`_Reached`, so the run
+    stops there: nothing past the seam executes.
+    """
+    def reach(*args, **kwargs):
+        raise _Reached(args, kwargs)
+
+    with mock.patch(target, reach), pytest.raises(_Reached) as reached:
+        run()
+    return reached.value.args
+
+
+#: The design search's option check: every search reaches it, with its
+#: per-candidate request, before any candidate is built.
+SEARCH_SEAM = "repro.design_search.search.check_search_options"
+
+
+def _cli_search_arguments(fields):
+    """What ``repro design-search`` hands the design search's option check."""
+    argv = ["design-search", "--max-processors", "8", *_flags(fields)]
+    return _seam_arguments(SEARCH_SEAM, lambda: main(argv))
+
+
+def _cli_experiment_request(spec, fields):
+    """The one cell ``repro experiment`` plans over the same fields.
+
+    The model, metrics and sampling ride on the grid axes
+    (``--models``, ``--metrics``, ``--samplings``).
+    """
+    model = fields.get("model", "coupler")
+    if "faults" in fields:
+        model = f"{model}:{fields['faults']}"
+    axes = {
+        "models": model,
+        "metrics": fields.get("metrics", "full"),  # the sweep's default
+        "samplings": fields.get("sampling", "uniform"),
+    }
+    scalars = {k: v for k, v in fields.items()
+               if k not in ("model", "faults", "metrics", "sampling")}
+    argv = ["experiment", spec, *_flags({**axes, **scalars})]
+    (_, plan), _ = _seam_arguments(
+        "repro.core.session.Session.run_experiment", lambda: main(argv)
+    )
+    (cell,) = plan.compile()
+    assert cell[0] == spec
+    return cell[1]
 
 
 def _experiment_request(spec, fields):
@@ -219,6 +284,15 @@ class TestOneRequestThroughEveryDoor:
             request, bound=None, max_slots=100_000
         )
         assert _experiment_request(spec, fields) == request
+        # design-search and experiment argv build the library's request
+        scoped = {k: v for k, v in fields.items()
+                  if k not in ("bound", "max_slots")}
+        assert _cli_search_arguments(scoped) == _seam_arguments(
+            SEARCH_SEAM, lambda: repro.design_search(max_processors=8, **scoped)
+        )
+        assert _cli_experiment_request(spec, scoped) == _experiment_request(
+            spec, scoped
+        )
 
     @given(valid_requests())
     @settings(max_examples=25)

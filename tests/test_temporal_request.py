@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.__main__ import _temporal_args, build_parser, main
+from repro.__main__ import _request_args, build_parser, main
 from repro.core.experiment import Experiment
 from repro.core.session import Session
 from repro.serve.protocol import ServeError, validate_temporal
@@ -202,7 +202,8 @@ def _cli_request(spec, fields):
     for name, value in fields.items():
         if value is not None:
             argv += [f"--{name.replace('_', '-')}", str(value)]
-    return TemporalRequest(**_temporal_args(build_parser().parse_args(argv)))
+    args = build_parser().parse_args(argv)
+    return TemporalRequest(**_request_args(args, TemporalRequest))
 
 
 def _experiment_request(spec, fields):
