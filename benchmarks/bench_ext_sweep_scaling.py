@@ -12,9 +12,9 @@ BFS.  Two headline claims:
   **>= 5x** at 10^5 trials on ``sk(2,2,2)`` in connectivity mode,
   while reproducing the batched aggregate JSON byte for byte (any
   worker count);
-* a million-trial sweep must complete in one sitting, and the design
-  search's ``parallelism="candidates"`` mode must rank a window
-  identically to per-sweep scheduling.
+* a million-trial sweep must complete in one sitting, and a design
+  search that pools its candidates on 2 workers must rank a window
+  identically to the inline search, which runs them one by one.
 
 Headline numbers land in ``BENCH_sweep_scaling.json``.
 """
@@ -118,7 +118,11 @@ def bench_ext10_vectorized_sweep_scaling(benchmark, record_artifact):
 
 
 def bench_ext10_candidate_parallelism(benchmark, record_artifact):
-    """One shared pool across candidate sweeps ranks identically."""
+    """One shared pool across candidate sweeps ranks identically.
+
+    Inline, a search runs its candidates one after another; on 2
+    workers every candidate's trial chunks share one pool map.
+    """
     kw = dict(
         max_processors=16,
         families=("pops", "sk", "sops"),
@@ -128,25 +132,23 @@ def bench_ext10_candidate_parallelism(benchmark, record_artifact):
         seed=0,
         backend="vectorized",
     )
-    per_sweep, per_sweep_s = _timed(lambda: design_search(**kw))
+    inline, inline_s = _timed(lambda: design_search(**kw))
     pooled = benchmark.pedantic(
-        lambda: design_search(parallelism="candidates", workers=2, **kw),
+        lambda: design_search(workers=2, **kw),
         rounds=1,
         iterations=1,
     )
-    _, pooled_s = _timed(
-        lambda: design_search(parallelism="candidates", workers=2, **kw)
-    )
-    identical = pooled.to_json() == per_sweep.to_json()
-    assert identical, "candidate-level parallelism must not move the table"
+    _, pooled_s = _timed(lambda: design_search(workers=2, **kw))
+    identical = pooled.to_json() == inline.to_json()
+    assert identical, "pooling the candidates must not move the table"
     assert len(pooled) > 20
 
     art = [
         "design search, N <= 16, pops/sk/sops, 256 vectorized trials "
         "per candidate:",
         "",
-        f"  parallelism='sweeps' (inline):          {per_sweep_s:8.2f} s",
-        f"  parallelism='candidates', 2 workers:    {pooled_s:8.2f} s",
+        f"  inline (candidates in order):           {inline_s:8.2f} s",
+        f"  2 workers (candidates on one pool map): {pooled_s:8.2f} s",
         "",
         f"  ranked table byte-identical: {identical} "
         f"({len(pooled)} candidates, {len(pooled.pareto)} on the front)",

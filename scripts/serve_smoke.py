@@ -18,6 +18,11 @@ serving-tier guarantees end to end over the wire:
 5. **Fast default** -- a ``connectivity`` sweep that names no
    ``backend`` runs on the vectorized kernel: its chunk shows up in
    ``repro_sweep_chunks_total{backend="vectorized"}``.
+6. **Negative seeds** -- a ``full`` sweep with ``"seed": -1`` answers
+   200: its workloads take any integer seed.
+7. **Experiment replays counted** -- an experiment's fault-process
+   cell raises ``repro_temporal_trials_total`` like a ``/v1/temporal``
+   replay does.
 
 Finally the server is sent SIGTERM and must exit 0 with a silent
 stderr (graceful pool shutdown, no resource-tracker noise).
@@ -204,6 +209,22 @@ def main() -> int:
         after = scrape_metrics(port)[1].get(chunks, 0.0)
         assert after > before, f"{chunks}: {before} -> {after}"
         print(f"[serve-smoke] default backend OK: {chunks} {before:g} -> "
+              f"{after:g}")
+
+        # 6. a negative seed is a valid seed in full mode too
+        body, _ = post(port, "sweep", {"spec": "pops(2,2)", "seed": -1,
+                                       "trials": 2, "metrics": "full"})
+        assert body["seed"] == -1 and body["trials"] == 2, body
+        print("[serve-smoke] negative seed OK: full sweep at seed -1 -> 200")
+
+        # 7. an experiment's replay cell counts like any other replay
+        replays = 'repro_temporal_trials_total{metrics="connectivity"}'
+        before = scrape_metrics(port)[1].get(replays, 0.0)
+        post(port, "experiment", {"specs": ["pops(2,2)"], "trials": [3],
+                                  "models": ["coupler:1", "coupler-renewal:1"]})
+        after = scrape_metrics(port)[1].get(replays, 0.0)
+        assert after - before == 3, f"{replays}: {before} -> {after}"
+        print(f"[serve-smoke] experiment replays OK: {replays} {before:g} -> "
               f"{after:g}")
 
         proc.send_signal(signal.SIGTERM)

@@ -124,7 +124,6 @@ from .core import (
 )
 from .design_search import (
     DEFAULT_COST_MODEL,
-    PARALLELISM_MODES,
     CostModel,
     DesignCandidate,
     DesignSearchResult,
@@ -194,7 +193,6 @@ __all__ = [
     "DEFAULT_COST_MODEL",
     "METRICS_MODES",
     "OTIS",
-    "PARALLELISM_MODES",
     "SWEEP_BACKENDS",
     "CostModel",
     "DegradedNetwork",

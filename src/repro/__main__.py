@@ -539,7 +539,7 @@ def _add_flags(parser, names: str, request_type=None, **overrides) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
-    from .design_search import PARALLELISM_MODES, RANKINGS
+    from .design_search import RANKINGS
 
     spec_help = 'network spec ("sk(6,3,2)") or positional (sk 6 3 2)'
     parser = argparse.ArgumentParser(
@@ -642,16 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--top", type=int, default=None, help="report only the best TOP candidates"
-    )
-    p.add_argument(
-        "--parallelism",
-        choices=PARALLELISM_MODES,
-        default="sweeps",
-        help=(
-            "worker scheduling on one pool: candidate sweeps one after "
-            "another, or every candidate's trial chunks at once "
-            "(identical results)"
-        ),
     )
     _add_flags(p, "backend", SweepRequest)
     p.add_argument(

@@ -9,9 +9,11 @@ plan object over the grid
 
     ``specs x fault models x metrics modes x trial counts x samplings``
 
-that **compiles** into one
-:func:`~repro.resilience.sweep.pooled_survivability_sweeps`-shaped
-schedule, executes on a single (persistent, when run through a
+that **compiles** into ``(spec, request)`` pairs -- a
+:class:`~repro.resilience.sweep.SweepRequest` per frozen-model cell, a
+:class:`~repro.temporal.replay.TemporalRequest` per fault-process
+cell -- runs them on the same path as every single sweep and replay,
+on one (persistent, when run through a
 :class:`~repro.core.session.Session`) worker pool, and reports a
 structured :class:`ExperimentResult` with ``as_dicts()`` /
 ``to_json()``.

@@ -408,11 +408,6 @@ def design_search(*, workers: int | None = None, **options):
         Truncate the report to the best ``top`` candidates after
         ranking (the Pareto front is computed over the full set
         first).
-    parallelism : {"sweeps", "candidates"}, optional
-        ``"sweeps"`` (default) runs the candidates' sweeps one after
-        another on one pool; ``"candidates"`` schedules every
-        candidate's trial batches onto that pool at once.  The ranked
-        table is identical.
     rank_by : {"survivability-per-cost", "within-bound", "mean-stretch"}, optional
         Ranking criterion for the candidate table.  The path-metric
         rankings need ``metrics="paths"`` or ``"full"``.
@@ -425,7 +420,7 @@ def design_search(*, workers: int | None = None, **options):
         ``ci_target`` and ``sampling``.  Under the default ranking
         ``ci_target`` also arms early discard -- a candidate's sweep
         ends as soon as its confidence interval can no longer overlap
-        the current leader's -- and needs ``parallelism="sweeps"``.
+        the current leader's.
 
     Returns
     -------
@@ -433,8 +428,8 @@ def design_search(*, workers: int | None = None, **options):
         The ranked
         :class:`~repro.design_search.search.DesignSearchResult`.
         Deterministic: same parameters and seed give byte-identical
-        ``to_json()`` output for any ``workers``, ``parallelism`` and
-        overlapping ``backend``.
+        ``to_json()`` output for any ``workers`` and overlapping
+        ``backend``.
 
     Examples
     --------

@@ -330,22 +330,7 @@ class Session:
         :class:`~repro.temporal.replay.TemporalRequest` (a temporal
         replay).
         """
-        self._check_open()
-        from ..resilience.sweep import survivability_sweep
-        from ..temporal.replay import TemporalRequest
-
-        entry = self._cache.entry(spec)
-        executor = self._executor_for(self._effective_workers(workers))
-        if isinstance(request, TemporalRequest):
-            return self._run_temporal(entry, request, executor)
-        return survivability_sweep(
-            entry.spec,
-            request,
-            _net=entry.network,
-            _baseline=entry.baseline,
-            _arrays=entry.arrays,
-            _executor=executor,
-        )
+        return self._run([(spec, request)], workers)[0]
 
     def temporal_sweep(self, spec, *, workers=_UNSET, **params):
         """Replay a fault process over time (see :func:`repro.temporal_sweep`).
@@ -362,53 +347,23 @@ class Session:
             spec, TemporalRequest(**params), workers=workers
         )
 
-    def _run_temporal(self, entry, request, executor):
-        """One temporal replay of a cached spec on ``executor``."""
-        from ..obs.metrics import REGISTRY
-        from ..obs.trace import span
-        from ..temporal.replay import (
-            execute_temporal,
-            prepare_temporal_sweep,
-            summarize_temporal,
-        )
-
-        trials = request.trials
-        with span("temporal.prepare", spec=entry.canonical, trials=trials,
-                  horizon=request.horizon):
-            prepared = prepare_temporal_sweep(
-                entry.spec, request, _net=entry.network
-            )
-        with span("temporal.execute", spec=entry.canonical, trials=trials,
-                  workers=executor.workers):
-            rows = execute_temporal(
-                prepared, _executor=executor, _arrays=entry.arrays
-            )
-        REGISTRY.counter(
-            "repro_temporal_trials_total",
-            "Temporal replay trials executed.",
-            {"metrics": request.metrics},
-        ).inc(len(rows))
-        if prepared.skipped:
-            REGISTRY.counter(
-                "repro_temporal_skips_total",
-                "Temporal sweeps skipped by max_faults capacity accounting.",
-                {"process": request.process.key},
-            ).inc()
-        with span("temporal.summarize", spec=entry.canonical, trials=trials):
-            return summarize_temporal(prepared, rows)
-
     def pooled_survivability_sweeps(self, requests, *, workers=_UNSET):
         """Many sweeps on one persistent pool (request-order summaries).
 
         Session form of
-        :func:`~repro.resilience.sweep.pooled_survivability_sweeps`;
-        summaries are byte-identical to it for the same requests.
+        :func:`~repro.resilience.sweep.pooled_survivability_sweeps`,
+        warm from the session's caches; summaries are byte-identical to
+        it for the same requests.
         """
+        return self._run(requests, workers)
+
+    def _run(self, pairs, workers):
+        """Summaries of ``(spec, request)`` pairs on the caches and pool."""
         self._check_open()
-        from ..resilience.sweep import pooled_survivability_sweeps
+        from ..resilience.sweep import _run_requests
 
         executor = self._executor_for(self._effective_workers(workers))
-        return pooled_survivability_sweeps(requests, executor=executor)
+        return _run_requests(pairs, executor, entry=self._cache.entry)
 
     def design_search(self, *, workers=_UNSET, **kwargs):
         """Survivability-per-cost search (see :func:`repro.design_search`).
@@ -454,65 +409,10 @@ class Session:
         the one executor; every cell's summary is byte-identical to
         :meth:`run_sweep` on that cell's ``(spec, request)`` pair.
         """
-        self._check_open()
-        from dataclasses import replace
-
-        from ..obs.trace import span
-        from ..resilience.sweep import _prepare_sweep, _summarize
-        from ..temporal.replay import (
-            TemporalRequest,
-            prepare_temporal_sweep,
-            summarize_temporal,
-        )
         from .experiment import ExperimentResult
 
         cells = experiment.compile()
-        executor = self._executor_for(self._effective_workers(workers))
-        prepared_list = []
-        arrays_list = []
-        with span("experiment.prepare", cells=len(cells)):
-            for spec, cell in cells:
-                entry = self._cache.entry(spec)
-                if isinstance(cell, TemporalRequest):
-                    prepared = prepare_temporal_sweep(
-                        entry.spec, cell, _net=entry.network
-                    )
-                    kernel = True  # replays score on the kernel's arrays
-                else:
-                    prepared = _prepare_sweep(
-                        entry.spec, cell, net=entry.network,
-                        baseline=entry.baseline,
-                    )
-                    kernel = prepared.plan.backend == "vectorized"
-                arrays = (
-                    entry.arrays() if kernel and not executor.parallel else None
-                )
-                if executor.parallel:
-                    prepared = replace(prepared, net=None)
-                prepared_list.append(prepared)
-                arrays_list.append(arrays)
-        with span("experiment.execute", cells=len(cells)):
-            if experiment.ci_target is not None:
-                # adaptive cells need per-wave stop decisions, so a
-                # grid with ci_target runs cell-by-cell on the shared
-                # pool (same bytes, no cross-cell chunk interleaving)
-                rows_lists = [
-                    executor.run(prepared, arrays=arrays)
-                    for prepared, arrays in zip(prepared_list, arrays_list)
-                ]
-            else:
-                rows_lists = executor.run_many(
-                    prepared_list, arrays_list=arrays_list
-                )
-        with span("experiment.summarize", cells=len(cells)):
-            summaries = [
-                summarize_temporal(prepared, rows)
-                if isinstance(cell, TemporalRequest)
-                else _summarize(prepared, rows)
-                for (_, cell), prepared, rows in zip(
-                    cells, prepared_list, rows_lists
-                )
-            ]
+        summaries = self._run(cells, workers)
         return ExperimentResult(
             experiment=experiment,
             cells=tuple(

@@ -24,7 +24,6 @@ import types as _types
 from . import prices
 from .costing import DEFAULT_COST_MODEL, CostModel, price_spec
 from .search import (
-    PARALLELISM_MODES,
     RANKINGS,
     DesignCandidate,
     DesignSearchResult,
@@ -34,7 +33,6 @@ from .search import (
 
 __all__ = [
     "DEFAULT_COST_MODEL",
-    "PARALLELISM_MODES",
     "RANKINGS",
     "CostModel",
     "DesignCandidate",

@@ -35,15 +35,11 @@ from ..resilience.sweep import (
     SweepRequest,
     SweepRequestError,
     _check_int,
+    _run_requests,
     _scoped_executor,
     _unknown,
-    pooled_survivability_sweeps,
-    survivability_sweep,
 )
 from .costing import DEFAULT_COST_MODEL, CostModel
-
-#: How candidate sweeps are scheduled over the worker budget.
-PARALLELISM_MODES = ("sweeps", "candidates")
 
 #: Candidate orderings.  ``within-bound`` and ``mean-stretch`` rank on
 #: path quality under faults (the paper's ``k + 2`` bound and route
@@ -64,7 +60,6 @@ SEARCH_OPTIONS = (
     "max_diameter",
     "min_margin_db",
     "top",
-    "parallelism",
     "rank_by",
 )
 
@@ -83,7 +78,6 @@ _LEAST = {
 __all__ = [
     "DesignCandidate",
     "DesignSearchResult",
-    "PARALLELISM_MODES",
     "RANKINGS",
     "SEARCH_OPTIONS",
     "check_search_options",
@@ -360,11 +354,7 @@ def check_search_options(request: SweepRequest, **options) -> None:
         raise SweepRequestError(
             "min_margin_db", f"min_margin_db must be a number, got {margin!r}"
         )
-    parallelism, rank_by = options["parallelism"], options["rank_by"]
-    if parallelism not in PARALLELISM_MODES:
-        raise _unknown(
-            "parallelism", "parallelism mode", parallelism, PARALLELISM_MODES
-        )
+    rank_by = options["rank_by"]
     if rank_by not in RANKINGS:
         raise _unknown("rank_by", "ranking", rank_by, RANKINGS)
     if rank_by != "survivability-per-cost" and request.metrics == "connectivity":
@@ -372,14 +362,6 @@ def check_search_options(request: SweepRequest, **options) -> None:
             "rank_by",
             f"rank_by={rank_by!r} ranks on path metrics; run with "
             "metrics='paths' (vectorized-backend fast) or 'full'",
-        )
-    if request.ci_target is not None and parallelism == "candidates":
-        raise SweepRequestError(
-            "ci_target",
-            "ci_target needs parallelism='sweeps': early discard "
-            "compares each candidate's CI against the leader's as the "
-            "candidates run in order, which the shared-pool candidate "
-            "scheduling cannot do",
         )
 
 
@@ -396,7 +378,6 @@ def design_search(
     max_diameter: int | None = None,
     min_margin_db: float | None = None,
     top: int | None = None,
-    parallelism: str = "sweeps",
     rank_by: str = "survivability-per-cost",
     _executor=None,
     _enumerator=None,
@@ -429,11 +410,8 @@ def design_search(
     ``top`` candidates after ranking (the Pareto front is computed
     over the full set first).
 
-    ``parallelism`` picks how the worker budget is spent:
-    ``"sweeps"`` (default) runs the candidates' sweeps one after
-    another on one ``workers``-process pool; ``"candidates"``
-    schedules every candidate's trial batches onto that pool at once,
-    so small per-candidate sweeps no longer leave workers idle.
+    Every candidate's trial chunks share one ``workers``-process
+    pool, so small per-candidate sweeps do not leave workers idle.
     ``rank_by`` picks the candidate ordering:
     ``"survivability-per-cost"`` (default), or the path-quality
     orderings ``"within-bound"`` (highest fraction of trials meeting
@@ -442,16 +420,16 @@ def design_search(
     -- on the vectorized kernel (the default ``backend="auto"`` picks
     it for ``paths`` on generic-routing families) those rank at
     10^5-trial precision in seconds.
-    The ranked table is byte-identical across all parallelism modes,
-    backends and worker counts.  ``ci_target`` arms sequential
-    stopping per candidate sweep and -- under the default ranking --
-    early discard: a candidate whose score confidence interval
+    The ranked table is byte-identical across backends and worker
+    counts.  ``ci_target`` arms sequential stopping per candidate
+    sweep and -- under the default ranking -- early discard: a
+    candidate whose score confidence interval
     ``(1000 / cost) * survival CI`` can no longer overlap the current
     leader's lower bound stops sweeping immediately (it stays in the
     table, marked ``early_discarded``, with whatever trials it spent).
-    Needs ``parallelism="sweeps"`` (candidates must run in order for
-    the leader bound to exist); deterministic because candidate order,
-    wave schedules and estimates all are.
+    Such a search runs its candidates one after another, in order, so
+    the leader bound exists; it is deterministic because candidate
+    order, wave schedules and estimates all are.
     ``_executor`` (internal, session
     plumbing) reuses an injected
     :class:`~repro.resilience.sweep.PersistentSweepExecutor` for every
@@ -482,27 +460,17 @@ def design_search(
         max_diameter=max_diameter,
         min_margin_db=min_margin_db,
         top=top,
-        parallelism=parallelism,
         rank_by=rank_by,
     )
     pricing = cost_model if cost_model is not None else DEFAULT_COST_MODEL
     keys = tuple(family_keys()) if families is None else tuple(
         get_family(k).key for k in families
     )
-    pooled = parallelism == "candidates"
     #: (spec, (N, groups, degree, diameter), cost, margin) per eligible
     #: candidate -- shape scalars, not the built networks, which only
     #: the executor's bounded context cache keeps
     records: list[tuple[NetworkSpec, tuple[int, int, int, int], float, float]] = []
-    requests: list[tuple[NetworkSpec, SweepRequest]] = []
-    summaries = []
     discarded_specs: set[str] = set()
-    #: best score-CI lower bound seen so far: (1000 / cost) * survival
-    #: CI low of the leading candidate (default ranking only)
-    leader_low = float("-inf")
-    discard_armed = (
-        request.ci_target is not None and rank_by == "survivability-per-cost"
-    )
     skipped_underfaulted: list[str] = []
     def _count(outcome: str) -> None:
         REGISTRY.counter(
@@ -560,47 +528,33 @@ def design_search(
                 )
                 records.append((spec, shape, cost, margin))
                 _count("evaluated")
-                if pooled:
-                    # no _net here: each candidate's network is rebuilt
-                    # from its spec when its sweep runs, so the window's
-                    # built networks are never all held at once
-                    requests.append((spec, request))
-                else:
-                    extra_stop = None
-                    if discard_armed:
-                        # candidates run in deterministic order, so the
-                        # leader bound -- and therefore every discard --
-                        # replays identically at any worker count
-                        def extra_stop(
-                            estimate, _cost=cost, _spec=spec.canonical()
-                        ):
-                            if 1000.0 * estimate["ci_high"] / _cost < leader_low:
-                                discarded_specs.add(_spec)
-                                _count("early_discarded")
-                                return True
-                            return False
-                    summary = survivability_sweep(
-                        spec,
-                        request,
-                        _net=net,
-                        _executor=executor,
-                        _extra_stop=extra_stop,
-                    )
-                    if discard_armed and summary.adaptive is not None:
-                        leader_low = max(
-                            leader_low,
-                            1000.0 * summary.adaptive["ci_low"] / cost,
-                        )
-                    summaries.append(summary)
 
-        if pooled:
-            # one shared pool over every candidate's trial batches: the
-            # summaries are byte-identical to per-sweep execution, only
-            # the scheduling changes
-            with span("design_search.pooled_sweeps", candidates=len(requests)):
-                summaries = pooled_survivability_sweeps(
-                    requests, executor=executor
+        if request.ci_target is None or rank_by != "survivability-per-cost":
+            summaries = _run_requests(
+                [(spec, request) for spec, *_ in records], executor
+            )
+        else:
+            # early discard: candidates run in deterministic order, so
+            # the leader bound -- (1000 / cost) * survival CI low of the
+            # best candidate so far -- and therefore every discard
+            # replays identically at any worker count
+            summaries = []
+            leader_low = float("-inf")
+            for spec, _shape, cost, _margin in records:
+                def extra_stop(estimate, _cost=cost, _spec=spec.canonical()):
+                    if 1000.0 * estimate["ci_high"] / _cost < leader_low:
+                        discarded_specs.add(_spec)
+                        _count("early_discarded")
+                        return True
+                    return False
+
+                (summary,) = _run_requests(
+                    [(spec, request)], executor, extra_stop=extra_stop
                 )
+                leader_low = max(
+                    leader_low, 1000.0 * summary.adaptive["ci_low"] / cost
+                )
+                summaries.append(summary)
 
     evaluated: list[DesignCandidate] = []
     for (spec, shape, cost, margin), summary in zip(records, summaries):

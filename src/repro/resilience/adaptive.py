@@ -772,13 +772,7 @@ def _importance_estimate(
 # ----------------------------------------------------------------------
 # The sequential controller: wave, merge, evaluate, stop/continue.
 # ----------------------------------------------------------------------
-def run_adaptive(
-    prepared,
-    executor,
-    *,
-    arrays=None,
-    extra_stop=None,
-) -> list[dict]:
+def run_adaptive(prepared, executor, *, extra_stop=None) -> list[dict]:
     """All rows of one adaptive sweep, stopping as soon as the CI allows.
 
     ``prepared`` is a validated ``_PreparedSweep`` whose request sets
@@ -810,9 +804,7 @@ def run_adaptive(
             trials=size,
             backend=plan.backend,
         ):
-            rows.extend(
-                executor.run_range(prepared, spent, spent + size, arrays=arrays)
-            )
+            rows.extend(executor.run_range(prepared, spent, spent + size))
         spent += size
         REGISTRY.counter(
             "repro_sweep_adaptive_rounds_total", _ROUNDS_HELP, labels

@@ -43,19 +43,22 @@ picks between them per sweep (see :func:`_prepare_sweep`):
   is the 10^5-10^6-trial path.  Temporal replays score their trace
   segments on the same kernel (:meth:`_VectorContext.score`).
 
-:func:`pooled_survivability_sweeps` runs *many* sweeps' trial batches
-on one shared worker pool (the design search's
-``parallelism="candidates"`` mode), returning summaries byte-identical
-to per-sweep execution.
+Every door -- :func:`survivability_sweep`,
+:func:`pooled_survivability_sweeps`, the
+:class:`~repro.core.session.Session` verbs, experiments and the design
+search -- runs its ``(spec, request)`` pairs through one function,
+:func:`_run_requests`: prepare, execute, summarize.  Temporal replays
+(:mod:`repro.temporal.replay`) take the same path with their own
+plans, which build their own trial contexts.  That function also picks
+the schedule: one pair at a time inline or for adaptive runs, else
+every pair's trial batches on one shared pool map, with summaries
+byte-identical to per-sweep execution either way.
 
-Every sweep runs on a :class:`PersistentSweepExecutor`, which owns one
-lazily-started pool and ships each task its frozen plan; workers build
-a trial context the first time they see a plan and reuse it for every
-later chunk.  Temporal replays (:mod:`repro.temporal.replay`) run on
-the same executor: their plans build their own trial contexts.
-:class:`repro.core.session.Session` injects a long-lived executor; a
-sweep function called without one opens an executor scoped to that
-call.
+Every run executes on a :class:`PersistentSweepExecutor`, which owns
+one lazily-started pool and ships each task its frozen plan; workers
+build a trial context the first time they see a plan and reuse it for
+every later chunk.  A session keeps one long-lived executor per worker
+count; a module-level sweep function opens one scoped to the call.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ import os
 import random
 import threading
 from collections import OrderedDict
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from dataclasses import InitVar, dataclass, field, fields, replace
 from functools import partial
 
@@ -1259,16 +1262,15 @@ class PersistentSweepExecutor:
 
     A *prepared* run is a sweep's :class:`_PreparedSweep` or a prepared
     temporal replay: its ``plan`` builds the trial context, ``net`` is
-    the parent's built network (or ``None``) and ``trials`` the trial
+    the parent's built network and ``arrays`` its topology arrays (each
+    ``None`` when the context builds its own), and ``trials`` the trial
     count to schedule.
 
     Rows are **byte-identical** for the same plan at any worker count
     -- trial chunking never changes per-trial seeds or row order.
-    :class:`repro.core.session.Session` injects a long-lived executor
-    into :func:`survivability_sweep`,
-    :func:`pooled_survivability_sweeps`, the design search and
-    :func:`~repro.temporal.replay.execute_temporal`; called without
-    one, each of those opens an executor scoped to the call.
+    :class:`repro.core.session.Session` keeps one long-lived executor
+    per worker count; the module-level sweep functions open one scoped
+    to the call.
     """
 
     def __init__(self, workers: int | None = None) -> None:
@@ -1323,33 +1325,27 @@ class PersistentSweepExecutor:
         _absorb_chunk_metas((meta for _, _, _, meta in results), dispatched_us)
         return results
 
-    def run(self, prepared, *, arrays=None, extra_stop=None) -> list[dict]:
+    def run(self, prepared, *, extra_stop=None) -> list[dict]:
         """All trial rows of one prepared run, in trial-index order.
 
         A sweep with ``ci_target`` set runs the sequential-stopping wave
         loop (:func:`~repro.resilience.adaptive.run_adaptive`) instead
         of one fixed batch; ``extra_stop`` is its optional second
-        stopping rule (the design search's early discard).  ``arrays``
-        (inline vectorized runs only) short-circuits the topology
-        export when the caller already holds the spec's
-        :class:`_TopologyArrays`.
+        stopping rule (the design search's early discard).
         """
         request = prepared.request
         if isinstance(request, SweepRequest) and request.ci_target is not None:
-            return run_adaptive(
-                prepared, self, arrays=arrays, extra_stop=extra_stop
-            )
-        return self.run_range(prepared, 0, prepared.trials, arrays=arrays)
+            return run_adaptive(prepared, self, extra_stop=extra_stop)
+        return self.run_range(prepared, 0, prepared.trials)
 
-    def run_range(
-        self, prepared, start: int, stop: int, *, arrays=None
-    ) -> list[dict]:
+    def run_range(self, prepared, start: int, stop: int) -> list[dict]:
         """Rows of trials ``start .. stop - 1`` of one prepared run.
 
         The adaptive engine's wave primitive: each wave is one
         contiguous index range, so per-trial seeds -- and therefore
         the rows -- are exactly what a fixed run of ``stop`` trials
-        would produce for that slice, at any worker count.
+        would produce for that slice, at any worker count.  Inline, a
+        new plan's context reuses the run's ``net`` and ``arrays``.
         """
         if self._closed:
             raise RuntimeError("executor is closed")
@@ -1361,7 +1357,10 @@ class PersistentSweepExecutor:
             # runs unlocked (contexts are read-only once built)
             with self._inline_lock:
                 ctx = _cached_context(
-                    self._inline_ctxs, plan, net=prepared.net, arrays=arrays
+                    self._inline_ctxs,
+                    plan,
+                    net=prepared.net,
+                    arrays=prepared.arrays,
                 )
             # the chunk counters and the kernel-level series contexts
             # record land in the worker registry wherever they run;
@@ -1375,7 +1374,7 @@ class PersistentSweepExecutor:
         ])
         return [row for _, _, rows, _ in chunks for row in rows]
 
-    def run_many(self, prepared_list, *, arrays_list=None) -> list[list[dict]]:
+    def run_many(self, prepared_list) -> list[list[dict]]:
         """Row lists for many prepared runs, scheduled on ONE pool.
 
         Sweeps and temporal replays mix freely.  Returns one row list
@@ -1385,11 +1384,7 @@ class PersistentSweepExecutor:
         if self._closed:
             raise RuntimeError("executor is closed")
         if not self.parallel:
-            arrays_list = arrays_list or [None] * len(prepared_list)
-            return [
-                self.run(p, arrays=arrays)
-                for p, arrays in zip(prepared_list, arrays_list)
-            ]
+            return [self.run(p) for p in prepared_list]
         by_sweep: list[list[dict]] = [[] for _ in prepared_list]
         # map() keeps task order, and each sweep's chunks are queued in
         # trial-index order, so appending rebuilds every row list
@@ -1464,6 +1459,8 @@ class _PreparedSweep:
     #: why ``plan.backend`` differs from the requested backend
     #: (``None`` when it does not); surfaced on the summary
     downgrade: str | None = None
+    #: the spec's topology arrays, for an inline kernel run only
+    arrays: object = None
 
     @property
     def trials(self) -> int:
@@ -1541,12 +1538,12 @@ def _prepare_sweep(
     to ``batched`` otherwise; an explicit vectorized ``paths`` request
     the kernel refuses is downgraded, with the reason recorded on the
     summary and counted.
-    ``net`` and ``baseline`` are internal fast paths
-    for callers that already hold the built network (sessions, the
-    design search) or cache baselines (sessions); ``baseline`` is a
-    callable taking ``workload``/``messages``/``seed``/``max_slots``
-    keywords like :meth:`repro.core.cache.CacheEntry.baseline`, and
-    both MUST match what ``spec`` would produce.
+    ``net`` and ``baseline`` come from the run's
+    :class:`~repro.core.cache.CacheEntry` (:func:`_run_requests`);
+    ``baseline`` is a callable taking
+    ``workload``/``messages``/``seed``/``max_slots`` keywords like
+    :meth:`repro.core.cache.CacheEntry.baseline`, and both MUST match
+    what ``spec`` would produce.  Without them they are built here.
     """
     from ..core.spec import NetworkSpec
 
@@ -1687,16 +1684,117 @@ def _scoped_executor(executor: PersistentSweepExecutor | None, workers):
     return PersistentSweepExecutor(workers)
 
 
+def _run_requests(pairs, executor, *, entry=None, extra_stop=None) -> list:
+    """The summaries of ``(spec, request)`` pairs, in order: the one run path.
+
+    Every sweep and temporal replay runs here, whichever door it came
+    through.  ``pairs`` mixes :class:`SweepRequest` and
+    :class:`~repro.temporal.replay.TemporalRequest` pairs freely; each
+    is prepared, executed on ``executor`` and summarized, under one
+    ``sweep.*``/``temporal.*`` ``prepare``/``execute``/``summarize``
+    span each.  The parent-side network, intact baseline and topology
+    arrays come from ``entry(spec)``, a
+    :class:`~repro.core.cache.CacheEntry` (a session passes its cache
+    lookup; by default each pair gets a fresh entry).  ``extra_stop``
+    is the adaptive runs' second stopping rule (the design search's
+    early discard).
+
+    The schedule follows from what is visible here.  An inline
+    executor, or any adaptive (``ci_target``) run, takes one pair at a
+    time from prepare to summary, so at most one built network is held
+    at once and each adaptive run makes its own per-wave stop
+    decisions.  Otherwise every pair's trial chunks share one pool map
+    and the prepared runs drop their built networks: workers build
+    each context from the plan's canonical spec.  Summaries are
+    byte-identical either way.
+    """
+    from ..core.cache import CacheEntry
+    from ..core.spec import NetworkSpec
+    from ..temporal.replay import (
+        TemporalRequest,
+        prepare_temporal_sweep,
+        summarize_temporal,
+    )
+
+    if entry is None:
+        def entry(spec):
+            return CacheEntry(NetworkSpec.parse(spec))
+
+    def prepare(spec, request):
+        cached = entry(spec)
+        args = dict(spec=cached.canonical, trials=request.trials)
+        if isinstance(request, TemporalRequest):
+            with span("temporal.prepare", horizon=request.horizon, **args):
+                prepared = prepare_temporal_sweep(
+                    cached.spec, request, _net=cached.network
+                )
+        else:
+            with span("sweep.prepare", backend=request.backend, **args):
+                prepared = _prepare_sweep(
+                    cached.spec, request, net=cached.network,
+                    baseline=cached.baseline,
+                )
+        if executor.parallel:
+            return replace(prepared, net=None)
+        # a batched sweep scores without the kernel; a replay's segments
+        # and a vectorized sweep's trials score on it
+        if prepared.plan.backend != "batched":
+            return replace(prepared, arrays=cached.arrays())
+        return prepared
+
+    def execute_span(prepared):
+        plan = prepared.plan
+        args = dict(spec=plan.canonical, trials=prepared.request.trials)
+        if isinstance(prepared, _PreparedSweep):
+            return span("sweep.execute", backend=plan.backend,
+                        metrics=plan.metrics, **args)
+        return span("temporal.execute", workers=executor.workers, **args)
+
+    def summarize(prepared, rows):
+        plan, request = prepared.plan, prepared.request
+        args = dict(spec=plan.canonical, trials=request.trials)
+        if isinstance(prepared, _PreparedSweep):
+            with span("sweep.summarize", **args):
+                return _summarize(prepared, rows)
+        REGISTRY.counter(
+            "repro_temporal_trials_total",
+            "Temporal replay trials executed.",
+            {"metrics": request.metrics},
+        ).inc(len(rows))
+        if prepared.skipped:
+            REGISTRY.counter(
+                "repro_temporal_skips_total",
+                "Temporal sweeps skipped by max_faults capacity accounting.",
+                {"process": request.process.key},
+            ).inc()
+        with span("temporal.summarize", **args):
+            return summarize_temporal(prepared, rows)
+
+    pairs = list(pairs)
+    if not executor.parallel or any(
+        getattr(request, "ci_target", None) is not None for _, request in pairs
+    ):
+        summaries = []
+        for spec, request in pairs:
+            prepared = prepare(spec, request)
+            with execute_span(prepared):
+                rows = executor.run(prepared, extra_stop=extra_stop)
+            summaries.append(summarize(prepared, rows))
+        return summaries
+    prepared_list = [prepare(spec, request) for spec, request in pairs]
+    with ExitStack() as spans:
+        # every run spans the one shared map its chunks ran in
+        for prepared in prepared_list:
+            spans.enter_context(execute_span(prepared))
+        rows_lists = executor.run_many(prepared_list)
+    return [summarize(p, rows) for p, rows in zip(prepared_list, rows_lists)]
+
+
 def survivability_sweep(
     spec,
     model: FaultModel | str | SweepRequest = "coupler",
     *,
     workers: int | None = None,
-    _net=None,
-    _baseline=None,
-    _arrays=None,
-    _executor: PersistentSweepExecutor | None = None,
-    _extra_stop=None,
     **params,
 ) -> SweepSummary:
     """Monte-Carlo survivability of ``spec`` under one :class:`SweepRequest`.
@@ -1709,16 +1807,6 @@ def survivability_sweep(
     (``None``/``0``/``1`` runs inline); the aggregate is identical for
     every worker count, and both backends produce byte-identical JSON
     for the same seed wherever their metrics modes overlap.
-
-    The underscore arguments are internal plumbing and MUST match what
-    ``spec`` would produce: ``_net`` is the already-built network (the
-    design search evaluates shape filters on it first), ``_baseline``
-    a cached intact-baseline provider and ``_arrays`` a zero-argument
-    provider of the spec's topology arrays (sessions);
-    ``_executor`` runs the trials on an injected
-    :class:`PersistentSweepExecutor` instead of one opened and closed
-    by this call; ``_extra_stop`` is a second stopping predicate
-    evaluated per adaptive wave (the design search's early discard).
 
     >>> s = survivability_sweep("pops(2,2)", "coupler", trials=4, seed=1,
     ...                         messages=8)
@@ -1738,28 +1826,7 @@ def survivability_sweep(
         if isinstance(model, SweepRequest) and not params
         else SweepRequest(model, **params)
     )
-    trials = request.trials
-    with _scoped_executor(_executor, workers) as executor:
-        with span("sweep.prepare", spec=str(spec), trials=trials,
-                  backend=request.backend):
-            prepared = _prepare_sweep(
-                spec, request, net=_net, baseline=_baseline
-            )
-        plan = prepared.plan
-        # the *executed* backend: a sweep that runs batched (by auto's
-        # choice or a downgrade) neither needs the arrays nor the kernel
-        arrays = (
-            _arrays()
-            if _arrays is not None
-            and plan.backend == "vectorized"
-            and not executor.parallel
-            else None
-        )
-        with span("sweep.execute", spec=plan.canonical, trials=trials,
-                  backend=plan.backend, metrics=plan.metrics):
-            rows = executor.run(prepared, arrays=arrays, extra_stop=_extra_stop)
-    with span("sweep.summarize", spec=plan.canonical, trials=trials):
-        return _summarize(prepared, rows)
+    return pooled_survivability_sweeps([(spec, request)], workers=workers)[0]
 
 
 def pooled_survivability_sweeps(
@@ -1773,16 +1840,15 @@ def pooled_survivability_sweeps(
     ``requests`` is an iterable of ``(spec, SweepRequest)`` pairs.
     Instead of running the sweeps one after another, every sweep's
     trial-index chunks are scheduled onto a single pool, so many small
-    sweeps -- the design search's candidates -- keep all workers busy
-    at once.  Workers build each sweep's context lazily and cache it
-    per process.
+    sweeps keep all workers busy at once.  Workers build each sweep's
+    context lazily and cache it per process.
 
     Returns the summaries in request order; each is **byte-identical**
     to what :func:`survivability_sweep` returns for the same pair,
     whatever ``workers`` is (``None``/``0``/``1`` runs inline).
-    ``executor`` (session plumbing) schedules the same chunks on an
-    injected :class:`PersistentSweepExecutor` instead of a pool scoped
-    to the call; ``workers`` is ignored in that case.
+    ``executor`` schedules the same chunks on a caller-owned
+    :class:`PersistentSweepExecutor` instead of one scoped to the
+    call; ``workers`` is ignored in that case.
 
     >>> fast = SweepRequest(trials=3, metrics="connectivity")
     >>> a, b = pooled_survivability_sweeps(
@@ -1790,25 +1856,5 @@ def pooled_survivability_sweeps(
     >>> (a.spec, b.spec)
     ('pops(2,2)', 'sk(2,2,2)')
     """
-    requests = list(requests)
-    with _scoped_executor(executor, workers) as executor:
-        if not executor.parallel or any(
-            request.ci_target is not None for _, request in requests
-        ):
-            # one request at a time: inline, so each built network is
-            # released as the context cache turns over; adaptive, since
-            # each request needs its per-wave stop decisions (losing
-            # cross-sweep chunk interleaving, never bytes)
-            summaries = []
-            for spec, request in requests:
-                p = _prepare_sweep(spec, request)
-                summaries.append(_summarize(p, executor.run(p)))
-            return summaries
-        # workers build each plan's context from its canonical spec,
-        # so the parent drops the built networks right away
-        prepared_list = [
-            replace(_prepare_sweep(spec, request), net=None)
-            for spec, request in requests
-        ]
-        rows_lists = executor.run_many(prepared_list)
-    return [_summarize(p, rows) for p, rows in zip(prepared_list, rows_lists)]
+    with _scoped_executor(executor, workers) as scoped:
+        return _run_requests(requests, scoped)

@@ -19,13 +19,26 @@ __all__ = [
 ]
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """The generator of a workload seed; any integer is a valid seed.
+
+    Sweep and replay requests accept negative seeds (their per-trial
+    streams hash the seed), while numpy accepts only non-negative
+    ones.  A non-negative seed passes through unchanged; a negative
+    one maps to its own stream, apart from every non-negative seed's.
+    """
+    if seed < 0:
+        return np.random.default_rng(np.random.SeedSequence(-seed, spawn_key=(1,)))
+    return np.random.default_rng(seed)
+
+
 def uniform_traffic(
     num_processors: int, num_messages: int, seed: int = 0
 ) -> list[tuple[int, int, int]]:
     """``num_messages`` one-shot messages with uniform random src != dst."""
     if num_processors < 2:
         raise ValueError("need at least 2 processors")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     out = []
     for _ in range(num_messages):
         src = int(rng.integers(num_processors))
@@ -41,7 +54,7 @@ def permutation_traffic(
 ) -> list[tuple[int, int, int]]:
     """One message per processor along a random fixed-point-free-ish
     permutation (fixed points are re-targeted to the next processor)."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     perm = rng.permutation(num_processors)
     out = []
     for src in range(num_processors):
@@ -66,7 +79,7 @@ def hotspot_traffic(
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     out = []
     for _ in range(num_messages):
         src = int(rng.integers(num_processors))
@@ -106,7 +119,7 @@ def group_local_traffic(
     """
     if num_processors % group_size:
         raise ValueError("group_size must divide num_processors")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     out = []
     for _ in range(num_messages):
         src = int(rng.integers(num_processors))
@@ -136,7 +149,7 @@ def bernoulli_stream(
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"rate must be in [0, 1], got {rate}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     out = []
     for slot in range(num_slots):
         for src in range(num_processors):

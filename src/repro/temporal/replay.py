@@ -51,6 +51,7 @@ from ..resilience.degrade import DegradedNetwork
 from ..resilience.faults import trial_seed
 from ..resilience.metrics import path_survival
 from ..resilience.sweep import (
+    PersistentSweepExecutor,
     SweepRequestError,
     _check_fields,
     _check_int,
@@ -58,7 +59,6 @@ from ..resilience.sweep import (
     _fault_masks,
     _paths_kernel_refusal,
     _quantile_cells,
-    _scoped_executor,
     _TopologyArrays,
     _unknown,
     _VectorContext,
@@ -314,6 +314,8 @@ class _PreparedTemporal:
     request: TemporalRequest
     skipped: bool  # capacity accounting said the machine is too small
     net: object = None  # parent-process convenience; never pickled
+    #: the spec's topology arrays, for an inline run only
+    arrays: object = None
 
     @property
     def trials(self) -> int:
@@ -610,27 +612,19 @@ class _TemporalContext:
 
 
 def execute_temporal(
-    prepared: _PreparedTemporal,
-    workers: int = 1,
-    *,
-    _executor=None,
-    _arrays=None,
+    prepared: _PreparedTemporal, workers: int = 1
 ) -> list[dict[str, object]]:
     """All trial rows, in trial-index order (none for a skipped sweep).
 
-    The trials run on the sweep executor: ``_executor`` is an injected
-    :class:`~repro.resilience.sweep.PersistentSweepExecutor`
-    (sessions); without one, an executor with ``workers`` processes
-    (``None``/``0``/``1`` runs inline) is opened for the call.
-    ``_arrays`` (sessions) is a zero-argument provider of the spec's
-    cached topology arrays, which an inline run's kernel reuses; it
-    MUST match the spec.  Trials are pure functions of their index, so
+    The trials run on a sweep executor
+    (:class:`~repro.resilience.sweep.PersistentSweepExecutor`) with
+    ``workers`` processes (``None``/``0``/``1`` runs inline), opened
+    for the call.  Trials are pure functions of their index, so
     sharding the index range returns byte-identical rows for every
     worker count.
     """
-    with _scoped_executor(_executor, workers) as executor:
-        inline = _arrays is not None and not executor.parallel
-        return executor.run(prepared, arrays=_arrays() if inline else None)
+    with PersistentSweepExecutor(workers) as executor:
+        return executor.run(prepared)
 
 
 # ----------------------------------------------------------------------

@@ -32,8 +32,10 @@ from repro.resilience import (
     BernoulliCouplerFaults,
     GroupBlockOutage,
     PersistentSweepExecutor,
+    SweepRequest,
     UniformCouplerFaults,
     UniformProcessorFaults,
+    pooled_survivability_sweeps,
     survivability_sweep,
 )
 from repro.resilience.adaptive import (
@@ -118,8 +120,9 @@ class TestWorkerAndBackendByteIdentity:
         )
         cold = survivability_sweep("pops(2,3)", model, **kwargs)
         with PersistentSweepExecutor(2) as executor:
-            warm = survivability_sweep(
-                "pops(2,3)", model, _executor=executor, **kwargs
+            (warm,) = pooled_survivability_sweeps(
+                [("pops(2,3)", SweepRequest(model, **kwargs))],
+                executor=executor,
             )
         assert warm.to_json() == cold.to_json()
 

@@ -208,6 +208,16 @@ class TestDesignSearch:
         b = design_search(backend="batched", workers=2, **SEARCH_KW)
         assert a.to_json() == b.to_json()
 
+    def test_early_discard_is_worker_invariant(self):
+        kw = dict(max_processors=8, families=("pops", "sk", "sops"),
+                  trials=2000, ci_target=0.02)
+        inline = design_search(**kw)
+        pooled = design_search(workers=2, **kw)
+        assert pooled.to_json() == inline.to_json()
+        discarded = [c for c in inline if c.early_discarded]
+        assert discarded and len(discarded) < len(inline.candidates)
+        assert all(c.trials_spent < 2000 for c in discarded)
+
     def test_ranking_is_by_survivability_per_kilocost(self):
         result = design_search(**SEARCH_KW)
         scores = [c.survivability_per_kilocost for c in result]
@@ -496,6 +506,25 @@ class TestEveryDoorRejectsTheSameOptions:
             validate_design_search({"max_processors": 8, option: value})
         assert (err.value.status, err.value.code) == (400, "bad_request")
 
+    def test_parallelism_is_not_an_option_at_any_door(self, capsys):
+        kw = {"max_processors": 8, "families": ("pops",), "trials": 2,
+              "parallelism": "candidates"}
+        with pytest.raises(TypeError, match="parallelism"):
+            repro.design_search(**kw)
+        with Session() as session:
+            with pytest.raises(TypeError, match="parallelism"):
+                session.design_search(**kw)
+        with pytest.raises(SystemExit) as exc:
+            main(["design-search", "--max-processors", "8", "--trials", "2",
+                  "--parallelism", "candidates"])
+        assert exc.value.code == 2
+        assert "--parallelism" in capsys.readouterr().err
+        with pytest.raises(ServeError) as err:
+            validate_design_search(
+                {"max_processors": 8, "parallelism": "sweeps"}
+            )
+        assert (err.value.status, err.value.code) == (400, "unknown_field")
+
     def test_rejected_before_any_candidate_is_built(self, monkeypatch):
         from repro.core.spec import NetworkSpec
 
@@ -530,7 +559,6 @@ class TestEveryDoorRejectsTheSameOptions:
             "max_diameter": None,
             "min_margin_db": None,
             "top": None,
-            "parallelism": "sweeps",
             "rank_by": "survivability-per-cost",
         }
         assert validate_design_search({"max_processors": 8}) == {
@@ -546,7 +574,6 @@ class TestEveryDoorRejectsTheSameOptions:
             "max_diameter": 0,
             "min_margin_db": -3,
             "top": 0,
-            "parallelism": "candidates",
             "rank_by": "within-bound",
             "metrics": "paths",
         }

@@ -312,16 +312,16 @@ class TestPersistentExecutor:
     def test_pool_starts_lazily_and_survives_plan_changes(self):
         with PersistentSweepExecutor(workers=2) as ex:
             assert not ex.pool_started
-            a = survivability_sweep(
-                "pops(2,2)", "coupler", trials=6,
-                metrics="connectivity", _executor=ex,
-            )
+            (a,) = pooled_survivability_sweeps([(
+                "pops(2,2)", SweepRequest(
+                    "coupler", trials=6, metrics="connectivity"),
+            )], executor=ex)
             assert ex.pool_started
             pool = ex._pool
-            b = survivability_sweep(
-                "sk(2,2,2)", "processor", trials=6,
-                metrics="connectivity", _executor=ex,
-            )
+            (b,) = pooled_survivability_sweeps([(
+                "sk(2,2,2)", SweepRequest(
+                    "processor", trials=6, metrics="connectivity"),
+            )], executor=ex)
             assert ex._pool is pool  # reused, not respawned
         assert a.spec == "pops(2,2)" and b.spec == "sk(2,2,2)"
         assert not ex.pool_started
@@ -330,9 +330,9 @@ class TestPersistentExecutor:
         ex = PersistentSweepExecutor(workers=2)
         ex.close()
         with pytest.raises(RuntimeError, match="closed"):
-            survivability_sweep(
-                "pops(2,2)", trials=2, metrics="connectivity", _executor=ex
-            )
+            pooled_survivability_sweeps([(
+                "pops(2,2)", SweepRequest(trials=2, metrics="connectivity"),
+            )], executor=ex)
 
     def test_pooled_sweeps_executor_matches_oneshot(self):
         requests = [
@@ -355,9 +355,9 @@ class TestPersistentExecutor:
         monkeypatch.setattr(sweep_mod, "_PERSIST_CTX_CACHE", 2)
         with PersistentSweepExecutor() as ex:
             for spec in ("pops(2,2)", "sops(4)", "sk(2,2,2)"):
-                survivability_sweep(
-                    spec, trials=2, metrics="connectivity", _executor=ex
-                )
+                pooled_survivability_sweeps([(
+                    spec, SweepRequest(trials=2, metrics="connectivity"),
+                )], executor=ex)
             assert len(ex._inline_ctxs) == 2
 
 
@@ -415,14 +415,11 @@ class TestScopedExecutorTeardown:
         assert worker_pids and os.getpid() not in worker_pids
         assert not _new_children(before)
 
-    @pytest.mark.parametrize("parallelism", ["sweeps", "candidates"])
-    def test_design_search_runs_every_candidate_on_one_pool(self, parallelism):
+    def test_design_search_runs_every_candidate_on_one_pool(self):
         kw = dict(max_processors=10, families=("pops", "sops"), trials=6, seed=4)
         inline = raw_design_search(**kw)
         before = set(multiprocessing.active_children())
-        result, events = _traced(lambda: raw_design_search(
-            workers=2, parallelism=parallelism, **kw
-        ))
+        result, events = _traced(lambda: raw_design_search(workers=2, **kw))
         worker_pids = {e["pid"] for e in events if e["name"] == "sweep.chunk"}
         assert result.to_json() == inline.to_json()
         assert len(result.candidates) >= 2
@@ -450,11 +447,10 @@ class TestSessionDesignSearch:
             again = s.design_search(**self.KW)
         assert warm.to_json() == cold.to_json() == again.to_json()
 
-    @pytest.mark.parametrize("parallelism", ["sweeps", "candidates"])
-    def test_parallel_session_search_is_worker_invariant(self, parallelism):
+    def test_parallel_session_search_is_worker_invariant(self):
         cold = raw_design_search(**self.KW)
         with Session(workers=2) as s:
-            warm = s.design_search(parallelism=parallelism, **self.KW)
+            warm = s.design_search(**self.KW)
         assert warm.to_json() == cold.to_json()
 
 
@@ -607,6 +603,29 @@ class TestExperiment:
         by_mode = {c.metrics: c for c in result}
         assert by_mode["connectivity"].summary.messages == 0
         assert by_mode["full"].summary.messages == 8
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_cells_count_and_trace_like_single_runs(self, workers):
+        from repro.obs.metrics import REGISTRY
+
+        def replay_trials():
+            series = REGISTRY.series("repro_temporal_trials_total").get(
+                (("metrics", "connectivity"),)
+            )
+            return 0 if series is None else series.value
+
+        before = replay_trials()
+        with Session(workers=workers) as s:
+            result, events = _traced(lambda: s.experiment(
+                "pops(2,2)", models=["coupler:1", "coupler-renewal:1"],
+                trials=4,
+            ))
+        assert [c.summary.trials for c in result] == [4, 4]
+        assert replay_trials() - before == 4
+        names = [e["name"] for e in events]
+        for kind in ("sweep", "temporal"):
+            for stage in ("prepare", "execute", "summarize"):
+                assert names.count(f"{kind}.{stage}") == 1, (kind, stage)
 
 
 # ----------------------------------------------------------------------

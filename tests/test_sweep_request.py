@@ -8,6 +8,7 @@ the same request -- and the same summary bytes -- through each of them.
 """
 
 import dataclasses
+import json
 from unittest import mock
 
 import pytest
@@ -106,6 +107,46 @@ class TestProcessCellsRunWhatTheyReport:
                 "--samplings", "importance", "--ci-target", "0.01", "--json"]
         assert main(argv) == 2
         assert "temporal engine" in capsys.readouterr().err
+
+
+class TestNegativeSeedsRunEverywhere:
+    """Any integer seed is valid, in ``full`` mode's workloads too."""
+
+    def test_full_sweep_and_replay_agree_at_every_door(self, capsys):
+        from repro.serve.client import run_in_thread
+
+        sweep = dict(seed=-1, trials=2, messages=8, metrics="full")
+        replay = dict(sweep, horizon=100)
+        expected = (
+            repro.resilience_sweep("pops(2,2)", **sweep).to_json(),
+            repro.temporal_sweep("pops(2,2)", **replay).to_json(),
+        )
+        with Session() as session:
+            assert (
+                session.resilience_sweep("pops(2,2)", **sweep).to_json(),
+                session.temporal_sweep("pops(2,2)", **replay).to_json(),
+            ) == expected
+        common = ["pops(2,2)", "--seed", "-1", "--trials", "2",
+                  "--messages", "8", "--metrics", "full", "--json"]
+        outputs = []
+        for argv in (["resilience", *common],
+                     ["temporal", *common, "--horizon", "100"]):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out.rstrip("\n"))
+        assert tuple(outputs) == expected
+        with run_in_thread(workers=0) as client:
+            served = (
+                client.sweep("pops(2,2)", **sweep)[0],
+                client.temporal("pops(2,2)", **replay)[0],
+            )
+        assert tuple(
+            json.dumps(body, indent=2, sort_keys=True) for body in served
+        ) == expected
+
+    def test_simulate_takes_a_negative_seed(self):
+        report = repro.simulate("pops(2,2)", seed=-1, messages=20)
+        assert report.num_messages == 20
+        assert repro.simulate("pops(2,2)", seed=-1, messages=20) == report
 
 
 # ----------------------------------------------------------------------

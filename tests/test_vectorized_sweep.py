@@ -1,12 +1,12 @@
-"""Vectorized sweep backend + candidate-level parallelism tests.
+"""Vectorized sweep backend + pooled design-search candidate tests.
 
 The PR 4 contract: the ``vectorized`` backend (flat topology arrays,
 batched numpy fault masks and reachability) must reproduce the
 ``batched`` backend's connectivity-mode aggregate JSON **byte for
 byte** -- same SHA-256 trial-seed stream, same metrics -- for any
-worker count, fault model and family; and the design search's
-``parallelism="candidates"`` mode (one pool across all candidate
-sweeps) must return a ranked table identical to per-sweep execution.
+worker count, fault model and family; and a design search on a pool
+(one pool map across all candidate sweeps) must return a ranked table
+identical to per-sweep execution.
 """
 
 import json
@@ -160,7 +160,7 @@ class TestTopologyArrays:
 
 
 # ----------------------------------------------------------------------
-# Pooled sweeps + design-search candidate parallelism
+# Pooled sweeps + design-search candidates on one pool
 # ----------------------------------------------------------------------
 class TestPooledSweeps:
     REQUESTS = [
@@ -210,46 +210,38 @@ SEARCH_KW = dict(
 
 
 class TestCandidateParallelism:
-    def test_candidates_mode_identical_to_per_sweep_mode(self):
+    def test_two_worker_search_identical_to_inline(self):
         """The satellite contract: the ranked table does not move."""
-        per_sweep = design_search(backend="batched", **SEARCH_KW)
-        pooled = design_search(
-            parallelism="candidates",
-            backend="batched",
-            workers=2,
-            **SEARCH_KW,
-        )
-        assert pooled.to_json() == per_sweep.to_json()
+        inline = design_search(backend="batched", **SEARCH_KW)
+        pooled = design_search(backend="batched", workers=2, **SEARCH_KW)
+        assert pooled.to_json() == inline.to_json()
 
-    def test_candidates_mode_inline_identical_too(self):
-        per_sweep = design_search(backend="batched", **SEARCH_KW)
-        inline = design_search(
-            parallelism="candidates", backend="batched", **SEARCH_KW
-        )
-        assert inline.to_json() == per_sweep.to_json()
+    def test_pooled_candidates_match_their_standalone_sweeps(self):
+        pooled = design_search(backend="batched", workers=2, **SEARCH_KW)
+        assert len(pooled.candidates) >= 2
+        for candidate in pooled.candidates:
+            solo = survivability_sweep(
+                candidate.spec, "coupler", trials=8, seed=11,
+                metrics="connectivity", backend="batched",
+            )
+            assert candidate.survivability == solo.quantiles["connectivity"]["mean"]
+            assert candidate.partitioned_fraction == solo.partitioned_fraction
 
     def test_vectorized_backend_identical_ranked_table(self):
         batched = design_search(backend="batched", **SEARCH_KW)
         vectorized = design_search(backend="vectorized", **SEARCH_KW)
         assert vectorized.to_json() == batched.to_json()
 
-    def test_candidates_plus_vectorized_identical(self):
+    def test_two_worker_vectorized_identical(self):
         baseline = design_search(backend="batched", **SEARCH_KW)
-        combined = design_search(
-            parallelism="candidates",
-            backend="vectorized",
-            workers=2,
-            **SEARCH_KW,
-        )
+        combined = design_search(backend="vectorized", workers=2, **SEARCH_KW)
         assert combined.to_json() == baseline.to_json()
 
-    def test_unknown_parallelism_and_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown parallelism"):
-            design_search(max_processors=4, trials=2, parallelism="threads")
+    def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep backend"):
             design_search(max_processors=4, trials=2, backend="quantum")
 
-    def test_cli_parallelism_flag_is_result_invariant(self, capsys):
+    def test_cli_search_is_worker_invariant(self, capsys):
         argv = [
             "design-search",
             "--max-processors",
@@ -262,8 +254,7 @@ class TestCandidateParallelism:
         ]
         assert main([*argv, "--backend", "batched"]) == 0
         baseline = capsys.readouterr().out
-        candidates = ["--parallelism", "candidates", "--workers", "2"]
-        assert main([*argv, *candidates, "--backend", "batched"]) == 0
+        assert main([*argv, "--workers", "2", "--backend", "batched"]) == 0
         assert capsys.readouterr().out == baseline
         assert main([*argv, "--backend", "vectorized"]) == 0
         assert capsys.readouterr().out == baseline
