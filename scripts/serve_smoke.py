@@ -123,7 +123,7 @@ def main() -> int:
         # 1. concurrent duplicates -> exactly one execution
         # batched keeps the leader in flight long enough for every
         # duplicate to join it (the vectorized kernel answers in ~10 ms)
-        sweep = {"spec": "sk(2,2,2)", "trials": 500, "seed": 42,
+        sweep = {"spec": "sk(2,2,2)", "trials": 2000, "seed": 42,
                  "metrics": "connectivity", "backend": "batched"}
         results: list = []
 

@@ -194,6 +194,14 @@ def simulate(
         The :class:`~repro.simulation.metrics.SimulationReport` with
         latency/throughput/utilization statistics.
 
+    Raises
+    ------
+    ValueError
+        If a message's ``src`` or ``dst`` is outside
+        ``[0, num_processors)`` (from an explicit triple list, or from a
+        workload option such as ``hotspot``); the error names the
+        offending triple.
+
     Examples
     --------
     >>> simulate("sk(2,2,2)", messages=40).num_messages

@@ -1,8 +1,9 @@
 """Apply a `FaultScenario` to any registry-built network.
 
 :class:`DegradedNetwork` is the degraded-mode view the rest of the
-subsystem works on: the surviving base digraph and hypergraph, a
-fault-aware ``next_coupler``/``relay`` pair so the *unmodified*
+subsystem works on: the surviving base digraph and hypergraph, the
+all-pairs group distances over surviving couplers, a fault-aware
+``next_coupler``/``relay`` pair so the *unmodified*
 :class:`~repro.simulation.engine.SlottedSimulator` runs on the broken
 machine (dead couplers drop messages instead of wedging the run), and
 the per-family ``fault_route`` hook for structured rerouting.
@@ -10,6 +11,14 @@ the per-family ``fault_route`` hook for structured rerouting.
 Effective faults close over the scenario: a coupler is dead when it was
 hit directly, when every source processor died, or when every target
 processor died; a group is dead when all of its processors died.
+
+Routing is compiled, not searched.  :meth:`DegradedNetwork.distances`
+is one frontier expansion (:func:`group_distances`, shared with the
+vectorized sweep kernel), and the first ``next_coupler`` call turns it
+into one ``[holder group][destination group] -> coupler`` table, so a
+routing decision is two list lookups.  What depends on the network
+alone -- its hypergraph model, coupler endpoints and processor->group
+map -- is built once per network and shared by every view of it.
 
 >>> from repro.core import build
 >>> from repro.resilience.faults import UniformCouplerFaults
@@ -22,13 +31,53 @@ processor died; a group is dead when all of its processors died.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+import numpy as np
+
 from ..graphs.digraph import DiGraph
 from ..hypergraphs.hypergraph import DirectedHypergraph
-from ..routing.tables import RoutingTable, build_routing_table
 from ..simulation.engine import Message, SlottedSimulator
-from .faults import FaultScenario, coupler_endpoints
+from .faults import FaultScenario, coupler_endpoints, group_of
 
-__all__ = ["DegradedNetwork", "degrade_network"]
+__all__ = ["DegradedNetwork", "degrade_network", "group_distances"]
+
+
+def group_distances(adj: np.ndarray) -> np.ndarray:
+    """Hop distances over boolean adjacency ``adj``; ``-1`` unreachable.
+
+    ``adj`` is one ``(g, g)`` matrix or a ``(batch, g, g)`` stack, and
+    ``dist[..., u, v]`` equals ``bfs_distances(u)[v]`` on the digraph
+    (loops never shorten a route).  Level-synchronous frontier
+    expansion, one matmul per hop; the matmuls run in float32, which
+    has a BLAS path (integer matmul has none), and every entry is 0/1
+    and every sum at most g < 2**24, so each product is exact in any
+    order.
+    """
+    reach = np.broadcast_to(np.eye(adj.shape[-1], dtype=bool), adj.shape).copy()
+    dist = np.where(reach, 0, -1).astype(np.int64)
+    adj_f = adj.astype(np.float32)
+    hops = 0
+    while True:
+        grown = (np.matmul(reach.astype(np.float32), adj_f) > 0) | reach
+        frontier = grown & ~reach
+        if not frontier.any():
+            return dist
+        hops += 1
+        dist[frontier] = hops
+        reach = grown
+
+
+@lru_cache(maxsize=64)
+def _network_state(net) -> tuple[DirectedHypergraph, np.ndarray, tuple[int, ...]]:
+    """``(hypergraph model, (m, 2) coupler endpoints, processor -> group)``.
+
+    Built once per network and shared read-only by every view of it.
+    """
+    endpoints = np.asarray(coupler_endpoints(net), dtype=np.int64).reshape(-1, 2)
+    endpoints.flags.writeable = False
+    groups = tuple(group_of(net, p) for p in range(net.num_processors))
+    return net.hypergraph_model(), endpoints, groups
 
 
 class DegradedNetwork:
@@ -50,27 +99,27 @@ class DegradedNetwork:
         self.net = net
         self.scenario = scenario
         self.family = family if family is not None else family_for_network(net)
-        self._model = net.hypergraph_model()
+        self._model, self._endpoints, self._group = _network_state(net)
         n = net.num_processors
         m = self._model.num_hyperarcs
         self.dead_processors = frozenset(
             p for p in scenario.processors if 0 <= p < n
         )
         dead = {c for c in scenario.couplers if 0 <= c < m}
-        for idx, ha in enumerate(self._model.hyperarcs):
-            if idx in dead:
-                continue
-            if all(s in self.dead_processors for s in ha.sources) or all(
-                t in self.dead_processors for t in ha.targets
-            ):
-                dead.add(idx)
+        if self.dead_processors:
+            for idx, ha in enumerate(self._model.hyperarcs):
+                if idx in dead:
+                    continue
+                if all(s in self.dead_processors for s in ha.sources) or all(
+                    t in self.dead_processors for t in ha.targets
+                ):
+                    dead.add(idx)
         self.dead_couplers = frozenset(dead)
-        self._endpoints = coupler_endpoints(net)
         # caches, built on demand
         self._base: DiGraph | None = None
-        self._table: RoutingTable | None = None
-        self._arc_coupler: dict[tuple[int, int], int] | None = None
-        self._sibling_hop: dict[int, int] = {}
+        self._arcs: np.ndarray | None = None
+        self._dist: np.ndarray | None = None
+        self._next_hops: list[list[int]] | None = None
         self._dead_groups: frozenset[int] | None = None
         self._word_faults = None
         self._word_masks: tuple[int, int] | None = None
@@ -100,13 +149,16 @@ class DegradedNetwork:
     def dead_groups(self) -> frozenset[int]:
         """Groups whose processors all died (whole block dark)."""
         if self._dead_groups is None:
-            from .faults import group_of
-
-            alive = {group_of(self.net, p) for p in self.alive_processors}
-            self._dead_groups = frozenset(
-                g for g in range(self.net.num_groups) if g not in alive
-            )
+            dark = np.flatnonzero(self.alive_per_group() == 0)
+            self._dead_groups = frozenset(dark.tolist())
         return self._dead_groups
+
+    def alive_per_group(self) -> np.ndarray:
+        """``(g,)`` surviving processors per group."""
+        groups = [self._group[p] for p in self.alive_processors]
+        return np.bincount(
+            np.asarray(groups, dtype=np.int64), minlength=self.net.num_groups
+        )
 
     def word_fault_set(self):
         """The scenario as a word-level :class:`~repro.routing.FaultSet`.
@@ -146,14 +198,9 @@ class DegradedNetwork:
     def surviving_base(self) -> DiGraph:
         """The group-level digraph spanned by surviving couplers."""
         if self._base is None:
-            arcs = [
-                self._endpoints[c]
-                for c in range(len(self._endpoints))
-                if c not in self.dead_couplers
-            ]
             self._base = DiGraph(
                 self.net.num_groups,
-                arcs,
+                self._endpoints[self._alive_couplers()],
                 name=f"degraded({self.scenario.spec})",
             )
         return self._base
@@ -175,66 +222,94 @@ class DegradedNetwork:
             name=f"degraded({self.scenario.spec})",
         )
 
+    def _alive_couplers(self) -> np.ndarray:
+        """Indices of the surviving couplers, ascending."""
+        alive = np.ones(len(self._endpoints), dtype=bool)
+        alive[list(self.dead_couplers)] = False
+        return np.flatnonzero(alive)
+
+    def group_arcs(self) -> np.ndarray:
+        """``(g, g)``: the lowest surviving coupler of each group arc.
+
+        ``-1`` where no coupler joins the two groups any more; among
+        parallel couplers the lowest index carries the hop.  Cached.
+        """
+        if self._arcs is None:
+            g = self.net.num_groups
+            couplers = self._alive_couplers()
+            ends = self._endpoints[couplers]
+            # np.unique reports each cell's first, i.e. lowest, coupler
+            cells, first = np.unique(ends[:, 0] * g + ends[:, 1], return_index=True)
+            arcs = np.full(g * g, -1, dtype=np.int64)
+            arcs[cells] = couplers[first]
+            self._arcs = arcs.reshape(g, g)
+        return self._arcs
+
+    def distances(self) -> np.ndarray:
+        """``(g, g)`` group hop distances over surviving couplers.
+
+        Row ``u`` equals ``surviving_base().bfs_distances(u)``; ``-1``
+        marks an unreachable group.  Cached; do not mutate.
+        """
+        if self._dist is None:
+            self._dist = group_distances(self.group_arcs() >= 0)
+        return self._dist
+
     # ------------------------------------------------------------------
     # Degraded-mode routing
     # ------------------------------------------------------------------
-    def _routing(self) -> tuple[RoutingTable, dict[tuple[int, int], int]]:
-        if self._table is None or self._arc_coupler is None:
-            base = self.surviving_base()
-            self._table = build_routing_table(base.without_loops())
-            arc_coupler: dict[tuple[int, int], int] = {}
-            for c, (u, v) in enumerate(self._endpoints):
-                if c in self.dead_couplers:
-                    continue
-                arc_coupler.setdefault((u, v), c)
-            self._arc_coupler = arc_coupler
-        return self._table, self._arc_coupler
+    def _compile_next_hops(self) -> list[list[int]]:
+        """The ``[holder group][destination group] -> coupler`` table.
 
-    def _group_of(self, processor: int) -> int:
-        return int(self.net.label_of(processor)[0])
-
-    def _sibling_first_hop(self, group: int) -> int:
-        """First group of the shortest surviving closed walk at ``group``.
-
-        Sibling delivery uses the loop coupler when it survives
-        (returns ``group``); otherwise the message must leave the
-        group and come back.  ``-1`` when no closed walk survives.
+        A distinct destination group is reached through the smallest
+        surviving successor one hop closer to it (the rule of
+        :func:`~repro.routing.tables.build_routing_table` on the
+        loopless surviving base).  The own group is reached through its
+        loop coupler or, with the loop dead, through the first hop of
+        the shortest surviving closed walk, ties going to the smallest
+        group.  ``-1`` means drop.
         """
-        if group in self._sibling_hop:
-            return self._sibling_hop[group]
-        table, arc_coupler = self._routing()
-        if (group, group) in arc_coupler:
-            return group
-        best, best_len = -1, -1
-        for u, v in sorted(arc_coupler):
-            if u != group or v == group:
-                continue
-            back = table.distance(v, group)
-            if back < 0:
-                continue
-            if best_len < 0 or 1 + back < best_len:
-                best, best_len = v, 1 + back
-        self._sibling_hop[group] = best
-        return best
+        arcs = self.group_arcs()
+        dist = self.distances()
+        g = len(arcs)
+        rows = np.arange(g)
+        out = arcs >= 0
+        out[rows, rows] = False
+        degree = out.sum(axis=1)
+        # succ[u, j]: the j-th smallest successor group of u, valid
+        # for j < degree[u] (one padding column keeps argmin defined)
+        width = max(1, int(degree.max(initial=0)))
+        succ = np.argsort(~out, axis=1, kind="stable")[:, :width]
+        valid = np.arange(width) < degree[:, None]
+        # the first successor, in ascending order, one hop closer to v
+        # takes (u, v); one (g, g) pass per successor rank
+        table = np.full((g, g), -1, dtype=np.int64)
+        for j in range(width):
+            w = succ[:, j]
+            closer = valid[:, j, None] & (dist[w] == dist - 1) & (table < 0)
+            table = np.where(closer, arcs[rows, w][:, None], table)
+        # closed walks at u: out through successor w, back in dist[w, u]
+        back = dist[succ, rows[:, None]]
+        back = np.where(valid & (back >= 0), back, g)  # g: no way back
+        best = back.argmin(axis=1)  # first minimum: the smallest group
+        sibling = np.where(back[rows, best] < g, arcs[rows, succ[rows, best]], -1)
+        loops = arcs[rows, rows]
+        table[rows, rows] = np.where(loops >= 0, loops, sibling)
+        return table.tolist()
 
     def next_coupler(self, holder: int, msg: Message) -> int:
         """Fault-aware routing callback for the slotted engine.
 
         Returns ``-1`` ("drop") when the destination is unreachable on
-        the surviving network or either endpoint is dead.
+        the surviving network or either endpoint is dead.  The
+        next-hop table is compiled on the first call; processor ids are
+        range-checked by the engine's ``inject``.
         """
         if msg.src in self.dead_processors or msg.dst in self.dead_processors:
             return -1
-        table, arc_coupler = self._routing()
-        gu = self._group_of(holder)
-        gv = self._group_of(msg.dst)
-        if gu == gv:
-            nxt = self._sibling_first_hop(gu)
-        else:
-            nxt = table.next_hop(gu, gv)
-        if nxt < 0:
-            return -1
-        return arc_coupler.get((gu, nxt), -1)
+        if self._next_hops is None:
+            self._next_hops = self._compile_next_hops()
+        return self._next_hops[self._group[holder]][self._group[msg.dst]]
 
     def relay(self, coupler: int, msg: Message) -> int:
         """Relay selection that never hands a message to a corpse."""

@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
+import numpy as np
+
 from .degrade import DegradedNetwork
 
 __all__ = [
@@ -62,43 +64,26 @@ class ResilienceMetrics:
 
 def _connectivity_counts(
     degraded: DegradedNetwork,
-) -> tuple[int, int, int, list, list[int]]:
-    """One BFS pass feeding every connectivity-flavoured metric.
+) -> tuple[int, int, int, np.ndarray, np.ndarray]:
+    """One distance matrix feeding every connectivity-flavoured metric.
 
     Returns ``(connected, alive_pairs, all_pairs, reach, alive_per_group)``
-    over ordered distinct pairs; ``reach[u]`` is the surviving-base BFS
-    distance row of group ``u``.
+    over ordered distinct pairs; ``reach[u, v]`` says whether group
+    ``v != u`` is reachable from group ``u`` over surviving couplers.
     """
-    net = degraded.net
-    n = net.num_processors
-    base = degraded.surviving_base()
-    g = net.num_groups
-    reach = [base.bfs_distances(u) for u in range(g)]
+    n = degraded.net.num_processors
+    dist = degraded.distances()
+    reach = dist > 0
     # a surviving closed walk at u exists iff some surviving out-arc
-    # (u, v) is a loop or can get back (reach[v][u] >= 0) -- derivable
-    # from the BFS rows, no routing table needed (same booleans as
-    # `degraded._sibling_first_hop(u) >= 0`, which builds one)
-    sibling_ok = [
-        any(v == u or reach[v][u] >= 0 for v in base.successors(u).tolist())
-        for u in range(g)
-    ]
-    alive_per_group = [0] * g
-    for p in degraded.alive_processors:
-        alive_per_group[degraded._group_of(p)] += 1
-    alive = sum(alive_per_group)
-    connected = 0
-    for gu in range(g):
-        au = alive_per_group[gu]
-        if au == 0:
-            continue
-        # same-group ordered pairs need a surviving closed walk
-        if au > 1 and sibling_ok[gu]:
-            connected += au * (au - 1)
-        for gv in range(g):
-            if gv == gu:
-                continue
-            if reach[gu][gv] >= 0:
-                connected += au * alive_per_group[gv]
+    # (u, v) is a loop or can get back (dist[v, u] >= 0)
+    sibling_ok = ((degraded.group_arcs() >= 0) & (dist.T >= 0)).any(axis=1)
+    alive_per_group = degraded.alive_per_group()
+    # same-group ordered pairs need that closed walk
+    same = alive_per_group * (alive_per_group - 1)
+    connected = int(alive_per_group @ reach @ alive_per_group) + int(
+        same[sibling_ok].sum()
+    )
+    alive = int(alive_per_group.sum())
     return connected, alive * (alive - 1), n * (n - 1), reach, alive_per_group
 
 
@@ -137,10 +122,10 @@ def alive_connectivity_ratio(degraded: DegradedNetwork) -> float:
 def connectivity_metrics(
     degraded: DegradedNetwork, *, with_reachable: bool = True
 ) -> dict[str, float]:
-    """The connectivity-only survivability row, in one BFS pass.
+    """The connectivity-only survivability row, from one distance matrix.
 
     The batched sweep backend's fast path: when no simulation metrics
-    are requested, a trial is scored from the surviving base digraph
+    are requested, a trial is scored from the view's group distances
     alone -- ``connectivity`` (all ordered processor pairs),
     ``alive_connectivity`` (surviving endpoints only) and
     ``reachable_groups`` (ordered live-group pairs with a surviving
@@ -149,7 +134,7 @@ def connectivity_metrics(
     exactly on BFS-reachable pairs).  No per-pair routing and no
     slotted simulation, which is what makes design-search sweeps over
     hundreds of candidates tractable.  ``with_reachable=False`` skips
-    the reachability loop for callers that recompute the routed
+    the reachability count for callers that recompute the routed
     fraction themselves (the sweep's ``paths`` mode).
 
     >>> from repro.core import degrade
@@ -173,20 +158,12 @@ def connectivity_metrics(
     }
     if not with_reachable:
         return out
-    live = [g for g in range(net.num_groups) if alive_per_group[g] > 0]
-    if len(live) < 2:
+    live = alive_per_group > 0
+    count = int(live.sum())
+    if count < 2:
         reachable = 1.0
     else:
-        pairs = routed = 0
-        for gu in live:
-            row = reach[gu]
-            for gv in live:
-                if gv == gu:
-                    continue
-                pairs += 1
-                if row[gv] >= 0:
-                    routed += 1
-        reachable = routed / pairs
+        reachable = int(reach[np.ix_(live, live)].sum()) / (count * (count - 1))
     out["reachable_groups"] = reachable
     return out
 
@@ -295,7 +272,7 @@ def measure(
     net = degraded.net
     if bound is None:
         bound = net.diameter + 2
-    # one BFS pass feeds both ratios (identical values, half the work);
+    # one distance matrix feeds both ratios (identical values, half the work);
     # the routed reachable_groups fraction comes from path_survival below
     conn_row = connectivity_metrics(degraded, with_reachable=False)
     connectivity = conn_row["connectivity"]

@@ -85,7 +85,7 @@ from .adaptive import (
     make_sampler,
     run_adaptive,
 )
-from .degrade import DegradedNetwork
+from .degrade import DegradedNetwork, group_distances
 from .faults import FAULT_MODELS, FaultModel, resolve_fault_model, trial_seed
 from .metrics import connectivity_metrics, measure, path_survival
 
@@ -540,18 +540,29 @@ class _TrialContext:
     Each process constructs this once per plan (see
     :func:`_cached_context`), so the spec is parsed and the topology
     built per *process*, not per trial -- the frozen network, its
-    family descriptor and the plan are shared by every trial of that
-    plan the process executes.
+    family descriptor, the plan and (``full`` mode) the plan's traffic
+    are shared by every trial of that plan the process executes.
+    Everything is built here, never on a first trial: concurrent
+    sweeps share a context read-only.
     """
 
     def __init__(self, plan: _SweepPlan, net=None, family=None) -> None:
         from ..core.registry import get_family
         from ..core.spec import NetworkSpec
+        from ..core.workloads import resolve_workload
 
         self.plan = plan
         parsed = NetworkSpec.parse(plan.canonical)
         self.net = net if net is not None else parsed.build()
         self.family = family if family is not None else get_family(parsed.family)
+        # the traffic depends on (workload, messages, seed) alone
+        self.traffic = (
+            resolve_workload(
+                plan.workload, self.net, messages=plan.messages, seed=plan.seed
+            )
+            if plan.metrics == "full"
+            else None
+        )
 
     def run_trial(self, index: int) -> dict[str, object]:
         """The metrics row of trial ``index`` (scored per the plan's mode)."""
@@ -571,7 +582,7 @@ class _TrialContext:
         if plan.metrics == "full":
             return measure(
                 degraded,
-                workload=plan.workload,
+                workload=self.traffic,
                 messages=plan.messages,
                 seed=plan.seed,
                 bound=plan.bound,
@@ -827,23 +838,9 @@ class _VectorContext:
         """
         g = self.arrays.num_groups
         endpoints = self.arrays.endpoints
-        adj = np.zeros((g, g), dtype=np.float32)
-        if len(endpoints):
-            off_diag = endpoints[:, 0] != endpoints[:, 1]
-            adj[endpoints[off_diag, 0], endpoints[off_diag, 1]] = 1
-        dist = np.full((g, g), -1, dtype=np.int64)
-        np.fill_diagonal(dist, 0)
-        reach = np.eye(g, dtype=bool)
-        hops = 0
-        while True:
-            grown = (np.matmul(reach.astype(np.float32), adj) > 0) | reach
-            frontier = grown & ~reach
-            if not frontier.any():
-                break
-            hops += 1
-            dist[frontier] = hops
-            reach = grown
-        return dist
+        adj = np.zeros((g, g), dtype=bool)
+        adj[endpoints[:, 0], endpoints[:, 1]] = True
+        return group_distances(adj)
 
     def run_range(self, start: int, stop: int) -> list[dict[str, object]]:
         """Rows of trials ``start .. stop - 1``, in index order."""
@@ -940,36 +937,20 @@ class _VectorContext:
         )
         adj = counts.reshape(batch, g, g) > 0
         diag = np.arange(g)
-        dist = None
-        hops = 0
-        # the boolean matmuls run in float32, which has a BLAS path
-        # (integer matmul has none); every entry is 0/1 and every sum
-        # at most g < 2**24, so each product is exact in any order
         if self.paths:
-            # level-synchronous frontier expansion: one boolean matmul
-            # per hop, so per-pair *distances* fall out of the frontier
-            # masks.  dist[b, u, v] equals bfs_distances(u)[v] on the
-            # surviving base (loops never shorten a distinct-pair
-            # route), i.e. exactly the length the generic fault_route
-            # hook reports; the final `reach` is the same closure the
-            # squaring loop below produces.
-            reach = np.broadcast_to(np.eye(g, dtype=bool), adj.shape).copy()
-            dist = np.full((batch, g, g), -1, dtype=np.int64)
-            dist[:, diag, diag] = 0
-            adj_f = adj.astype(np.float32)
-            while True:
-                grown = (np.matmul(reach.astype(np.float32), adj_f) > 0) | reach
-                frontier = grown & ~reach
-                if not frontier.any():
-                    break
-                hops += 1
-                dist[frontier] = hops
-                reach = grown
+            # dist[b, u, v] equals bfs_distances(u)[v] on the surviving
+            # base, i.e. exactly the length the generic fault_route hook
+            # reports; `reach` is the same closure the squaring loop
+            # below produces, and the deepest frontier is the hop count
+            dist = group_distances(adj)
+            reach = dist >= 0
+            hops = int(dist.max(initial=0))
         else:
             # reachability closure by repeated squaring: R holds
             # "reaches in <= 2^k hops" (identity included, loops kept --
             # the same booleans as bfs_distances(u)[v] >= 0 on the
-            # surviving base)
+            # surviving base), in float32 matmuls as group_distances
+            # runs them
             reach = adj.copy()
             reach[:, diag, diag] = True
             while True:

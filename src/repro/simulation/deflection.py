@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 
 from ..hypergraphs.hypergraph import DirectedHypergraph
-from .engine import Message, SlotStats
+from .engine import Message, SlotStats, new_messages
 from .protocol import ArbitrationPolicy, OldestFirst
 
 __all__ = ["DeflectionSimulator"]
@@ -88,12 +88,17 @@ class DeflectionSimulator:
 
     # ------------------------------------------------------------------
     def inject(self, traffic: Sequence[tuple[int, int, int]]) -> None:
-        """Add ``(src, dst, inject_slot)`` messages."""
-        base = len(self.messages)
-        for i, (src, dst, slot) in enumerate(traffic):
-            if slot < self._now:
-                raise ValueError(f"cannot inject into past slot {slot}")
-            self.messages.append(Message(base + i, src, dst, slot))
+        """Add ``(src, dst, inject_slot)`` messages.
+
+        Raises ``ValueError`` naming the triple when a processor id is
+        out of range or the slot is already past; nothing of the batch
+        is injected then.
+        """
+        self.messages.extend(
+            new_messages(
+                traffic, len(self.messages), self.network.num_nodes, self._now
+            )
+        )
 
     def run(self, max_slots: int = 100_000) -> None:
         """Advance until every message is delivered (or the caps trip)."""

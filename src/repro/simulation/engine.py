@@ -17,6 +17,12 @@ contained).  The model matches the paper's hardware assumptions:
 Routing is delegated to a ``next_coupler(processor, message)`` callback
 so the same engine executes POPS (always one hop) and stack-Kautz
 (label-induced multi-hop) -- or any future topology.
+
+A slot's work is proportional to the messages still in flight: the
+engine keeps the unsettled messages in injection order, walks only
+them, and prunes the list once per slot.  ``inject`` rejects a
+processor id outside the hypergraph with a ``ValueError`` naming the
+triple, before any of its batch enters the run.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass, field
 from ..hypergraphs.hypergraph import DirectedHypergraph
 from .protocol import ArbitrationPolicy, OldestFirst
 
-__all__ = ["Message", "SlotStats", "SlottedSimulator"]
+__all__ = ["Message", "SlotStats", "SlottedSimulator", "new_messages"]
 
 
 @dataclass
@@ -69,6 +75,27 @@ class Message:
         if not self.delivered:
             raise ValueError(f"message {self.ident} not delivered")
         return self.deliver_slot - self.inject_slot
+
+
+def new_messages(
+    traffic: Sequence[tuple[int, int, int]], first: int, num_nodes: int, now: int
+) -> list[Message]:
+    """``(src, dst, inject_slot)`` triples as messages ``first, first + 1, ...``.
+
+    Raises ``ValueError`` naming the first triple whose processor id
+    lies outside ``[0, num_nodes)`` or whose slot lies before ``now``.
+    """
+    batch = []
+    for src, dst, slot in traffic:
+        if not (0 <= src < num_nodes and 0 <= dst < num_nodes):
+            raise ValueError(
+                f"message {(src, dst, slot)}: processor id out of range "
+                f"[0, {num_nodes})"
+            )
+        if slot < now:
+            raise ValueError(f"cannot inject into past slot {slot} (now {now})")
+        batch.append(Message(first + len(batch), src, dst, slot))
+    return batch
 
 
 @dataclass(frozen=True)
@@ -130,6 +157,8 @@ class SlottedSimulator:
         self._allow_drops = disabled_couplers is not None
         self.disabled_couplers = frozenset(disabled_couplers or ())
         self.messages: list[Message] = []
+        #: unsettled messages, in injection order
+        self._live: list[Message] = []
         self.slot_log: list[SlotStats] = []
         self.coupler_busy = [0] * network.num_hyperarcs
         self._now = 0
@@ -145,14 +174,17 @@ class SlottedSimulator:
 
     # ------------------------------------------------------------------
     def inject(self, traffic: Sequence[tuple[int, int, int]]) -> None:
-        """Add messages: ``(src, dst, inject_slot)`` triples."""
-        base = len(self.messages)
-        for i, (src, dst, slot) in enumerate(traffic):
-            if slot < self._now:
-                raise ValueError(
-                    f"cannot inject into past slot {slot} (now {self._now})"
-                )
-            self.messages.append(Message(base + i, src, dst, slot))
+        """Add messages: ``(src, dst, inject_slot)`` triples.
+
+        Raises ``ValueError`` naming the triple when a processor id is
+        out of range or the slot is already past; nothing of the batch
+        is injected then.
+        """
+        batch = new_messages(
+            traffic, len(self.messages), self.network.num_nodes, self._now
+        )
+        self.messages.extend(batch)
+        self._live.extend(batch)
 
     def run(self, max_slots: int = 100_000) -> None:
         """Advance slots until every message is settled (or the cap).
@@ -161,27 +193,29 @@ class SlottedSimulator:
         ``RuntimeError`` on the cap -- a stuck message means a routing
         bug, and silence would hide it.
         """
-        while not self.all_settled():
+        while self._live:
             if self._now >= max_slots:
-                stuck = [m.ident for m in self.messages if not m.settled]
+                stuck = [m.ident for m in self._live]
                 raise RuntimeError(
                     f"slot cap {max_slots} reached with messages stuck: {stuck[:10]}"
                 )
             self.step()
 
     def step(self) -> SlotStats:
-        """Execute one slot."""
+        """Execute one slot, walking only the unsettled messages."""
         now = self._now
-        # Messages delivered at injection (src == dst) cost zero slots.
-        for m in self.messages:
-            if not m.settled and m.inject_slot <= now and m.current == m.dst:
-                m.deliver_slot = max(m.inject_slot, now)
-
-        # Gather requests: active messages ask for their next coupler.
+        # Active messages ask for their next coupler, in injection order;
+        # `waiting` keeps every message still unsettled after this pass.
         requests: dict[int, list[Message]] = {}
+        waiting: list[Message] = []
         dropped = 0
-        for m in self.messages:
-            if m.settled or m.inject_slot > now:
+        for m in self._live:
+            if m.inject_slot > now:
+                waiting.append(m)
+                continue
+            if m.current == m.dst:
+                # delivered at injection (src == dst): zero slots
+                m.deliver_slot = now
                 continue
             coupler = self.next_coupler(m.current, m)
             if coupler < 0 or coupler in self.disabled_couplers:
@@ -200,6 +234,7 @@ class SlottedSimulator:
                     f"routing returned coupler {coupler} not sourced at {m.current}"
                 )
             requests.setdefault(coupler, []).append(m)
+            waiting.append(m)
 
         transmissions = 0
         contended = 0
@@ -225,6 +260,9 @@ class SlottedSimulator:
                 winner.deliver_slot = now
                 delivered += 1
 
+        self._live = (
+            [m for m in waiting if m.deliver_slot < 0] if delivered else waiting
+        )
         stats = SlotStats(now, transmissions, contended, delivered, dropped)
         self.slot_log.append(stats)
         self._now += 1
@@ -242,7 +280,7 @@ class SlottedSimulator:
 
     def all_settled(self) -> bool:
         """Whether every message is delivered or dropped."""
-        return all(m.settled for m in self.messages)
+        return not self._live
 
     def num_dropped(self) -> int:
         """How many messages were dropped on dead couplers."""

@@ -158,6 +158,44 @@ class TestFixedTrialGoldens:
             metrics="paths",
             backend="vectorized",
         ),
+        # full mode beyond stack-Kautz coupler faults: every family,
+        # each fault model that changes what the slotted engine drops
+        "fixed_pops34_full.json": dict(
+            spec="pops(3,4)",
+            model="coupler",
+            faults=2,
+            trials=12,
+            seed=11,
+            messages=20,
+            metrics="full",
+        ),
+        "fixed_sii3210_full.json": dict(
+            spec="sii(3,2,10)",
+            model="link",
+            faults=1,
+            trials=12,
+            seed=11,
+            messages=20,
+            metrics="full",
+        ),
+        "fixed_sops6_full.json": dict(
+            spec="sops(6)",
+            model="processor",
+            faults=1,
+            trials=12,
+            seed=11,
+            messages=20,
+            metrics="full",
+        ),
+        "fixed_sk323_full.json": dict(
+            spec="sk(3,2,3)",
+            model="group",
+            faults=1,
+            trials=12,
+            seed=11,
+            messages=20,
+            metrics="full",
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

@@ -344,7 +344,7 @@ class TestHTTP:
             # arrive while it is in flight
             results.append(
                 server.sweep(
-                    "sk(2,2,2)", trials=400, seed=99, metrics="connectivity",
+                    "sk(2,2,2)", trials=1600, seed=99, metrics="connectivity",
                     backend="batched",
                 )
             )

@@ -1,9 +1,14 @@
 """Unit tests for the slotted simulator, policies, traffic and metrics."""
 
+import re
+
 import pytest
 
+import repro
+from repro.core import build
 from repro.hypergraphs import DirectedHypergraph, Hyperarc
 from repro.networks import POPSNetwork, StackImaseItohNetwork, StackKautzNetwork
+from repro.resilience import DegradedNetwork, FaultScenario
 from repro.simulation import (
     FurthestFirst,
     Message,
@@ -18,6 +23,7 @@ from repro.simulation import (
     pops_simulator,
     run_traffic,
     stack_imase_itoh_simulator,
+    stack_kautz_deflection_simulator,
     stack_kautz_simulator,
     summarize,
     uniform_traffic,
@@ -117,6 +123,119 @@ class TestEngine:
         assert sim.slot_log[0].contended_couplers == 1
         assert sim.slot_log[0].delivered == 1
 
+
+
+class TestInjectRange:
+    """Out-of-range processor ids fail at ``inject``, naming the triple."""
+
+    @pytest.mark.parametrize("triple", [(0, -1, 0), (0, 12, 0), (-1, 3, 0)])
+    @pytest.mark.parametrize(
+        "make", [stack_kautz_simulator, stack_kautz_deflection_simulator]
+    )
+    def test_both_engines_reject(self, make, triple):
+        sim = make(StackKautzNetwork(2, 2, 2))
+        with pytest.raises(ValueError, match=re.escape(str(triple))):
+            sim.inject([(0, 1, 0), triple])
+        assert sim.messages == []  # nothing of the batch was injected
+
+    @pytest.mark.parametrize(
+        ("spec", "kwargs"),
+        [
+            ("sk(2,2,2)", dict(workload=[(0, -1, 0)])),
+            ("sk(2,2,2)", dict(workload=[(0, 12, 0)])),
+            ("sk(2,2,2)", dict(workload=[(-1, 3, 0)])),
+            ("pops(2,2)", dict(workload=[(0, -1, 0)])),
+            ("sk(2,2,2)", dict(workload="hotspot", hotspot=1000)),
+        ],
+    )
+    def test_facade_rejects(self, spec, kwargs):
+        with pytest.raises(ValueError, match=r"out of range \[0, "):
+            repro.simulate(spec, **kwargs)
+
+    def test_degraded_view_rejects(self):
+        net = build("sk(2,2,2)")
+        deg = DegradedNetwork(net, FaultScenario("sk(2,2,2)", "none", 0))
+        with pytest.raises(ValueError, match="out of range"):
+            deg.simulate(workload=[(0, 12, 0)])
+
+
+def _replay(sim, first, second):
+    """Run ``first``, then inject ``second`` (slots relative to now) and
+    run again; return what the slots left behind."""
+    sim.inject(first)
+    sim.run()
+    now = sim.now
+    sim.inject([(s, d, now + off) for s, d, off in second])
+    sim.run()
+    return (
+        [
+            (s.slot, s.transmissions, s.contended_couplers, s.delivered, s.dropped)
+            for s in sim.slot_log
+        ],
+        list(sim.coupler_busy),
+        [(m.deliver_slot, m.drop_slot, m.hops, tuple(m.trace)) for m in sim.messages],
+    )
+
+
+class TestLiveMessages:
+    """Staggered, zero-hop, re-injected and dropped messages on
+    ``sk(2,2,2)``, against pinned slot logs, coupler use and
+    per-message outcomes."""
+
+    def test_intact_replay(self):
+        first = [
+            (0, 11, 0), (1, 6, 0), (0, 10, 0), (2, 9, 1), (7, 0, 1),
+            (4, 5, 2), (6, 8, 2), (3, 3, 4), (10, 1, 5),
+        ]
+        second = [(5, 2, 0), (9, 9, 1), (11, 0, 0), (8, 3, 2)]
+        sim = stack_kautz_simulator(StackKautzNetwork(2, 2, 2))
+        log, busy, outcomes = _replay(sim, first, second)
+        assert log == [
+            (0, 2, 1, 1, 0), (1, 4, 0, 2, 0), (2, 3, 1, 3, 0), (3, 1, 0, 1, 0),
+            (4, 0, 0, 0, 0), (5, 1, 0, 1, 0), (6, 2, 0, 2, 0), (7, 0, 0, 0, 0),
+            (8, 1, 0, 0, 0), (9, 1, 0, 1, 0),
+        ]
+        assert busy == [0, 1, 2, 0, 0, 1, 0, 2, 1, 0, 2, 1, 1, 1, 0, 3, 0, 0]
+        assert outcomes == [
+            (0, -1, 1, (2,)), (1, -1, 2, (1, 13)), (1, -1, 1, (2,)),
+            (2, -1, 2, (5, 10)), (2, -1, 2, (11, 15)), (2, -1, 1, (8,)),
+            (3, -1, 1, (10,)), (4, -1, 0, ()), (5, -1, 1, (15,)),
+            (6, -1, 1, (7,)), (7, -1, 0, ()), (6, -1, 1, (15,)),
+            (9, -1, 2, (12, 7)),
+        ]
+        assert sim.verify_conservation()
+
+    def test_degraded_replay(self):
+        # processor 4 dead; loop coupler 0 of group 0 and coupler 7
+        # (group 2 -> 1) cut, so the group-0 siblings take a closed walk
+        scenario = FaultScenario(
+            "sk(2,2,2)",
+            "manual",
+            0,
+            couplers=frozenset({0, 7}),
+            processors=frozenset({4}),
+        )
+        deg = DegradedNetwork(build("sk(2,2,2)"), scenario)
+        first = [
+            (0, 1, 0), (1, 4, 0), (4, 9, 1), (2, 11, 1), (5, 0, 2),
+            (6, 6, 3), (9, 3, 3),
+        ]
+        second = [(3, 4, 0), (1, 0, 1), (10, 5, 1)]
+        sim = deg.simulator()
+        log, busy, outcomes = _replay(sim, first, second)
+        assert log == [
+            (0, 1, 0, 0, 1), (1, 2, 0, 1, 1), (2, 2, 0, 2, 0), (3, 1, 0, 0, 0),
+            (4, 1, 0, 0, 0), (5, 1, 0, 1, 0), (6, 0, 0, 0, 1), (7, 2, 0, 0, 0),
+            (8, 2, 0, 2, 0),
+        ]
+        assert busy == [0, 0, 2, 0, 1, 1, 1, 0, 0, 0, 0, 2, 0, 1, 0, 2, 2, 0]
+        assert outcomes == [
+            (1, -1, 2, (2, 15)), (-1, 0, 0, ()), (-1, 1, 0, ()),
+            (2, -1, 2, (5, 11)), (2, -1, 1, (6,)), (3, -1, 0, ()),
+            (5, -1, 3, (13, 11, 16)), (-1, 6, 0, ()), (8, -1, 2, (2, 15)),
+            (8, -1, 2, (16, 4)),
+        ]
+        assert sim.verify_conservation()
 
 class TestPolicies:
     def _msgs(self):
