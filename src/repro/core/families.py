@@ -11,11 +11,19 @@ The routers all return :class:`~repro.routing.stack_routing.StackRoute`
 hop lists in optical-design coordinates (``(group, mux)`` couplers and
 transmitter ports), so a route can be replayed against the design's
 :meth:`trace` regardless of family.
+
+Stack-Kautz alone overrides the degraded-mode hooks.  Its
+``fault_route`` looks a pair's Sec. 2.5 candidates up in a per-``(d,
+k)`` :class:`CandidateTable`; its ``route_lengths`` starts every pair
+at its first candidate's length and re-routes only the pairs whose
+first candidate a fault touches.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 from ..graphs.kautz import kautz_num_nodes
 from ..networks.design import (
@@ -76,6 +84,8 @@ class CandidateTable:
     candidate's internal groups, a bitmask of the links it crosses, and
     its group path -- never mutated once stored.  A candidate survives
     a scenario when both masks miss :meth:`fault_masks`.
+    :meth:`first_routes` indexes every pair's first candidate, the
+    route ``fault_route`` takes unless a fault touches it.
     """
 
     def __init__(self, d: int, k: int) -> None:
@@ -86,6 +96,7 @@ class CandidateTable:
             if u != v and (u, v) not in self.links:
                 self.links[u, v] = self.links[v, u] = len(self.links) // 2
         self._pairs: dict[tuple[int, int], tuple] = {}
+        self._first: tuple | None = None
 
     def fault_masks(self, groups, couplers) -> tuple[int, int]:
         """Dead ``groups`` and ``couplers`` (hyperarc ids) as bitmasks.
@@ -115,6 +126,37 @@ class CandidateTable:
             # first -- no lock that a forked pool worker could inherit held
             entry = self._pairs.setdefault(key, self._compile(*key))
         return entry
+
+    def first_routes(self) -> tuple[np.ndarray, tuple, tuple]:
+        """``(lengths, by_group, by_link)`` of every pair's first candidate.
+
+        ``lengths`` is the read-only ``(g, g)`` hop count of each
+        distinct pair's first candidate (0 on the diagonal);
+        ``by_group[w]`` and ``by_link[l]`` are tuples of the pairs, as
+        flat indices ``u * g + v``, whose first candidate has ``w`` as
+        an internal group or crosses link ``l``.  A fault outside those
+        lists leaves the pair on its first candidate.  Built once.
+        """
+        if self._first is None:
+            g = self._net.num_groups
+            lengths = np.zeros((g, g), dtype=np.int64)
+            by_group: list[list[int]] = [[] for _ in range(g)]
+            by_link: list[list[int]] = [[] for _ in range(len(self.links) // 2)]
+            for u in range(g):
+                for v in range(g):
+                    if u != v:
+                        path = self.candidates(u, v)[0][2]
+                        lengths[u, v] = len(path) - 1
+                        for w in path[1:-1]:
+                            by_group[w].append(u * g + v)
+                        for arc in zip(path, path[1:]):
+                            by_link[self.links[arc]].append(u * g + v)
+            lengths.flags.writeable = False
+            # published whole, in one assignment: threads share the table
+            self._first = (
+                lengths, tuple(map(tuple, by_group)), tuple(map(tuple, by_link))
+            )
+        return self._first
 
     def _compile(self, src_group: int, dst_group: int) -> tuple:
         from ..routing.fault_tolerant import candidate_paths
@@ -249,6 +291,34 @@ class StackKautzFamily(NetworkFamily):
         if path is not None:
             return [net.group_of_word(w) for w in path]
         return super().fault_route(net, src_group, dst_group, degraded)
+
+    def route_lengths(self, net: StackKautzNetwork, degraded) -> np.ndarray:
+        """:meth:`fault_route` lengths of every pair, rerouting only what
+        a fault touches.
+
+        Starts from the first candidates' lengths
+        (:meth:`CandidateTable.first_routes`); a pair whose first
+        candidate passes a dead group or crosses a dead link of
+        ``degraded.word_fault_masks()`` -- and has no dead endpoint --
+        is routed by :meth:`fault_route` itself.  Returns a new array.
+        """
+        lengths, by_group, by_link = candidate_table(
+            net.degree, net.diameter
+        ).first_routes()
+        out = lengths.copy()
+        dead_groups, dead_links = degraded.word_fault_masks()
+        touched: set[int] = set()
+        for ids, mask in ((by_group, dead_groups), (by_link, dead_links)):
+            for i, pairs in enumerate(ids):
+                if mask >> i & 1:
+                    touched.update(pairs)
+        g = len(out)
+        for pair in sorted(touched):
+            u, v = divmod(pair, g)
+            if not (dead_groups >> u & 1 or dead_groups >> v & 1):
+                path = self.fault_route(net, u, v, degraded)
+                out[u, v] = -1 if path is None else len(path) - 1
+        return out
 
     def simulator(self, net: StackKautzNetwork, policy=None):
         from ..simulation.network_sim import stack_kautz_simulator

@@ -125,11 +125,25 @@ class NetworkFamily:
         coincide) or ``None`` when the faults sever the pair.  The
         default walks BFS over the surviving base digraph;
         families with structured fault-tolerant routing (stack-Kautz's
-        ``k + 2`` candidate family) override this.
+        ``k + 2`` candidate family) override this, and must then
+        override :meth:`route_lengths` too (:func:`register_family`
+        rejects a family that overrides only this hook).
         """
         if src_group == dst_group:
             return [src_group]
         return degraded.surviving_base().shortest_path(src_group, dst_group)
+
+    def route_lengths(self, net, degraded):
+        """``(g, g)`` int array of :meth:`fault_route` lengths on ``degraded``.
+
+        For live distinct groups, entry ``[u, v]`` is
+        ``len(fault_route(net, u, v, degraded)) - 1``, or ``-1`` when
+        the hook returns ``None``; other entries are unspecified.  This
+        is what :func:`~repro.resilience.metrics.path_survival` scores.
+        The default is ``degraded.distances()`` (shared, do not
+        mutate): the default hook's BFS route is a shortest path.
+        """
+        return degraded.distances()
 
     # -- description ---------------------------------------------------
     def signature(self) -> str:
@@ -146,8 +160,19 @@ def register_family(cls: type[NetworkFamily]) -> type[NetworkFamily]:
     """Class decorator: instantiate ``cls`` and add it to the registry.
 
     The registry maps both the canonical key and every alias
-    (case-insensitively) to the single descriptor instance.
+    (case-insensitively) to the single descriptor instance.  A class
+    that overrides ``fault_route`` but inherits the BFS
+    ``route_lengths`` is rejected: its routes would be scored as BFS
+    lengths.
     """
+    if (
+        cls.fault_route is not NetworkFamily.fault_route
+        and cls.route_lengths is NetworkFamily.route_lengths
+    ):
+        raise ValueError(
+            f"{cls.__name__} overrides fault_route but not route_lengths; "
+            "route_lengths must report the lengths of its fault_route"
+        )
     family = cls()
     if not family.key:
         raise ValueError(f"{cls.__name__} must define a non-empty 'key'")

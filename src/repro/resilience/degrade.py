@@ -120,6 +120,8 @@ class DegradedNetwork:
         self._arcs: np.ndarray | None = None
         self._dist: np.ndarray | None = None
         self._next_hops: list[list[int]] | None = None
+        self._targets: list[tuple[int, ...]] | None = None
+        self._alive: np.ndarray | None = None
         self._dead_groups: frozenset[int] | None = None
         self._word_faults = None
         self._word_masks: tuple[int, int] | None = None
@@ -154,11 +156,15 @@ class DegradedNetwork:
         return self._dead_groups
 
     def alive_per_group(self) -> np.ndarray:
-        """``(g,)`` surviving processors per group."""
-        groups = [self._group[p] for p in self.alive_processors]
-        return np.bincount(
-            np.asarray(groups, dtype=np.int64), minlength=self.net.num_groups
-        )
+        """``(g,)`` surviving processors per group.  Cached; read-only."""
+        if self._alive is None:
+            groups = [self._group[p] for p in self.alive_processors]
+            alive = np.bincount(
+                np.asarray(groups, dtype=np.int64), minlength=self.net.num_groups
+            )
+            alive.flags.writeable = False
+            self._alive = alive
+        return self._alive
 
     def word_fault_set(self):
         """The scenario as a word-level :class:`~repro.routing.FaultSet`.
@@ -249,10 +255,12 @@ class DegradedNetwork:
         """``(g, g)`` group hop distances over surviving couplers.
 
         Row ``u`` equals ``surviving_base().bfs_distances(u)``; ``-1``
-        marks an unreachable group.  Cached; do not mutate.
+        marks an unreachable group.  Cached; read-only.
         """
         if self._dist is None:
-            self._dist = group_distances(self.group_arcs() >= 0)
+            dist = group_distances(self.group_arcs() >= 0)
+            dist.flags.writeable = False
+            self._dist = dist
         return self._dist
 
     # ------------------------------------------------------------------
@@ -312,12 +320,19 @@ class DegradedNetwork:
         return self._next_hops[self._group[holder]][self._group[msg.dst]]
 
     def relay(self, coupler: int, msg: Message) -> int:
-        """Relay selection that never hands a message to a corpse."""
-        targets = [
-            t
-            for t in self._model.hyperarc(coupler).targets
-            if t not in self.dead_processors
-        ]
+        """Relay selection that never hands a message to a corpse.
+
+        Each coupler's surviving targets come from a table compiled on
+        the first call: the model's own target tuples when no processor
+        died.
+        """
+        if self._targets is None:
+            dead = self.dead_processors
+            self._targets = [
+                tuple(t for t in ha.targets if t not in dead) if dead else ha.targets
+                for ha in self._model.hyperarcs
+            ]
+        targets = self._targets[coupler]
         if msg.dst in targets:
             return msg.dst
         if not targets:  # unreachable: dead couplers are never requested
@@ -338,6 +353,15 @@ class DegradedNetwork:
         if src_group in dead or dst_group in dead:
             return None
         return self.family.fault_route(self.net, src_group, dst_group, self)
+
+    def route_lengths(self) -> np.ndarray:
+        """``(g, g)`` lengths of :meth:`fault_route`, via the family's hook.
+
+        Entry ``[u, v]`` of live distinct groups is
+        ``len(fault_route(u, v)) - 1``, or ``-1`` when there is no
+        route; the array may be shared, so do not mutate it.
+        """
+        return self.family.route_lengths(self.net, self)
 
     # ------------------------------------------------------------------
     # Simulation

@@ -7,7 +7,9 @@ Three views of "what still works":
 * **path quality** -- degraded group-route lengths from the family's
   ``fault_route`` hook, their stretch over the intact distances, and
   the fraction within the paper's ``k + 2`` bound (``diameter + 2``
-  generalized to every family);
+  generalized to every family).  One route-length matrix per view
+  (the family's ``route_lengths``) feeds :func:`route_quality`, the
+  scorer the vectorized sweep kernel runs on its batches too;
 * **delivery under load** -- run the same workload on the broken and
   the intact machine, compare delivery ratio and latency.
 
@@ -32,6 +34,7 @@ __all__ = [
     "alive_connectivity_ratio",
     "connectivity_metrics",
     "path_survival",
+    "route_quality",
     "measure",
 ]
 
@@ -169,19 +172,65 @@ def connectivity_metrics(
 
 
 @lru_cache(maxsize=64)
-def _intact_rows(net) -> tuple[tuple[int, ...], ...] | None:
-    """Intact loopless BFS distance rows of every group, once per network.
+def _intact_rows(net) -> np.ndarray:
+    """``(g, g)`` intact loopless BFS distances, once per network.
 
-    Read-only tuples, shared by every trial on an equal network;
-    ``None`` for single-star machines (no base graph), whose pairs are
-    all one hop apart.
+    Read-only, shared by every trial on an equal network; all ones for
+    single-star machines (no base graph), whose pairs are all one hop
+    apart.
     """
-    if not hasattr(net, "base_graph"):
-        return None
-    intact = net.base_graph().without_loops()
-    return tuple(
-        tuple(map(int, intact.bfs_distances(g))) for g in range(net.num_groups)
-    )
+    if hasattr(net, "base_graph"):
+        intact = net.base_graph().without_loops()
+        rows = [intact.bfs_distances(g) for g in range(net.num_groups)]
+        out = np.asarray(rows, dtype=np.int64)
+    else:
+        out = np.ones((net.num_groups, net.num_groups), dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+def route_quality(
+    lengths: np.ndarray, live: np.ndarray, intact: np.ndarray, bound: int
+) -> list[tuple[float, int, float, float]]:
+    """:func:`path_survival`'s tuple for each route-length matrix.
+
+    ``lengths`` is ``(batch, g, g)`` route lengths (``-1``: no route),
+    ``live`` the ``(batch, g)`` live-group masks, ``intact`` the
+    ``(g, g)`` intact distances (the stretch denominators) and
+    ``bound`` the hop bound.  Only ordered pairs of distinct live
+    groups count.  A routed pair whose intact distance is undefined
+    (``-1``) counts in the routed and within-bound fractions but stays
+    out of the stretch mean.  The ratios are summed with
+    :func:`math.fsum`, which is exact and order-independent, so the
+    batched sweep and the vectorized kernel score identical floats.
+    """
+    diag = np.arange(live.shape[1])
+    pairs = live[:, :, None] & live[:, None, :]
+    pairs[:, diag, diag] = False
+    routed = pairs & (lengths >= 0)
+    routed_counts = routed.sum(axis=(1, 2))
+    within_counts = (routed & (lengths <= bound)).sum(axis=(1, 2))
+    max_len = np.where(routed, lengths, -1).max(axis=(1, 2), initial=-1)
+    stretch_mask = routed & (intact > 0)
+    ratios = lengths / np.maximum(intact, 1)
+    num_live = live.sum(axis=1)
+    out = []
+    for j, count in enumerate(num_live.tolist()):
+        if count < 2:
+            out.append((1.0, 0, 1.0, 1.0))
+        elif routed_counts[j] == 0:
+            # nothing routed: the bound is *not* vacuously confirmed
+            out.append((0.0, -1, 0.0, 0.0))
+        else:
+            terms = ratios[j][stretch_mask[j]].tolist()
+            routed_j = int(routed_counts[j])
+            out.append((
+                routed_j / (count * (count - 1)),
+                int(max_len[j]),
+                math.fsum(terms) / len(terms) if terms else 1.0,
+                int(within_counts[j]) / routed_j,
+            ))
+    return out
 
 
 def path_survival(
@@ -189,14 +238,17 @@ def path_survival(
 ) -> tuple[float, int, float, float]:
     """``(reachable_groups, max_len, mean_stretch, within_bound)``.
 
-    Runs the family ``fault_route`` hook over every ordered pair of
-    distinct live groups.  ``reachable_groups`` is the routed
-    fraction; ``max_len`` the longest degraded route (-1 when no pair
-    routes); ``mean_stretch`` the mean ratio of degraded length to
-    intact distance; ``within_bound`` the fraction of routed pairs
-    with length <= ``bound`` (default ``diameter + 2``, the paper's
-    ``k + 2`` on stack-Kautz).  Machines with fewer than two live
-    groups report ``(1.0, 0, 1.0, 1.0)``.
+    Scores the family's ``fault_route`` over every ordered pair of
+    distinct live groups, from the one route-length matrix
+    :meth:`~repro.resilience.degrade.DegradedNetwork.route_lengths`
+    returns (:func:`route_quality`, which the vectorized kernel shares).
+    ``reachable_groups`` is the routed fraction; ``max_len`` the
+    longest degraded route (-1 when no pair routes); ``mean_stretch``
+    the mean ratio of degraded length to intact distance;
+    ``within_bound`` the fraction of routed pairs with length <=
+    ``bound`` (default ``diameter + 2``, the paper's ``k + 2`` on
+    stack-Kautz).  Machines with fewer than two live groups report
+    ``(1.0, 0, 1.0, 1.0)``.
 
     Routed pairs whose *intact* distance is undefined (BFS ``-1``,
     possible for degenerate/partial specs) have no meaningful stretch:
@@ -206,43 +258,10 @@ def path_survival(
     net = degraded.net
     if bound is None:
         bound = net.diameter + 2
-    dead = degraded.dead_groups
-    live = [g for g in range(net.num_groups) if g not in dead]
-    if len(live) < 2:
-        return 1.0, 0, 1.0, 1.0
-    rows = _intact_rows(net)
-    routed = 0
-    within = 0
-    max_len = -1
-    stretch_terms: list[float] = []
-    pairs = 0
-    for gu in live:
-        intact_dist = rows[gu] if rows is not None else None
-        for gv in live:
-            if gv == gu:
-                continue
-            pairs += 1
-            path = degraded.fault_route(gu, gv)
-            if path is None:
-                continue
-            length = len(path) - 1
-            routed += 1
-            max_len = max(max_len, length)
-            if length <= bound:
-                within += 1
-            d0 = intact_dist[gv] if intact_dist is not None else 1
-            if d0 > 0:
-                stretch_terms.append(length / d0)
-    if routed == 0:
-        # nothing routed: the bound is *not* vacuously confirmed
-        return 0.0, max_len, 0.0, 0.0
-    # fsum is exact and order-independent, so the vectorized paths
-    # kernel can sum the same multiset of ratios in any order and land
-    # on the identical float
-    stretch = (
-        math.fsum(stretch_terms) / len(stretch_terms) if stretch_terms else 1.0
-    )
-    return routed / pairs, max_len, stretch, within / routed
+    live = np.ones(net.num_groups, dtype=bool)
+    live[list(degraded.dead_groups)] = False
+    lengths = degraded.route_lengths()
+    return route_quality(lengths[None], live[None], _intact_rows(net), bound)[0]
 
 
 def measure(

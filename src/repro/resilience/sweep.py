@@ -64,7 +64,6 @@ count; a module-level sweep function opens one scoped to the call.
 from __future__ import annotations
 
 import json
-import math
 import multiprocessing
 import os
 import random
@@ -87,7 +86,7 @@ from .adaptive import (
 )
 from .degrade import DegradedNetwork, group_distances
 from .faults import FAULT_MODELS, FaultModel, resolve_fault_model, trial_seed
-from .metrics import connectivity_metrics, measure, path_survival
+from .metrics import connectivity_metrics, measure, path_survival, route_quality
 
 __all__ = [
     "SweepRequest",
@@ -134,6 +133,8 @@ METRICS_MODES: dict[str, tuple[str, ...]] = {
     ),
     "full": _SUMMARIZED,
 }
+#: The route-quality keys, in :func:`path_survival`'s tuple order.
+_PATHS_KEYS = METRICS_MODES["paths"][2:]
 
 #: Accepted ``backend`` values: the two trial executors (see the module
 #: docstring) and ``auto``, which picks one of them per sweep.
@@ -596,13 +597,7 @@ class _TrialContext:
             degraded, with_reachable=plan.metrics == "connectivity"
         )
         if plan.metrics == "paths":
-            reachable, max_len, stretch, within = path_survival(
-                degraded, plan.bound
-            )
-            row["reachable_groups"] = reachable
-            row["max_path_length"] = max_len
-            row["mean_stretch"] = stretch
-            row["within_bound"] = within
+            row.update(zip(_PATHS_KEYS, path_survival(degraded, plan.bound)))
         return row
 
     def run_range(self, start: int, stop: int) -> list[dict[str, object]]:
@@ -979,118 +974,49 @@ class _VectorContext:
         connected = cross + same
         alive = alive_per_group.sum(axis=1)
         alive_pairs = alive * (alive - 1)
+        connectivity = connected / (n * (n - 1))
+        alive_conn = np.where(
+            alive_pairs > 0, connected / np.maximum(alive_pairs, 1), 1.0
+        )
+        if self.paths:
+            registry = worker_registry()
+            labels = {"backend": self.plan.backend}
+            registry.counter(
+                "repro_sweep_paths_kernel_trials_total", _PATHS_TRIALS_HELP, labels
+            ).inc(batch)
+            registry.histogram(
+                "repro_sweep_paths_kernel_hops", _PATHS_HOPS_HELP, labels
+            ).observe(hops)
+            # dist is the generic fault_route's route lengths: the scoring
+            # is path_survival's own
+            quality = route_quality(
+                dist, alive_per_group > 0, self._intact_dist, self.plan.bound
+            )
+            return [
+                {
+                    "connectivity": float(connectivity[j]),
+                    "alive_connectivity": float(alive_conn[j]),
+                    **dict(zip(_PATHS_KEYS, quality[j])),
+                }
+                for j in range(batch)
+            ]
         live = (alive_per_group > 0).astype(np.int64)
         num_live = live.sum(axis=1)
         routed = np.einsum(
             "bu,buv,bv->b", live, reach_off.astype(np.int64), live
         )
         live_pairs = num_live * (num_live - 1)
-        connectivity = connected / (n * (n - 1))
-        alive_conn = np.where(
-            alive_pairs > 0, connected / np.maximum(alive_pairs, 1), 1.0
-        )
         reachable = np.where(
             num_live >= 2, routed / np.maximum(live_pairs, 1), 1.0
         )
-        if not self.paths:
-            return [
-                {
-                    "connectivity": float(connectivity[j]),
-                    "alive_connectivity": float(alive_conn[j]),
-                    "reachable_groups": float(reachable[j]),
-                }
-                for j in range(batch)
-            ]
-        return self._paths_rows(
-            batch,
-            dist,
-            hops,
-            alive_per_group,
-            num_live,
-            live_pairs,
-            connectivity,
-            alive_conn,
-        )
-
-    def _paths_rows(
-        self,
-        batch: int,
-        dist: np.ndarray,
-        hops: int,
-        alive_per_group: np.ndarray,
-        num_live: np.ndarray,
-        live_pairs: np.ndarray,
-        connectivity: np.ndarray,
-        alive_conn: np.ndarray,
-    ) -> list[dict[str, object]]:
-        """``paths``-mode rows from the batched distance tensor.
-
-        Reproduces :func:`~repro.resilience.metrics.path_survival`
-        value for value: same live-pair set, same ``routed`` /
-        ``within`` / ``max_path_length`` counts, and the identical
-        ``mean_stretch`` float -- both sides feed the same multiset of
-        exact ``length / intact_distance`` ratios through
-        :func:`math.fsum`, which is order-independent.
-        """
-        bound = self.plan.bound
-        diag = np.arange(self.arrays.num_groups)
-        live = alive_per_group > 0
-        pair_mask = live[:, :, None] & live[:, None, :]
-        pair_mask[:, diag, diag] = False
-        routed_mask = pair_mask & (dist > 0)
-        routed_counts = routed_mask.sum(axis=(1, 2))
-        within_counts = (routed_mask & (dist <= bound)).sum(axis=(1, 2))
-        max_len = np.where(routed_mask, dist, -1).max(axis=(1, 2), initial=-1)
-        # stretch denominators: pairs unreachable *intact* (d0 == -1)
-        # have no defined stretch and stay out of the mean (they still
-        # count in reachable/within, mirroring path_survival)
-        stretch_mask = routed_mask & (self._intact_dist > 0)[None, :, :]
-        ratios = np.where(
-            stretch_mask,
-            dist / np.maximum(self._intact_dist, 1)[None, :, :],
-            0.0,
-        )
-        registry = worker_registry()
-        labels = {"backend": self.plan.backend}
-        registry.counter(
-            "repro_sweep_paths_kernel_trials_total", _PATHS_TRIALS_HELP, labels
-        ).inc(batch)
-        registry.histogram(
-            "repro_sweep_paths_kernel_hops", _PATHS_HOPS_HELP, labels
-        ).observe(hops)
-        rows: list[dict[str, object]] = []
-        for j in range(batch):
-            row: dict[str, object] = {
+        return [
+            {
                 "connectivity": float(connectivity[j]),
                 "alive_connectivity": float(alive_conn[j]),
+                "reachable_groups": float(reachable[j]),
             }
-            if num_live[j] < 2:
-                row.update(
-                    reachable_groups=1.0,
-                    max_path_length=0,
-                    mean_stretch=1.0,
-                    within_bound=1.0,
-                )
-            elif routed_counts[j] == 0:
-                # nothing routed: the bound is *not* vacuously confirmed
-                row.update(
-                    reachable_groups=0.0,
-                    max_path_length=-1,
-                    mean_stretch=0.0,
-                    within_bound=0.0,
-                )
-            else:
-                terms = ratios[j][stretch_mask[j]]
-                row.update(
-                    reachable_groups=int(routed_counts[j]) / int(live_pairs[j]),
-                    max_path_length=int(max_len[j]),
-                    mean_stretch=(
-                        math.fsum(terms) / terms.size if terms.size else 1.0
-                    ),
-                    within_bound=int(within_counts[j]) / int(routed_counts[j]),
-                )
-            rows.append(row)
-        return rows
+            for j in range(batch)
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -1571,12 +1497,16 @@ def _prepare_sweep(
         # seed, max_slots): run it once here instead of once per trial
         if baseline is None:
             baseline = partial(_intact_baseline, net, parsed.family)
-        baseline_mean_latency = baseline(
-            workload=request.workload,
-            messages=request.messages,
-            seed=request.seed,
-            max_slots=request.max_slots,
-        )
+        try:
+            baseline_mean_latency = baseline(
+                workload=request.workload,
+                messages=request.messages,
+                seed=request.seed,
+                max_slots=request.max_slots,
+            )
+        except ValueError as exc:  # traffic this machine cannot carry
+            message = f"workload {request.workload!r} on {parsed.canonical()}: {exc}"
+            raise SweepRequestError("workload", message) from None
     plan = _SweepPlan(
         canonical=parsed.canonical(),
         model=model,

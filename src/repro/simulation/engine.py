@@ -20,7 +20,9 @@ so the same engine executes POPS (always one hop) and stack-Kautz
 
 A slot's work is proportional to the messages still in flight: the
 engine keeps the unsettled messages in injection order, walks only
-them, and prunes the list once per slot.  ``inject`` rejects a
+them, and prunes the list once per slot.  Each hop indexes the
+hypergraph's hyperarc tuple directly, with the routing, arbitration
+and relay callbacks bound once per slot.  ``inject`` rejects a
 processor id outside the hypergraph with a ``ValueError`` naming the
 triple, before any of its batch enters the run.
 """
@@ -36,7 +38,7 @@ from .protocol import ArbitrationPolicy, OldestFirst
 __all__ = ["Message", "SlotStats", "SlottedSimulator", "new_messages"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One message flowing through the simulated network."""
 
@@ -204,6 +206,9 @@ class SlottedSimulator:
     def step(self) -> SlotStats:
         """Execute one slot, walking only the unsettled messages."""
         now = self._now
+        hyperarcs = self.network.hyperarcs
+        next_coupler = self.next_coupler
+        disabled = self.disabled_couplers
         # Active messages ask for their next coupler, in injection order;
         # `waiting` keeps every message still unsettled after this pass.
         requests: dict[int, list[Message]] = {}
@@ -213,43 +218,43 @@ class SlottedSimulator:
             if m.inject_slot > now:
                 waiting.append(m)
                 continue
-            if m.current == m.dst:
+            current = m.current
+            if current == m.dst:
                 # delivered at injection (src == dst): zero slots
                 m.deliver_slot = now
                 continue
-            coupler = self.next_coupler(m.current, m)
-            if coupler < 0 or coupler in self.disabled_couplers:
+            coupler = next_coupler(current, m)
+            if coupler < 0 or coupler in disabled:
                 if not self._allow_drops:
                     # intact engine: a bad coupler is a routing bug
                     raise RuntimeError(
                         f"routing returned invalid coupler {coupler} "
-                        f"for message {m.ident} at {m.current}"
+                        f"for message {m.ident} at {current}"
                     )
                 m.drop_slot = now
                 dropped += 1
                 continue
-            ha = self.network.hyperarc(coupler)
-            if m.current not in ha.sources:
+            if current not in hyperarcs[coupler].sources:
                 raise RuntimeError(
-                    f"routing returned coupler {coupler} not sourced at {m.current}"
+                    f"routing returned coupler {coupler} not sourced at {current}"
                 )
             requests.setdefault(coupler, []).append(m)
             waiting.append(m)
 
-        transmissions = 0
         contended = 0
         delivered = 0
+        pick = self.policy.pick
+        relay_of = self.relay_of
+        busy = self.coupler_busy
         for coupler, msgs in requests.items():
             # One transmitter per (processor, coupler): a processor
             # holding several messages for one coupler still sends one.
-            winner = self.policy.pick(msgs, now)
+            winner = pick(msgs, now)
             if len(msgs) > 1:
                 contended += 1
-            transmissions += 1
-            self.coupler_busy[coupler] += 1
-            relay = self.relay_of(coupler, winner)
-            ha = self.network.hyperarc(coupler)
-            if relay not in ha.targets:
+            busy[coupler] += 1
+            relay = relay_of(coupler, winner)
+            if relay not in hyperarcs[coupler].targets:
                 raise RuntimeError(
                     f"relay {relay} is not a target of coupler {coupler}"
                 )
@@ -263,7 +268,7 @@ class SlottedSimulator:
         self._live = (
             [m for m in waiting if m.deliver_slot < 0] if delivered else waiting
         )
-        stats = SlotStats(now, transmissions, contended, delivered, dropped)
+        stats = SlotStats(now, len(requests), contended, delivered, dropped)
         self.slot_log.append(stats)
         self._now += 1
         return stats
@@ -291,6 +296,7 @@ class SlottedSimulator:
         once, with hop count == trace length and a coupler-connected
         trace from src to dst (dropped messages are exempt from the
         trace walk but must not also claim delivery)."""
+        hyperarcs = self.network.hyperarcs
         for m in self.messages:
             if m.dropped:
                 if m.delivered:
@@ -302,12 +308,12 @@ class SlottedSimulator:
                 return False
             cur = m.src
             for c in m.trace:
-                ha = self.network.hyperarc(c)
+                ha = hyperarcs[c]
                 if cur not in ha.sources:
                     return False
-                nxt = [t for t in ha.targets]
+                targets = ha.targets
                 # the relay recorded by the run is implicit; re-walk via dst
-                cur = m.dst if m.dst in nxt else nxt[m.dst % len(nxt)]
+                cur = m.dst if m.dst in targets else targets[m.dst % len(targets)]
             if cur != m.dst:
                 return False
         return True

@@ -46,13 +46,16 @@ def summarize(sim: SlottedSimulator) -> SimulationReport:
     partial runs would silently mix latencies of unfinished traffic).
     Latency and hop statistics cover *delivered* messages; drops --
     possible only when the network carries dead couplers -- show up in
-    ``num_dropped`` and ``delivery_ratio``.
+    ``num_dropped`` and ``delivery_ratio``.  Means and maxima are plain
+    Python over the integer latencies and hops: ``sum(ints) / n`` equals
+    numpy's ``mean`` exactly while the sum stays below ``2**53``.
     """
     if not sim.all_settled():
         raise ValueError("cannot summarize: unsettled messages remain")
-    delivered = [m for m in sim.messages if m.delivered]
-    lat = np.asarray([m.latency for m in delivered], dtype=np.float64)
-    hops = np.asarray([m.hops for m in delivered], dtype=np.float64)
+    delivered = [m for m in sim.messages if m.deliver_slot >= 0]
+    lat = [m.deliver_slot - m.inject_slot for m in delivered]
+    hops = [m.hops for m in delivered]
+    count = len(delivered)
     slots = max(sim.now, 1)
     busy = np.asarray(sim.coupler_busy, dtype=np.float64) / slots
     contended = sum(1 for s in sim.slot_log if s.contended_couplers > 0)
@@ -60,15 +63,15 @@ def summarize(sim: SlottedSimulator) -> SimulationReport:
     return SimulationReport(
         num_messages=total,
         slots=sim.now,
-        mean_latency=float(lat.mean()) if lat.size else 0.0,
-        p95_latency=float(np.percentile(lat, 95)) if lat.size else 0.0,
-        max_latency=int(lat.max()) if lat.size else 0,
-        mean_hops=float(hops.mean()) if hops.size else 0.0,
-        max_hops=int(hops.max()) if hops.size else 0,
-        throughput=len(delivered) / slots,
+        mean_latency=sum(lat) / count if count else 0.0,
+        p95_latency=float(np.percentile(lat, 95)) if count else 0.0,
+        max_latency=max(lat, default=0),
+        mean_hops=sum(hops) / count if count else 0.0,
+        max_hops=max(hops, default=0),
+        throughput=count / slots,
         coupler_utilization=float(busy.mean()) if busy.size else 0.0,
         max_coupler_utilization=float(busy.max()) if busy.size else 0.0,
         contended_slot_fraction=contended / slots,
-        num_dropped=total - len(delivered),
-        delivery_ratio=len(delivered) / total if total else 1.0,
+        num_dropped=total - count,
+        delivery_ratio=count / total if total else 1.0,
     )

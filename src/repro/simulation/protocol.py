@@ -38,6 +38,8 @@ class OldestFirst:
 
     def pick(self, candidates: "list[Message]", slot: int) -> "Message":
         _ = slot
+        if len(candidates) == 1:
+            return candidates[0]
         return min(candidates, key=lambda m: (m.inject_slot, m.ident))
 
 

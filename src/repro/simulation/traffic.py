@@ -32,12 +32,17 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _check_processors(num_processors: int) -> None:
+    """Reject a machine on which ``src != dst`` traffic cannot exist."""
+    if num_processors < 2:
+        raise ValueError("need at least 2 processors")
+
+
 def uniform_traffic(
     num_processors: int, num_messages: int, seed: int = 0
 ) -> list[tuple[int, int, int]]:
     """``num_messages`` one-shot messages with uniform random src != dst."""
-    if num_processors < 2:
-        raise ValueError("need at least 2 processors")
+    _check_processors(num_processors)
     rng = _rng(seed)
     out = []
     for _ in range(num_messages):
@@ -77,6 +82,7 @@ def hotspot_traffic(
     The classic stress test for broadcast media: the hotspot's inbound
     couplers serialize, and multi-hop topologies feel it more.
     """
+    _check_processors(num_processors)
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     rng = _rng(seed)
@@ -117,6 +123,7 @@ def group_local_traffic(
     Models the workload multi-OPS groups are designed for -- tight
     clusters with occasional global exchange.
     """
+    _check_processors(num_processors)
     if num_processors % group_size:
         raise ValueError("group_size must divide num_processors")
     rng = _rng(seed)
@@ -147,6 +154,7 @@ def bernoulli_stream(
     The load knob for throughput/saturation curves (EXT-2): offered
     load is ``rate`` messages/processor/slot.
     """
+    _check_processors(num_processors)
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"rate must be in [0, 1], got {rate}")
     rng = _rng(seed)

@@ -196,6 +196,27 @@ class TestFixedTrialGoldens:
             messages=20,
             metrics="full",
         ),
+        # stack-Kautz routing past its compiled candidates: these views
+        # fall back to the word-level search and to the generic BFS
+        "fixed_sk222_paths_fallback.json": dict(
+            spec="sk(2,2,2)",
+            model="coupler",
+            faults=3,
+            trials=12,
+            seed=11,
+            metrics="paths",
+            backend="batched",
+        ),
+        # dead groups drop out of the live pairs and the simulation
+        "fixed_sk223_full_group.json": dict(
+            spec="sk(2,2,3)",
+            model="group",
+            faults=2,
+            trials=12,
+            seed=11,
+            messages=20,
+            metrics="full",
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

@@ -15,6 +15,7 @@ Three regressions, each pinned so it cannot quietly return:
 
 import random
 
+import numpy as np
 import pytest
 
 import repro
@@ -213,6 +214,12 @@ class _StubDegraded:
 
     def fault_route(self, src, dst):
         return self._routes.get((src, dst))
+
+    def route_lengths(self):
+        lengths = np.full((self.net.num_groups,) * 2, -1)
+        for (src, dst), path in self._routes.items():
+            lengths[src, dst] = len(path) - 1
+        return lengths
 
 
 class TestUndefinedBaselineStretch:

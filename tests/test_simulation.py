@@ -1,5 +1,8 @@
 """Unit tests for the slotted simulator, policies, traffic and metrics."""
 
+import dataclasses
+import hashlib
+import json
 import re
 
 import pytest
@@ -14,6 +17,7 @@ from repro.simulation import (
     Message,
     OldestFirst,
     RandomChoice,
+    RoundRobin,
     SlottedSimulator,
     bernoulli_stream,
     broadcast_traffic,
@@ -257,6 +261,61 @@ class TestPolicies:
         a = RandomChoice(seed=7).pick(self._msgs(), 0).ident
         b = RandomChoice(seed=7).pick(self._msgs(), 0).ident
         assert a == b
+
+
+class TestPolicyRuns:
+    """Whole runs under every arbitration policy, pinned by digest.
+
+    Each digest covers the :class:`SimulationReport`, the ``slot_log``,
+    ``coupler_busy`` and every message's outcome (delivery and drop
+    slots, hops, coupler trace) of 40 uniform messages at seed 5.
+    """
+
+    DIGESTS = {
+        ("sk222-intact", "OldestFirst"): "715e78b17307ff39",
+        ("sk222-intact", "RoundRobin"): "b1a75b28ec7f8163",
+        ("sk222-intact", "RandomChoice"): "53f80fc9438f5030",
+        ("sk222-intact", "FurthestFirst"): "e73e1b1851700192",
+        ("sk222-coupler2", "OldestFirst"): "2468b42c859497f9",
+        ("sk222-coupler2", "RoundRobin"): "fc717683b291a5b9",
+        ("sk222-coupler2", "RandomChoice"): "fa994fdfa9a49e91",
+        ("sk222-coupler2", "FurthestFirst"): "11ec6cc2cfd70f11",
+        ("pops34-processor2", "OldestFirst"): "05468a05f60a0725",
+        ("pops34-processor2", "RoundRobin"): "a2a4f0aa8005aabb",
+        ("pops34-processor2", "RandomChoice"): "b06f97d5eee443da",
+        ("pops34-processor2", "FurthestFirst"): "05468a05f60a0725",
+    }
+    POLICIES = {
+        cls.__name__: cls
+        for cls in (OldestFirst, RoundRobin, RandomChoice, FurthestFirst)
+    }
+
+    @staticmethod
+    def _simulator(case, policy):
+        if case == "sk222-intact":
+            net = build("sk(2,2,2)")
+            return net, stack_kautz_simulator(net, policy)
+        if case == "sk222-coupler2":
+            view = repro.degrade("sk(2,2,2)", model="coupler", faults=2, seed=5)
+        else:
+            view = repro.degrade("pops(3,4)", model="processor", faults=2, seed=5)
+        return view.net, view.simulator(policy)
+
+    @pytest.mark.parametrize("case, policy", sorted(DIGESTS))
+    def test_run_matches_pin(self, case, policy):
+        net, sim = self._simulator(case, self.POLICIES[policy]())
+        report = run_traffic(sim, uniform_traffic(net.num_processors, 40, seed=5))
+        blob = json.dumps(
+            [
+                dataclasses.asdict(report),
+                [dataclasses.astuple(s) for s in sim.slot_log],
+                sim.coupler_busy,
+                [(m.deliver_slot, m.drop_slot, m.hops, m.trace) for m in sim.messages],
+            ],
+            sort_keys=True,
+        )
+        digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
+        assert digest == self.DIGESTS[case, policy]
 
 
 class TestAdapters:

@@ -89,6 +89,45 @@ class TestEveryDoorRejectsTheSameValues:
         assert "workers" not in names and "spec" not in names
 
 
+class TestTrafficTheMachineCannotCarry:
+    """A ``full`` sweep whose baseline traffic cannot exist on the
+    machine (one processor: no ``src != dst`` pair) is a rejected
+    ``workload``, not an internal error."""
+
+    CASES = [
+        ("pops(1,1)", "uniform"),
+        ("pops(1,1)", "hotspot"),
+        ("sops(1)", "group-local"),
+        ("sops(1)", "bernoulli"),
+    ]
+
+    def test_rejected_at_every_door(self, capsys):
+        from repro.serve.client import ServeHTTPError, run_in_thread
+
+        for spec, workload in self.CASES:
+            kw = dict(trials=2, messages=4, workload=workload, metrics="full")
+            with pytest.raises(ValueError, match="at least 2 processors") as err:
+                repro.resilience_sweep(spec, **kw)
+            assert err.value.field == "workload"
+            argv = ["resilience", spec, "--trials", "2", "--messages", "4",
+                    "--workload", workload]
+            assert _cli_exit(argv) == 2
+            assert "at least 2 processors" in capsys.readouterr().err
+        with run_in_thread(workers=0) as client:
+            for spec, workload in self.CASES:
+                with pytest.raises(ServeHTTPError) as http:
+                    client.sweep(spec, trials=2, messages=4, workload=workload)
+                assert (http.value.status, http.value.code) == (400, "bad_request")
+            with pytest.raises(ServeHTTPError) as http:
+                client.experiment({"specs": ["pops(1,1)"], "models": ["coupler:1"],
+                                   "trials": 2, "metrics": "full"})
+            assert http.value.status == 400
+            # traffic a one-processor machine can carry still runs
+            for workload in ("permutation", "broadcast"):
+                summary, _ = client.sweep("pops(1,1)", trials=2, workload=workload)
+                assert summary["trials"] == 2
+
+
 class TestProcessCellsRunWhatTheyReport:
     @pytest.mark.parametrize(
         "bad",
