@@ -6,15 +6,17 @@ serving-tier guarantees end to end over the wire:
 1. **Coalescing** -- N identical concurrent sweep requests produce one
    leader, N-1 followers, identical bodies, and ``/stats`` counters
    agreeing (exactly one execution happened).
-2. **Sharded determinism** -- an experiment run with ``shards=2`` and
-   ``shards=3`` is byte-identical to the single-host run.
+2. **Streaming** -- a streamed (NDJSON) experiment equals the plain
+   one: the same header, then the same cells in grid order, then a
+   footer counting them.
 3. **Observability** -- ``/metrics`` serves parseable Prometheus text
    exposition with the expected families, every response carries an
    ``X-Repro-Request-Id``, and ``--access-log`` writes one JSON line
    per request.
 4. **Error paths** -- caller mistakes (importance sampling on the
-   ``link`` fault model, a temporal ``curve_points`` above 512) answer
-   a structured 400 with their request id, never a ``500 internal``.
+   ``link`` fault model, a temporal ``curve_points`` above 512, an
+   experiment ``shards`` field) answer a structured 400 with their
+   request id, never a ``500 internal``.
 5. **Fast default** -- a ``connectivity`` sweep that names no
    ``backend`` runs on the vectorized kernel: its chunk shows up in
    ``repro_sweep_chunks_total{backend="vectorized"}``.
@@ -54,6 +56,20 @@ def post(port: int, verb: str, payload: dict):
     )
     with urllib.request.urlopen(request, timeout=120) as response:
         return json.load(response), response.headers.get("X-Repro-Coalesced")
+
+
+def stream(port: int, payload: dict) -> list[dict]:
+    """The parsed NDJSON lines of a streamed ``/v1/experiment``."""
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{port}/v1/experiment",
+        data=json.dumps({**payload, "stream": True}).encode(),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    with urllib.request.urlopen(request, timeout=120) as response:
+        content_type = response.headers.get("Content-Type")
+        assert content_type == "application/x-ndjson", content_type
+        return [json.loads(line) for line in response if line.strip()]
 
 
 def get(port: int, path: str):
@@ -151,17 +167,21 @@ def main() -> int:
             f"{CONCURRENT_DUPLICATES} duplicates -> 1 execution"
         )
 
-        # 2. sharded experiment byte-identical to single-host
+        # 2. a streamed experiment equals the plain one, cell for cell
         plan = {"specs": ["pops(2,2)", "sk(2,2,2)"],
                 "metrics": ["connectivity", "full"],
                 "trials": [4], "seed": 7}
-        single, _ = post(port, "experiment", {**plan, "shards": 0})
-        for shards in (2, 3):
-            sharded, _ = post(port, "experiment", {**plan, "shards": shards})
-            assert json.dumps(sharded, sort_keys=True) == json.dumps(
-                single, sort_keys=True
-            ), f"shards={shards} diverged from single-host"
-        print("[serve-smoke] sharding OK: shards 2 and 3 == single-host")
+        plain, _ = post(port, "experiment", plan)
+        lines = stream(port, plan)
+        cells = plain.pop("cells")
+        assert lines[0] == {"experiment": plain}, lines[0]
+        assert [line["cell"] for line in lines[1:-1]] == cells
+        assert [line["index"] for line in lines[1:-1]] == list(
+            range(len(cells))
+        )
+        assert lines[-1] == {"done": True, "cells": len(cells)}, lines[-1]
+        print(f"[serve-smoke] streaming OK: {len(cells)} NDJSON cells == "
+              "plain experiment")
 
         # 3. observability: /metrics exposition + access log
         kinds, _ = scrape_metrics(port)
@@ -188,15 +208,19 @@ def main() -> int:
         )
 
         # 4. caller mistakes are structured 400s, not 500s
-        for verb, payload, words in (
+        for verb, payload, code, words in (
             ("sweep", {"spec": "pops(2,2)", "model": "link",
-                       "sampling": "importance"}, "cardinality distribution"),
+                       "sampling": "importance"}, "bad_request",
+             "cardinality distribution"),
             ("temporal", {"spec": "pops(2,2)", "curve_points": 1000},
-             "curve_points"),
+             "bad_request", "curve_points"),
+            ("experiment", {"specs": ["pops(2,2)"], "trials": [2],
+                            "shards": 2}, "invalid_experiment",
+             "unknown experiment field(s): shards"),
         ):
             status, request_id, error = rejected(port, verb, payload)
             assert status == 400, (status, error)
-            assert error["code"] == "bad_request", error
+            assert error["code"] == code, error
             assert words in error["message"], error
             assert len(request_id) == 16, f"bad request id {request_id!r}"
             print(f"[serve-smoke] {verb} error path OK: 400 {error['code']}")

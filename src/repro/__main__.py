@@ -414,7 +414,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             concurrency=args.concurrency,
             queue_depth=args.queue_depth,
-            shards=args.shards,
             access_log=args.access_log,
             ready=lambda port: print(
                 f"serving on http://{args.host}:{port}", flush=True
@@ -761,7 +760,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="sweep worker-pool size of the shared session",
+        help="sweep worker-pool size of the shared session "
+        "(every sweep, replay, design search and experiment runs on it)",
     )
     p.add_argument(
         "--concurrency",
@@ -775,13 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         help="admitted requests allowed to wait beyond --concurrency "
         "(overflow is rejected with a structured 429)",
-    )
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="default subprocess count for experiment requests "
-        "(0: run on the shared session in-process)",
     )
     p.add_argument(
         "--access-log",

@@ -329,8 +329,8 @@ class Experiment:
         Unlike :meth:`as_dict` (the *report* header, whose key set is
         golden-tested), this carries every plan field -- including
         ``bound`` and ``max_slots`` -- so :meth:`from_payload` rebuilds
-        an equal plan on the other side of a JSON hop (the serving
-        protocol) or a process boundary (experiment shard workers).
+        an equal plan on the other side of a JSON hop: the serving
+        tier's ``/v1/experiment`` requests normalize to it.
         """
         return {**self.as_dict(), "bound": self.bound,
                 "max_slots": self.max_slots}

@@ -330,7 +330,8 @@ class Session:
         :class:`~repro.temporal.replay.TemporalRequest` (a temporal
         replay).
         """
-        return self._run([(spec, request)], workers)[0]
+        (summary,) = self._run([(spec, request)], workers)
+        return summary
 
     def temporal_sweep(self, spec, *, workers=_UNSET, **params):
         """Replay a fault process over time (see :func:`repro.temporal_sweep`).
@@ -355,15 +356,19 @@ class Session:
         warm from the session's caches; summaries are byte-identical to
         it for the same requests.
         """
-        return self._run(requests, workers)
+        return list(self._run(requests, workers))
 
     def _run(self, pairs, workers):
-        """Summaries of ``(spec, request)`` pairs on the caches and pool."""
+        """Yield the summaries of ``(spec, request)`` pairs, in order.
+
+        Each runs on the session's caches and pool, and is yielded as
+        soon as its run is complete.
+        """
         self._check_open()
         from ..resilience.sweep import _run_requests
 
         executor = self._executor_for(self._effective_workers(workers))
-        return _run_requests(pairs, executor, entry=self._cache.entry)
+        yield from _run_requests(pairs, executor, entry=self._cache.entry)
 
     def design_search(self, *, workers=_UNSET, **kwargs):
         """Survivability-per-cost search (see :func:`repro.design_search`).
@@ -405,21 +410,26 @@ class Session:
     def run_experiment(self, experiment, *, workers=_UNSET):
         """Execute one compiled experiment plan on the session's pool.
 
-        Frozen-model and fault-process cells are scheduled together on
-        the one executor; every cell's summary is byte-identical to
-        :meth:`run_sweep` on that cell's ``(spec, request)`` pair.
+        The :class:`~repro.core.experiment.ExperimentResult` of every
+        cell :meth:`iter_experiment` yields.
         """
         from .experiment import ExperimentResult
 
+        cells = self.iter_experiment(experiment, workers=workers)
+        return ExperimentResult(experiment, tuple(cells))
+
+    def iter_experiment(self, experiment, *, workers=_UNSET):
+        """Yield the plan's cells, in grid order, as each run completes.
+
+        Each is an :class:`~repro.core.experiment.ExperimentCell`.
+        Frozen-model and fault-process cells are scheduled together on
+        the one executor (inline, one cell runs per step), and every
+        cell's summary is byte-identical to :meth:`run_sweep` on that
+        cell's ``(spec, request)`` pair.
+        """
         cells = experiment.compile()
-        summaries = self._run(cells, workers)
-        return ExperimentResult(
-            experiment=experiment,
-            cells=tuple(
-                experiment.cell_result(cell, summary)
-                for (_, cell), summary in zip(cells, summaries)
-            ),
-        )
+        for (_, cell), summary in zip(cells, self._run(cells, workers)):
+            yield experiment.cell_result(cell, summary)
 
 
 # ----------------------------------------------------------------------

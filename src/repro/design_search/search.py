@@ -530,9 +530,9 @@ def design_search(
                 _count("evaluated")
 
         if request.ci_target is None or rank_by != "survivability-per-cost":
-            summaries = _run_requests(
+            summaries = list(_run_requests(
                 [(spec, request) for spec, *_ in records], executor
-            )
+            ))
         else:
             # early discard: candidates run in deterministic order, so
             # the leader bound -- (1000 / cost) * survival CI low of the

@@ -15,7 +15,7 @@ exposes:
 * :mod:`repro.obs.process` -- uptime / RSS / version for ``/healthz``.
 
 All instrumentation is side-channel only: results are byte-identical
-with observability on or off, at any worker or shard count.
+with observability on or off, at any worker count.
 """
 
 from repro.obs.logging import AccessLogger, new_request_id

@@ -23,10 +23,10 @@ state back; instead each worker process records into a dedicated
 *worker registry* that the pool initializer resets
 (:func:`reset_worker_registry`) and each finished chunk drains
 (:meth:`MetricsRegistry.drain`) into a JSON-safe snapshot shipped home
-with the rows.  The parent merges those deltas at join
+with the rows.  The parent merges each delta as its chunk arrives
 (:meth:`MetricsRegistry.merge`) -- counters and histogram buckets add,
 gauges take the max -- all commutative, so the merged totals are
-deterministic for any worker count and join order.
+deterministic for any worker count and arrival order.
 
 >>> r = MetricsRegistry()
 >>> r.counter("jobs_total", "jobs run").inc()

@@ -11,7 +11,7 @@ paths pay only a module-global ``is None`` check.  When a
 :class:`Tracer` is installed (:func:`enable_tracing`, or the CLI's
 ``--trace out.json``), each span records one *complete* event with
 wall-clock epoch timestamps, so events recorded in different processes
-(sweep workers, shard subprocesses) land on one common timeline.
+(the parent and its sweep workers) land on one common timeline.
 
 Exports:
 

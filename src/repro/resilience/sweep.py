@@ -69,9 +69,10 @@ import os
 import random
 import threading
 from collections import OrderedDict
-from contextlib import ExitStack, nullcontext
+from contextlib import nullcontext
 from dataclasses import InitVar, dataclass, field, fields, replace
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -1068,31 +1069,30 @@ def _observed_range(ctx, start: int, stop: int):
     return rows, meta
 
 
-def _absorb_chunk_metas(metas, dispatched_us: int) -> None:
-    """Merge shipped worker deltas into the parent's global registry.
+def _absorb_chunk_meta(meta, dispatched_us: int) -> None:
+    """Merge one shipped worker delta into the parent's global registry.
 
     Every merge operation is commutative, so the totals are identical
     for any worker count and chunk completion order.  The parent also
-    derives per-chunk queue wait (dispatch -> worker pickup); with a
-    tracer active each chunk becomes a ``sweep.chunk`` event on the
+    derives the chunk's queue wait (dispatch -> worker pickup); with a
+    tracer active the chunk becomes a ``sweep.chunk`` event on the
     worker's own pid row of the timeline.
     """
-    for meta in metas:
-        REGISTRY.merge(meta["metrics"])
-        wait = max(meta["start_us"] - dispatched_us, 0) / 1e6
-        REGISTRY.histogram(
-            "repro_sweep_queue_wait_seconds",
-            _WAIT_HELP,
-            {"backend": meta["backend"]},
-        ).observe(wait)
-        add_complete_event(
-            "sweep.chunk",
-            meta["start_us"],
-            meta["dur_us"],
-            args={"trials": meta["trials"], "backend": meta["backend"]},
-            pid=meta["pid"],
-            tid=0,
-        )
+    REGISTRY.merge(meta["metrics"])
+    wait = max(meta["start_us"] - dispatched_us, 0) / 1e6
+    REGISTRY.histogram(
+        "repro_sweep_queue_wait_seconds",
+        _WAIT_HELP,
+        {"backend": meta["backend"]},
+    ).observe(wait)
+    add_complete_event(
+        "sweep.chunk",
+        meta["start_us"],
+        meta["dur_us"],
+        args={"trials": meta["trials"], "backend": meta["backend"]},
+        pid=meta["pid"],
+        tid=0,
+    )
 
 
 def _index_chunks(trials: int, workers: int) -> list[tuple[int, int]]:
@@ -1144,7 +1144,7 @@ def _cached_context(cache: OrderedDict, plan, **kw):
     return ctx
 
 
-def _run_persistent_chunk(task: tuple[int, object, int, int]):
+def _run_persistent_chunk(task: tuple[object, int, int]):
     """Run one trial range of any plan on the worker's context cache.
 
     The plan travels with the task, so one pool serves any sequence of
@@ -1152,10 +1152,8 @@ def _run_persistent_chunk(task: tuple[int, object, int, int]):
     time it sees a plan (from the canonical spec) and reuses it for
     every later chunk of that plan.
     """
-    index, plan, start, stop = task
-    ctx = _cached_context(_PERSIST_CTXS, plan)
-    rows, obs_meta = _observed_range(ctx, start, stop)
-    return index, start, rows, obs_meta
+    plan, start, stop = task
+    return _observed_range(_cached_context(_PERSIST_CTXS, plan), start, stop)
 
 
 class PersistentSweepExecutor:
@@ -1213,24 +1211,25 @@ class PersistentSweepExecutor:
             return self._pool
 
     def _map_chunks(self, tasks):
-        """``(index, start, rows, meta)`` per chunk task, in task order.
+        """Yield ``(rows, meta)`` per chunk task, in task order.
 
-        Worker observation deltas are merged into the parent registry
-        on the way back.  A ``KeyboardInterrupt``/``SystemExit``
-        mid-map can leave tasks the pool will never drain; marking the
-        executor interrupted makes the eventual :meth:`close` terminate
-        the workers instead of hanging on (or warning out of) a doomed
-        drain.
+        ``Pool.imap`` releases each chunk as soon as it and every
+        earlier one are in; its worker observation delta is merged into
+        the parent registry on the way.  A
+        ``KeyboardInterrupt``/``SystemExit`` mid-map can leave tasks the
+        pool will never drain; marking the executor interrupted makes
+        the eventual :meth:`close` terminate the workers instead of
+        hanging on (or warning out of) a doomed drain.
         """
         dispatched_us = now_us()
         pool = self._ensure_pool()
         try:
-            results = pool.map(_run_persistent_chunk, tasks)
+            for rows, meta in pool.imap(_run_persistent_chunk, tasks):
+                _absorb_chunk_meta(meta, dispatched_us)
+                yield rows, meta
         except (KeyboardInterrupt, SystemExit):
             self._interrupted = True
             raise
-        _absorb_chunk_metas((meta for _, _, _, meta in results), dispatched_us)
-        return results
 
     def run(self, prepared, *, extra_stop=None) -> list[dict]:
         """All trial rows of one prepared run, in trial-index order.
@@ -1276,32 +1275,40 @@ class PersistentSweepExecutor:
             REGISTRY.merge(meta["metrics"])
             return rows
         chunks = self._map_chunks([
-            (0, plan, start + lo, start + hi)
+            (plan, start + lo, start + hi)
             for lo, hi in _index_chunks(stop - start, self.workers)
         ])
-        return [row for _, _, rows, _ in chunks for row in rows]
+        return [row for rows, _ in chunks for row in rows]
 
-    def run_many(self, prepared_list) -> list[list[dict]]:
-        """Row lists for many prepared runs, scheduled on ONE pool.
+    def run_many(self, prepared_list):
+        """Yield the row list of each prepared run, in input order.
 
-        Sweeps and temporal replays mix freely.  Returns one row list
-        per input, each identical to what :meth:`run` would produce for
-        it alone.
+        Sweeps and temporal replays mix freely, and every run's chunks
+        share ONE pool map; each row list is identical to what
+        :meth:`run` would produce for that run alone, and is yielded as
+        soon as its last chunk is in.  A run of 0 trials schedules no
+        chunks and yields empty rows in its place.
         """
         if self._closed:
             raise RuntimeError("executor is closed")
         if not self.parallel:
-            return [self.run(p) for p in prepared_list]
-        by_sweep: list[list[dict]] = [[] for _ in prepared_list]
-        # map() keeps task order, and each sweep's chunks are queued in
-        # trial-index order, so appending rebuilds every row list
-        for index, _start, rows, _meta in self._map_chunks([
-            (i, p.plan, lo, hi)
-            for i, p in enumerate(prepared_list)
-            for lo, hi in _index_chunks(p.trials, self.workers)
-        ]):
-            by_sweep[index].extend(rows)
-        return by_sweep
+            for prepared in prepared_list:
+                yield self.run(prepared)
+            return
+        ranges = [_index_chunks(p.trials, self.workers) for p in prepared_list]
+        chunks = self._map_chunks([
+            (p.plan, lo, hi)
+            for p, run_ranges in zip(prepared_list, ranges)
+            for lo, hi in run_ranges
+        ])
+        # imap keeps task order, and each run's chunks are queued in
+        # trial-index order: run i's rows are the next len(ranges[i])
+        for run_ranges in ranges:
+            yield [
+                row
+                for rows, _ in islice(chunks, len(run_ranges))
+                for row in rows
+            ]
 
     def close(self, *, terminate: bool = False) -> None:
         """Shut the pool down and drop cached contexts (idempotent).
@@ -1595,8 +1602,8 @@ def _scoped_executor(executor: PersistentSweepExecutor | None, workers):
     return PersistentSweepExecutor(workers)
 
 
-def _run_requests(pairs, executor, *, entry=None, extra_stop=None) -> list:
-    """The summaries of ``(spec, request)`` pairs, in order: the one run path.
+def _run_requests(pairs, executor, *, entry=None, extra_stop=None):
+    """Yield the summary of each ``(spec, request)`` pair: the one run path.
 
     Every sweep and temporal replay runs here, whichever door it came
     through.  ``pairs`` mixes :class:`SweepRequest` and
@@ -1614,10 +1621,12 @@ def _run_requests(pairs, executor, *, entry=None, extra_stop=None) -> list:
     executor, or any adaptive (``ci_target``) run, takes one pair at a
     time from prepare to summary, so at most one built network is held
     at once and each adaptive run makes its own per-wave stop
-    decisions.  Otherwise every pair's trial chunks share one pool map
-    and the prepared runs drop their built networks: workers build
-    each context from the plan's canonical spec.  Summaries are
-    byte-identical either way.
+    decisions.  Otherwise every pair is prepared before any chunk runs
+    (so a request the built machine rejects fails first), every pair's
+    trial chunks share one pool map, and the prepared runs drop their
+    built networks: workers build each context from the plan's
+    canonical spec.  Either way each summary is yielded as soon as its
+    run is complete, and is byte-identical to per-sweep execution.
     """
     from ..core.cache import CacheEntry
     from ..core.spec import NetworkSpec
@@ -1685,20 +1694,26 @@ def _run_requests(pairs, executor, *, entry=None, extra_stop=None) -> list:
     if not executor.parallel or any(
         getattr(request, "ci_target", None) is not None for _, request in pairs
     ):
-        summaries = []
         for spec, request in pairs:
             prepared = prepare(spec, request)
             with execute_span(prepared):
                 rows = executor.run(prepared, extra_stop=extra_stop)
-            summaries.append(summarize(prepared, rows))
-        return summaries
+            yield summarize(prepared, rows)
+        return
     prepared_list = [prepare(spec, request) for spec, request in pairs]
-    with ExitStack() as spans:
-        # every run spans the one shared map its chunks ran in
-        for prepared in prepared_list:
-            spans.enter_context(execute_span(prepared))
+    # every run's span opens at the one shared dispatch and closes when
+    # its rows are complete; a failed or abandoned stream closes the rest
+    spans = [execute_span(prepared) for prepared in prepared_list]
+    for open_span in spans:
+        open_span.__enter__()
+    try:
         rows_lists = executor.run_many(prepared_list)
-    return [summarize(p, rows) for p, rows in zip(prepared_list, rows_lists)]
+        for prepared, rows in zip(prepared_list, rows_lists):
+            spans.pop(0).__exit__(None, None, None)
+            yield summarize(prepared, rows)
+    finally:
+        for open_span in spans:
+            open_span.__exit__(None, None, None)
 
 
 def survivability_sweep(
@@ -1768,4 +1783,4 @@ def pooled_survivability_sweeps(
     ('pops(2,2)', 'sk(2,2,2)')
     """
     with _scoped_executor(executor, workers) as scoped:
-        return _run_requests(requests, scoped)
+        return list(_run_requests(requests, scoped))

@@ -8,10 +8,8 @@ four pieces:
 - :mod:`~repro.serve.coalesce` -- single-flight execution of identical
   concurrent requests;
 - :mod:`~repro.serve.app` -- the asyncio server: admission control,
-  thread-pool execution against one warm Session, NDJSON streaming;
-- :mod:`~repro.serve.shard` -- deterministic experiment sharding
-  across worker subprocesses (byte-identical merges at any shard
-  count);
+  thread-pool execution against one warm Session and its one worker
+  pool, NDJSON experiment streaming;
 - :mod:`~repro.serve.client` -- a blocking client and the in-thread
   server harness used by tests and benchmarks.
 
@@ -24,13 +22,6 @@ from .app import ReproServer, run_server
 from .client import ServeClient, run_in_thread
 from .coalesce import RequestCoalescer
 from .protocol import SERVE_VERBS, ServeError, request_key
-from .shard import (
-    ShardError,
-    iter_sharded_cells,
-    partition_indices,
-    run_sharded_experiment,
-    sharded_to_json,
-)
 
 __all__ = [
     "SERVE_VERBS",
@@ -38,12 +29,7 @@ __all__ = [
     "RequestCoalescer",
     "ServeClient",
     "ServeError",
-    "ShardError",
-    "iter_sharded_cells",
-    "partition_indices",
     "request_key",
     "run_server",
-    "run_sharded_experiment",
     "run_in_thread",
-    "sharded_to_json",
 ]

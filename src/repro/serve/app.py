@@ -19,10 +19,10 @@ framework dependency), one process, three layers:
 3. **Execution.**  The blocking verbs run on a ``ThreadPoolExecutor``
    via ``run_in_executor`` against ONE shared
    :class:`~repro.core.session.Session` (thread-safe as of this tier),
-   so every request shares warm topology caches and persistent worker
-   pools.  ``experiment`` requests with ``shards >= 1`` fan out to
-   worker subprocesses instead (:mod:`repro.serve.shard`) and can
-   stream cells as NDJSON.
+   so every request shares warm topology caches and the one persistent
+   worker pool that ``--workers`` sizes.  Experiments run there too,
+   answered as one report or, with ``"stream": true``, as NDJSON cells
+   in grid order as they finish.
 
 Every request carries a generated id (echoed as ``X-Repro-Request-Id``
 and attached to spans and access-log lines), is timed into per-endpoint
@@ -108,6 +108,24 @@ def _dumps(payload) -> bytes:
     return json.dumps(payload, sort_keys=True).encode() + b"\n"
 
 
+def _serve_error(exc: Exception) -> ServeError:
+    """The structured error a failed request answers with.
+
+    A :class:`ServeError` stands as raised.  A sweep request the built
+    machine rejects (the stratified trial floor, traffic it cannot
+    carry) is the caller's mistake, a 400 like a door check; anything
+    else is a 500 ``internal``.  Plain answers and stream error lines
+    both come from here.
+    """
+    if isinstance(exc, ServeError):
+        return exc
+    if isinstance(exc, SweepRequestError):
+        return ServeError(str(exc), code=exc.code, details=exc.details)
+    return ServeError(
+        f"{type(exc).__name__}: {exc}", code="internal", status=500
+    )
+
+
 class _Admission:
     """Slot counter: ``concurrency + queue_depth`` admitted at most.
 
@@ -155,8 +173,6 @@ class ReproServer:
     ``concurrency`` bounds simultaneous executing requests (thread-pool
     size); ``queue_depth`` bounds how many more may wait; ``workers``
     is the Session's sweep-pool size (``None``: its auto default);
-    ``shards`` the default subprocess count for sharded experiments
-    (0: run experiments on the shared session in-process);
     ``access_log`` enables structured JSON access logging (``"-"`` for
     stderr, a path, or a file-like object).
     """
@@ -170,7 +186,6 @@ class ReproServer:
         workers=None,
         concurrency: int = 4,
         queue_depth: int = 8,
-        shards: int = 0,
         access_log=None,
     ) -> None:
         from ..core.session import Session
@@ -181,7 +196,6 @@ class ReproServer:
             raise ValueError(f"queue_depth must be >= 0, got {queue_depth}")
         self.host = host
         self.port = port
-        self.shards = shards
         self._owns_session = session is None
         self.session = Session(workers=workers) if session is None else session
         self.coalescer = RequestCoalescer()
@@ -270,7 +284,6 @@ class ReproServer:
             "cache": self.session.cache_stats(),
             "pools_started": self.session.pools_started,
             "requests_served": self._requests_served,
-            "shards": self.shards,
             "latency": latency,
             **self._process_payload(),
         }
@@ -440,17 +453,11 @@ class ReproServer:
             if length:
                 body = await reader.readexactly(length)
             await self._dispatch(writer, method, target, body, ctx)
-        except ServeError as exc:
-            await self._respond(writer, exc.status, exc.payload(), ctx=ctx)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         except Exception as exc:  # never leak a traceback as raw bytes
-            await self._respond(
-                writer, 500, ServeError(
-                    f"{type(exc).__name__}: {exc}",
-                    code="internal", status=500,
-                ).payload(), ctx=ctx,
-            )
+            error = _serve_error(exc)
+            await self._respond(writer, error.status, error.payload(), ctx=ctx)
         finally:
             self._finish_request(ctx)
             try:
@@ -579,105 +586,24 @@ class ReproServer:
         }[verb]
         with span("serve.validate", request_id=ctx["id"], verb=verb):
             normalized = validator(payload)
-        key = request_key(verb, normalized)
-        result, role = await self._coalesced(
-            key, lambda: self._run_verb(verb, normalized), ctx
-        )
-        self._requests_served += 1
-        ctx["coalesced"] = role
-        await self._respond(
-            writer, 200, result, extra={"X-Repro-Coalesced": role}, ctx=ctx
+        await self._respond_coalesced(
+            writer, request_key(verb, normalized),
+            lambda: self._run_verb(verb, normalized), ctx,
         )
 
-    async def _coalesced(self, key: str, work, ctx=None):
-        """Single-flight + admission: the heart of the serving tier.
-
-        Followers join the in-flight future without taking an
-        admission slot (they cost nothing).  The leader must win a
-        slot BEFORE registering the flight -- a rejected request must
-        not become a flight that followers pile onto.  No await
-        between ``join`` and ``lead``, so flights never duplicate.
-        """
-        request_id = ctx["id"] if ctx else ""
-        existing = self.coalescer.join(key)
-        if existing is not None:
-            with span("serve.coalesce", request_id=request_id,
-                      role="follower"):
-                return await existing, "follower"
-        with span("serve.admission", request_id=request_id):
-            admitted = self.admission.try_acquire()
-        if not admitted:
-            raise ServeError(
-                "server at capacity, retry later",
-                code="overloaded",
-                status=429,
-                details=self.admission.stats(),
-            )
-        future = self.coalescer.lead(key)
-        loop = asyncio.get_running_loop()
-        try:
-            with span("serve.execute", request_id=request_id):
-                result = await loop.run_in_executor(self._executor, work)
-        except ServeError as exc:
-            self.coalescer.resolve(key, future, error=exc)
-            raise
-        except Exception as exc:
-            # a sweep request the built machine rejects (the stratified
-            # trial floor) is the caller's mistake, like a door check
-            wrapped = (
-                ServeError(str(exc), code=exc.code, details=exc.details)
-                if isinstance(exc, SweepRequestError)
-                else ServeError(
-                    f"{type(exc).__name__}: {exc}", code="internal", status=500
-                )
-            )
-            self.coalescer.resolve(key, future, error=wrapped)
-            raise wrapped from exc
-        finally:
-            self.admission.release()
-        self.coalescer.resolve(key, future, result=result)
-        return result, "leader"
-
-    # ------------------------------------------------------------------
-    # Experiments: in-process, sharded, or streamed.
-    # ------------------------------------------------------------------
     async def _handle_experiment(self, writer, payload, ctx) -> None:
-        from .shard import run_sharded_experiment
-
-        stream = bool(payload.get("stream", False)) if isinstance(
-            payload, dict
-        ) else False
         with span("serve.validate", request_id=ctx["id"], verb="experiment"):
             experiment, normalized = validate_experiment(payload)
-        shards = normalized["shards"] or self.shards
-        if stream:
-            await self._stream_experiment(writer, experiment, shards, ctx)
+        if normalized["stream"]:
+            await self._stream_experiment(writer, experiment, ctx)
             return
-        if shards >= 1:
-            def work():
-                return run_sharded_experiment(experiment, shards=shards)
-        else:
-            def work():
-                return self.session.run_experiment(experiment).as_dict()
-        key = request_key("experiment", {**normalized, "shards": shards})
-        result, role = await self._coalesced(key, work, ctx)
-        self._requests_served += 1
-        ctx["coalesced"] = role
-        await self._respond(
-            writer, 200, result, extra={"X-Repro-Coalesced": role}, ctx=ctx
+        await self._respond_coalesced(
+            writer, request_key("experiment", normalized),
+            lambda: self.session.run_experiment(experiment).as_dict(), ctx,
         )
 
-    async def _stream_experiment(self, writer, experiment, shards, ctx) -> None:
-        """NDJSON: header line, one line per cell in index order, footer.
-
-        A worker thread drives :func:`iter_sharded_cells` and feeds an
-        asyncio queue; cells go over the wire the moment the in-order
-        merge releases them.  Streams hold an admission slot for their
-        whole duration (they occupy an executor thread) and are never
-        coalesced -- each stream owns its subprocesses.
-        """
-        from .shard import iter_sharded_cells
-
+    def _admit(self) -> None:
+        """Take an admission slot, or answer a structured 429."""
         if not self.admission.try_acquire():
             raise ServeError(
                 "server at capacity, retry later",
@@ -685,20 +611,76 @@ class ReproServer:
                 status=429,
                 details=self.admission.stats(),
             )
+
+    async def _respond_coalesced(self, writer, key: str, work, ctx) -> None:
+        """Single-flight + admission: the heart of the serving tier.
+
+        Answers 200 with ``work()``'s result.  Followers join the
+        in-flight future without taking an admission slot (they cost
+        nothing).  The leader must win a slot BEFORE registering the
+        flight -- a rejected request must not become a flight that
+        followers pile onto.  No await between ``join`` and ``lead``,
+        so flights never duplicate.
+        """
+        request_id = ctx["id"]
+        existing = self.coalescer.join(key)
+        if existing is not None:
+            with span("serve.coalesce", request_id=request_id,
+                      role="follower"):
+                result, role = await existing, "follower"
+        else:
+            with span("serve.admission", request_id=request_id):
+                self._admit()
+            future = self.coalescer.lead(key)
+            loop = asyncio.get_running_loop()
+            try:
+                with span("serve.execute", request_id=request_id):
+                    result = await loop.run_in_executor(self._executor, work)
+            except Exception as exc:
+                error = _serve_error(exc)
+                self.coalescer.resolve(key, future, error=error)
+                raise error
+            finally:
+                self.admission.release()
+            self.coalescer.resolve(key, future, result=result)
+            role = "leader"
+        self._requests_served += 1
+        ctx["coalesced"] = role
+        await self._respond(
+            writer, 200, result, extra={"X-Repro-Coalesced": role}, ctx=ctx
+        )
+
+    async def _stream_experiment(self, writer, experiment, ctx) -> None:
+        """NDJSON: header line, one line per cell in grid order, footer.
+
+        A request thread drives :meth:`Session.iter_experiment` on the
+        shared session and feeds an asyncio queue; each cell goes over
+        the wire as soon as the session yields it.  A stream holds an
+        admission slot for its whole duration (it occupies a request
+        thread) and is never coalesced -- each stream writes its own
+        socket as its cells arrive.  A failure ends the stream with the
+        structured error line a plain request would answer with.
+        """
+        self._admit()
         loop = asyncio.get_running_loop()
         feed: asyncio.Queue = asyncio.Queue()
 
+        def put(line) -> None:
+            loop.call_soon_threadsafe(feed.put_nowait, line)
+
         def pump() -> None:
+            cells = 0
             try:
-                for index, cell in iter_sharded_cells(
-                    experiment, shards=max(shards, 1)
+                for index, cell in enumerate(
+                    self.session.iter_experiment(experiment)
                 ):
-                    loop.call_soon_threadsafe(
-                        feed.put_nowait, ("cell", index, cell)
-                    )
-                loop.call_soon_threadsafe(feed.put_nowait, ("end", None, None))
-            except BaseException as exc:
-                loop.call_soon_threadsafe(feed.put_nowait, ("error", None, exc))
+                    put({"index": index, "cell": cell.as_dict()})
+                    cells += 1
+                put({"done": True, "cells": cells})
+            except Exception as exc:
+                put(_serve_error(exc).payload())
+            finally:
+                put(None)  # the stream ends whatever happened
 
         ctx["status"] = 200
         writer.write(
@@ -710,27 +692,10 @@ class ReproServer:
         writer.write(_dumps({"experiment": experiment.as_dict()}))
         await writer.drain()
         pumping = loop.run_in_executor(self._executor, pump)
-        cells = 0
         try:
-            while True:
-                tag, index, cell = await feed.get()
-                if tag == "cell":
-                    writer.write(_dumps({"index": index, "cell": cell}))
-                    await writer.drain()
-                    cells += 1
-                elif tag == "end":
-                    writer.write(_dumps({"done": True, "cells": cells}))
-                    await writer.drain()
-                    break
-                else:
-                    writer.write(
-                        _dumps({"error": {
-                            "code": "internal",
-                            "message": f"{type(cell).__name__}: {cell}",
-                        }})
-                    )
-                    await writer.drain()
-                    break
+            while (line := await feed.get()) is not None:
+                writer.write(_dumps(line))
+                await writer.drain()
         finally:
             await pumping
             self.admission.release()
@@ -744,7 +709,6 @@ def run_server(
     workers=None,
     concurrency: int = 4,
     queue_depth: int = 8,
-    shards: int = 0,
     ready=None,
     access_log=None,
 ) -> None:
@@ -765,7 +729,6 @@ def run_server(
             workers=workers,
             concurrency=concurrency,
             queue_depth=queue_depth,
-            shards=shards,
             access_log=access_log,
         )
         await server.start()

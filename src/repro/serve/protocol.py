@@ -254,35 +254,27 @@ def validate_temporal(payload) -> dict:
     return {"spec": spec, **normalized}
 
 
-#: Transport-level experiment fields that are NOT plan fields.
-_EXPERIMENT_TRANSPORT = ("shards", "stream")
-
-
 def validate_experiment(payload) -> tuple[object, dict]:
     """``experiment`` request -> ``(Experiment plan, normalized dict)``.
 
     Plan fields go through
     :meth:`~repro.core.experiment.Experiment.from_payload` (strict:
-    unknown fields raise), so the plan a shard worker reconstructs on
-    the far side of the JSON hop equals the one validated here.
-    ``shards`` (transport, not plan) rides along in the normalized
-    dict: it never changes the merged bytes -- sharding is
-    deterministic -- so it deliberately keeps requests coalescible
-    only when their shard counts also agree (a streaming/sharded run
-    and a single-host run hold different server resources).
+    unknown fields raise), and the normalized dict is the plan's
+    defaults-complete :meth:`~repro.core.experiment.Experiment.to_payload`
+    plus ``stream``, the one transport field: ``true`` answers NDJSON
+    cells as they finish, ``false`` (the default) one report.  Both
+    forms run on the server's session.
     """
     from ..core.experiment import Experiment
-    from ..resilience.sweep import _check_int
 
     payload = _require_object(payload, "experiment")
-    plan_fields = {
-        k: v for k, v in payload.items() if k not in _EXPERIMENT_TRANSPORT
-    }
+    stream = payload.get("stream", False)
+    if not isinstance(stream, bool):
+        raise ServeError(f"stream must be true or false, got {stream!r}")
     try:
-        experiment = Experiment.from_payload(plan_fields)
+        experiment = Experiment.from_payload(
+            {k: v for k, v in payload.items() if k != "stream"}
+        )
     except (SpecError, ValueError, TypeError) as exc:
         raise ServeError(str(exc), code="invalid_experiment") from None
-    shards = payload.get("shards", 0)
-    _checked(_check_int, "shards", shards, 0)
-    normalized = {**experiment.to_payload(), "shards": shards}
-    return experiment, normalized
+    return experiment, {**experiment.to_payload(), "stream": stream}

@@ -8,7 +8,7 @@ The load-bearing guarantees pinned here:
   lines with ``+Inf`` last, ``_sum``/``_count``, escaped labels);
 * tracing is a strict side channel -- sweep, design-search and
   experiment results are byte-identical with tracing on or off, at
-  any worker or shard count;
+  any worker count, streamed or not;
 * worker subprocesses ship their metrics home: parent-side totals
   count every trial regardless of how the chunks were distributed.
 """
@@ -335,18 +335,42 @@ class TestByteIdentity:
             disable_tracing()
         assert traced == plain
 
-    def test_experiment_identical_across_shards_and_tracing(self):
-        from repro.core.experiment import Experiment
-        from repro.serve.shard import run_sharded_experiment, sharded_to_json
+    def test_experiment_identical_across_workers_streams_and_tracing(self):
+        from repro.core.experiment import Experiment, ExperimentResult
 
         exp = Experiment(specs=("pops(2,2)", "sk(2,2,2)"), trials=8)
         single = exp.run(workers=0).to_json()
         enable_tracing()
         try:
-            sharded = sharded_to_json(run_sharded_experiment(exp, shards=2))
+            with Session(workers=2) as session:
+                pooled = session.run_experiment(exp).to_json()
+                streamed = ExperimentResult(
+                    exp, tuple(session.iter_experiment(exp))
+                ).to_json()
         finally:
             disable_tracing()
-        assert sharded == single
+        assert pooled == streamed == single
+
+    def test_abandoned_pooled_stream_records_every_execute_span(self):
+        from repro.core.experiment import Experiment
+
+        exp = Experiment(
+            specs=("pops(2,2)", "sk(2,2,2)"),
+            models=("coupler:1", "coupler-renewal:1"),
+            metrics=("connectivity",),
+            trials=(8,),
+        )
+        tracer = enable_tracing()
+        try:
+            with Session(workers=2) as session:
+                cells = session.iter_experiment(exp)
+                next(cells)
+                cells.close()
+        finally:
+            disable_tracing()
+        names = [event["name"] for event in tracer.events()]
+        assert names.count("sweep.execute") == 2
+        assert names.count("temporal.execute") == 2
 
     def test_worker_metrics_account_for_every_trial(self):
         REGISTRY.reset()

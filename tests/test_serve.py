@@ -1,21 +1,25 @@
-"""The serving tier: protocol, coalescing, sharding, and the HTTP front.
+"""The serving tier: protocol, coalescing, experiment streams, the HTTP front.
 
 End-to-end tests drive a real socket via the in-thread harness
 (:func:`repro.serve.client.run_in_thread`); determinism tests pin the
-ISSUE's acceptance bar -- sharded experiment output byte-identical to
-single-host ``ExperimentResult.to_json()`` at any shard count, N
-identical concurrent sweeps executing exactly once, and admission
-overflow answering a structured 429.
+serving contract -- streamed experiment cells arrive in grid order and
+equal ``ExperimentResult.to_json()`` at any worker count, on the
+server's own session and pool; N identical concurrent sweeps execute
+exactly once; and admission overflow answers a structured 429.
 """
 
 import asyncio
 import json
+import multiprocessing
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.core.experiment import Experiment
+from repro.core.session import Session
+from repro.obs.metrics import REGISTRY
 from repro.serve.coalesce import RequestCoalescer
 from repro.serve.protocol import (
     ServeError,
@@ -24,12 +28,6 @@ from repro.serve.protocol import (
     validate_design_search,
     validate_experiment,
     validate_sweep,
-)
-from repro.serve.shard import (
-    iter_sharded_cells,
-    partition_indices,
-    run_sharded_experiment,
-    sharded_to_json,
 )
 from repro.serve.client import ServeHTTPError, run_in_thread
 
@@ -118,9 +116,9 @@ class TestProtocol:
 
     def test_experiment_roundtrips_plan(self):
         experiment, normalized = validate_experiment(
-            {"specs": ["pops 2 2"], "trials": 4, "shards": 2}
+            {"specs": ["pops 2 2"], "trials": 4}
         )
-        assert normalized["shards"] == 2
+        assert normalized["stream"] is False
         assert normalized["specs"] == ["pops(2,2)"]
         assert Experiment.from_payload(experiment.to_payload()) == experiment
 
@@ -219,62 +217,104 @@ class TestCoalescer:
 
 
 # ----------------------------------------------------------------------
-# Sharding: deterministic partition and byte-identical merges.
+# Experiment streams: cells in grid order, on the session's executor.
 # ----------------------------------------------------------------------
-class TestSharding:
-    def test_partition_round_robin_covers_everything(self):
-        parts = partition_indices(7, 3)
-        assert parts == [[0, 3, 6], [1, 4], [2, 5]]
-        assert sorted(i for p in parts for i in p) == list(range(7))
+#: Frozen and fault-process cells in all three metrics modes.
+MIXED_GRID = Experiment(
+    specs=("pops(2,2)", "sk(2,2,2)"),
+    models=("coupler:1", "coupler-renewal:1", "processor:2"),
+    metrics=("connectivity", "paths", "full"),
+    trials=(4, 9),
+    seed=11,
+)
+#: sk(2,2,2) paths cells downgrade vectorized -> batched; a streamed
+#: cell must carry the backend that ran.
+DOWNGRADE_GRID = Experiment(
+    specs=("sk(2,2,2)", "pops(2,2)"),
+    metrics=("paths",),
+    backend="vectorized",
+    trials=(4,),
+    seed=1,
+)
 
-    def test_partition_rejects_zero_shards(self):
-        with pytest.raises(ValueError):
-            partition_indices(4, 0)
 
-    @pytest.mark.parametrize("shards", [1, 2, 3])
-    def test_sharded_merge_byte_identical(self, shards):
-        experiment = Experiment(
-            specs=("pops(2,2)", "sk(2,2,2)"),
-            models=("coupler:1",),
-            metrics=("connectivity", "full"),
-            trials=(4,),
-            seed=11,
-        )
-        single = experiment.run(workers=0).to_json()
-        merged = run_sharded_experiment(experiment, shards=shards)
-        assert sharded_to_json(merged) == single
+def _trials_run() -> float:
+    return sum(
+        counter.value
+        for counter in REGISTRY.series("repro_sweep_trials_total").values()
+    )
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_shards_record_the_executed_backend(self, shards):
-        # sk(2,2,2) paths cells downgrade vectorized -> batched; a shard
-        # must label them with the backend that ran, as single-host does
-        experiment = Experiment(
-            specs=("sk(2,2,2)", "pops(2,2)"),
-            metrics=("paths",),
-            backend="vectorized",
-            trials=(4,),
-            seed=1,
-        )
-        single = experiment.run(workers=0).to_json()
-        merged = run_sharded_experiment(experiment, shards=shards)
-        assert sharded_to_json(merged) == single
-        assert [c["backend"] for c in merged["cells"]] == [
-            "batched", "vectorized"
+
+class TestExperimentStream:
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize(
+        "experiment,backends",
+        [(MIXED_GRID, None), (DOWNGRADE_GRID, ["batched", "vectorized"])],
+    )
+    def test_cells_stream_in_grid_order(self, workers, experiment, backends):
+        with Session(workers=workers) as session:
+            # each compiled pair run on its own: the cell in its place
+            standalone = [
+                experiment.cell_result(cell, session.run_sweep(spec, cell))
+                for spec, cell in experiment.compile()
+            ]
+            streamed = list(session.iter_experiment(experiment))
+            report = session.run_experiment(experiment)
+        assert [c.as_dict() for c in streamed] == [
+            c.as_dict() for c in standalone
         ]
-
-    def test_cells_stream_in_index_order(self):
-        experiment = Experiment(
-            specs=("pops(2,2)", "sk(2,2,2)"), trials=(2, 4), seed=1
-        )
-        indices = [
-            i for i, _ in iter_sharded_cells(experiment, shards=2)
+        assert [c.as_dict() for c in streamed] == [
+            c.as_dict() for c in report.cells
         ]
-        assert indices == list(range(len(experiment.compile())))
+        assert report.to_json() == experiment.run(workers=0).to_json()
+        if backends is not None:
+            assert [c.backend for c in streamed] == backends
 
-    def test_shards_capped_at_cell_count(self):
-        experiment = Experiment(specs=("pops(2,2)",), trials=4)
-        merged = run_sharded_experiment(experiment, shards=16)
-        assert sharded_to_json(merged) == experiment.run(workers=0).to_json()
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_first_cell_arrives_alone(self, workers):
+        # inline, the first step runs only the first cell; pooled, every
+        # chunk is dispatched at once, but the first cell is released as
+        # soon as its own chunks are in (chunk metrics merge on arrival)
+        first_trials = MIXED_GRID.compile()[0][1].trials
+        with Session(workers=workers) as session:
+            cells = session.iter_experiment(MIXED_GRID)
+            before = _trials_run()
+            first = next(cells)
+            assert _trials_run() - before == first_trials
+            rest = list(cells)
+        assert first.summary.trials == first_trials
+        assert len(rest) == len(MIXED_GRID.compile()) - 1
+        assert _trials_run() - before > first_trials
+
+    def test_concurrent_streams_share_one_pool(self):
+        # server threads iterate streams on one executor at once; each
+        # stream must get exactly its own cells, in order
+        with Session(workers=2) as session:
+            expected = [
+                c.as_dict() for c in session.iter_experiment(MIXED_GRID)
+            ]
+            results: dict[int, list] = {}
+
+            def consume(i):
+                results[i] = [
+                    c.as_dict() for c in session.iter_experiment(MIXED_GRID)
+                ]
+
+            threads = [
+                threading.Thread(target=consume, args=(i,)) for i in range(4)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert session.pools_started == 1
+        assert [results[i] for i in range(4)] == [expected] * 4
 
 
 # ----------------------------------------------------------------------
@@ -316,26 +356,75 @@ class TestHTTP:
         )
         assert body["candidates"]
 
-    def test_experiment_single_vs_sharded_identical(self, server):
+    def test_experiment_body_equals_report(self, server):
         plan = {"specs": ["pops(2,2)", "sk(2,2,2)"], "trials": [4], "seed": 5}
-        single, _ = server.experiment({**plan, "shards": 0})
-        sharded, _ = server.experiment({**plan, "shards": 2})
-        assert json.dumps(single, sort_keys=True) == json.dumps(
-            sharded, sort_keys=True
-        )
+        body, _ = server.experiment(plan)
+        report = Experiment.from_payload(plan).run(workers=0).to_json()
+        assert json.dumps(body, indent=2, sort_keys=True) == report
 
     def test_experiment_stream_reconstructs_report(self, server):
         plan = {"specs": ["pops(2,2)", "sk(2,2,2)"], "trials": [4], "seed": 5}
-        lines = list(server.stream_experiment({**plan, "shards": 2}))
-        assert lines[-1]["done"] is True
-        single, _ = server.experiment({**plan, "shards": 0})
+        lines = list(server.stream_experiment(plan))
+        assert lines[-1] == {"done": True, "cells": len(lines) - 2}
+        single, _ = server.experiment(plan)
+        assert lines[0] == {"experiment": {
+            k: v for k, v in single.items() if k != "cells"
+        }}
         assert [line["cell"] for line in lines[1:-1]] == single["cells"]
         assert [line["index"] for line in lines[1:-1]] == list(
             range(len(single["cells"]))
         )
 
-    def test_concurrent_identical_sweeps_execute_once(self, server):
+    def test_stream_error_line_is_the_plain_error(self, server):
+        # traffic a one-processor machine cannot carry: a 400 plain, and
+        # the same structured error as the stream's last line
+        plan = {"specs": ["pops(1,1)"], "metrics": ["full"], "trials": [2]}
+        with pytest.raises(ServeHTTPError) as err:
+            server.experiment(plan)
+        assert (err.value.status, err.value.code) == (400, "bad_request")
+        lines = list(server.stream_experiment(plan))
+        assert len(lines) == 2
+        assert lines[-1] == err.value.payload
+
+    @pytest.mark.parametrize("value", ["false", "yes", [1], 1, 0, None, {}])
+    def test_stream_must_be_a_boolean(self, server, value):
+        plan = {"specs": ["pops(2,2)"], "trials": [2], "stream": value}
+        with pytest.raises(ServeHTTPError) as err:
+            server.post("experiment", plan)
+        assert (err.value.status, err.value.code) == (400, "bad_request")
+        assert "stream" in str(err.value)
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_shards_is_an_unknown_field(self, server, stream):
+        plan = {"specs": ["pops(2,2)"], "trials": [2], "shards": 2}
+        with pytest.raises(ServeHTTPError) as err:
+            if stream:
+                list(server.stream_experiment(plan))
+            else:
+                server.experiment(plan)
+        assert (err.value.status, err.value.code) == (
+            400, "invalid_experiment"
+        )
+        assert "unknown experiment field(s): shards" in str(err.value)
+
+    def test_concurrent_identical_sweeps_execute_once(
+        self, server, monkeypatch
+    ):
         before = server.stats()["coalescer"]
+        session, coalescer = server.server.session, server.server.coalescer
+        run_sweep = session.resilience_sweep
+
+        def gated(*args, **kwargs):
+            # the leader runs only once all 7 duplicates have joined it
+            deadline = time.monotonic() + 30
+            while (
+                coalescer.stats()["followers"] < before["followers"] + 7
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.005)
+            return run_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(session, "resilience_sweep", gated)
         results = []
 
         def fire():
@@ -444,6 +533,47 @@ class TestHTTP:
         }
         assert stats["admission"]["capacity"] == 12
         assert "candidate_hits" in stats["cache"]
+        assert "shards" not in stats
+
+
+def test_streamed_experiment_runs_on_the_session_pool():
+    plan = {"specs": ["pops(2,2)", "sk(2,2,2)"],
+            "metrics": ["connectivity", "full"], "trials": [4], "seed": 3}
+    outside = {p.pid for p in multiprocessing.active_children()}
+
+    def children():
+        return {p.pid for p in multiprocessing.active_children()} - outside
+
+    with run_in_thread(workers=2) as client:
+        client.sweep("pops(2,2)", trials=8, metrics="connectivity")
+        pool = children()
+        assert len(pool) == 2
+        streams = []
+        for _ in range(2):
+            hits = client.stats()["cache"]["hits"]
+            lines = []
+            for line in client.stream_experiment(plan):
+                lines.append(line)
+                assert children() == pool
+            stats = client.stats()
+            assert stats["pools_started"] == 1
+            assert stats["cache"]["hits"] > hits
+            streams.append(lines)
+        body, _ = client.experiment(plan)
+        assert children() == pool
+    assert streams[0] == streams[1]
+    assert [line["cell"] for line in streams[0][1:-1]] == body["cells"]
+
+
+def test_serve_shards_flag_is_gone(monkeypatch):
+    from repro.__main__ import main
+
+    monkeypatch.setattr(
+        "repro.serve.app.run_server", lambda **kwargs: None
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--port", "0", "--shards", "2"])
+    assert exc.value.code == 2
 
 
 class TestObservability:

@@ -416,10 +416,9 @@ class TestExperimentIntegration:
         rebuilt = Experiment.from_payload(plan.as_dict())
         assert rebuilt.as_dict() == plan.as_dict()
 
-    def test_sharded_experiment_matches_in_process(self):
+    def test_pooled_and_streamed_experiment_match_inline(self):
         from repro.core.experiment import Experiment
         from repro.core.session import Session
-        from repro.serve.shard import run_sharded_experiment
 
         plan = Experiment(
             specs=["pops(2,2)", "sk(2,2,2)"],
@@ -427,10 +426,13 @@ class TestExperimentIntegration:
             trials=[4],
             seed=2,
         )
-        sharded = run_sharded_experiment(plan, shards=2)
         with Session() as session:
             direct = session.run_experiment(plan).as_dict()
-        assert sharded == direct
+        with Session(workers=2) as session:
+            pooled = session.run_experiment(plan).as_dict()
+            streamed = [c.as_dict() for c in session.iter_experiment(plan)]
+        assert pooled == direct
+        assert streamed == direct["cells"]
 
 
 class TestServeTemporal:
