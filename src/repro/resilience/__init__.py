@@ -52,6 +52,7 @@ from .faults import (
     resolve_fault_model,
     scenarios,
     trial_seed,
+    trial_seeds,
 )
 from .metrics import (
     ResilienceMetrics,
@@ -111,5 +112,6 @@ __all__ = [
     "survivability_sweep",
     "survival_estimate",
     "trial_seed",
+    "trial_seeds",
     "wilson_interval",
 ]

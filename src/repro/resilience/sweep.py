@@ -29,7 +29,9 @@ picks between them per sweep (see :func:`_prepare_sweep`):
   endpoint pairs, processor->group map), fault masks for whole trial
   *batches* are drawn as boolean arrays -- seeded by the same SHA-256
   per-trial scheme, so every draw matches the batched backend bit for
-  bit -- and connectivity metrics come from a batched reachability
+  bit; the five sample-based built-in models replay CPython's
+  ``random.Random(seed)`` streams for the whole batch at once -- and
+  connectivity metrics come from a batched reachability
   closure over the masked group adjacency instead of per-trial Python
   BFS.
   ``"paths"`` mode swaps the closure for a level-synchronous
@@ -86,7 +88,8 @@ from .adaptive import (
     run_adaptive,
 )
 from .degrade import DegradedNetwork, group_distances
-from .faults import FAULT_MODELS, FaultModel, resolve_fault_model, trial_seed
+from .faults import FAULT_MODELS, FaultModel, resolve_fault_model
+from .faults import trial_seed, trial_seeds
 from .metrics import connectivity_metrics, measure, path_survival, route_quality
 
 __all__ = [
@@ -635,33 +638,24 @@ class _TopologyArrays:
         from .faults import coupler_endpoints
 
         model = net.hypergraph_model()
-        n = net.num_processors
-        m = model.num_hyperarcs
-        endpoints = np.asarray(coupler_endpoints(net), dtype=np.int64).reshape(
-            m, 2
-        )
-        proc_group = np.asarray(
-            [int(net.label_of(p)[0]) for p in range(n)], dtype=np.int64
-        )
-        src_indptr = np.zeros(m + 1, dtype=np.int64)
-        tgt_indptr = np.zeros(m + 1, dtype=np.int64)
-        src_chunks: list[tuple[int, ...]] = []
-        tgt_chunks: list[tuple[int, ...]] = []
-        for idx, ha in enumerate(model.hyperarcs):
-            src_chunks.append(ha.sources)
-            tgt_chunks.append(ha.targets)
-            src_indptr[idx + 1] = src_indptr[idx] + len(ha.sources)
-            tgt_indptr[idx + 1] = tgt_indptr[idx] + len(ha.targets)
-        flat = [p for chunk in src_chunks for p in chunk]
-        src_indices = np.asarray(flat, dtype=np.int64)
-        flat = [p for chunk in tgt_chunks for p in chunk]
-        tgt_indices = np.asarray(flat, dtype=np.int64)
+        n, m = net.num_processors, model.num_hyperarcs
+
+        def csr(members):  # (indptr, indices) over per-coupler tuples
+            indptr = np.zeros(m + 1, dtype=np.int64)
+            np.cumsum([len(chunk) for chunk in members], out=indptr[1:])
+            flat = [p for chunk in members for p in chunk]
+            return indptr, np.asarray(flat, dtype=np.int64)
+
+        src_indptr, src_indices = csr([ha.sources for ha in model.hyperarcs])
+        tgt_indptr, tgt_indices = csr([ha.targets for ha in model.hyperarcs])
         return cls(
             num_processors=n,
             num_groups=net.num_groups,
             num_couplers=m,
-            endpoints=endpoints,
-            proc_group=proc_group,
+            endpoints=np.asarray(coupler_endpoints(net), dtype=np.int64).reshape(m, 2),
+            proc_group=np.asarray(
+                [int(net.label_of(p)[0]) for p in range(n)], dtype=np.int64
+            ),
             src_indptr=src_indptr,
             src_indices=src_indices,
             tgt_indptr=tgt_indptr,
@@ -682,22 +676,13 @@ class _ArrayNetworkProxy:
     alone.
     """
 
-    __slots__ = ("_arrays",)
+    __slots__ = ("_arrays", "num_processors", "num_groups", "num_couplers")
 
     def __init__(self, arrays: _TopologyArrays) -> None:
         self._arrays = arrays
-
-    @property
-    def num_processors(self) -> int:
-        return self._arrays.num_processors
-
-    @property
-    def num_groups(self) -> int:
-        return self._arrays.num_groups
-
-    @property
-    def num_couplers(self) -> int:
-        return self._arrays.num_couplers
+        self.num_processors = arrays.num_processors
+        self.num_groups = arrays.num_groups
+        self.num_couplers = arrays.num_couplers
 
     def label_of(self, processor: int) -> tuple[int]:
         return (int(self._arrays.proc_group[processor]),)
@@ -778,9 +763,11 @@ class _VectorContext:
     """Per-process vectorized trial scorer over flat topology arrays.
 
     Scores ``connectivity``- and ``paths``-mode metrics for whole
-    trial batches: the per-trial fault draws reuse the exact sampler +
-    SHA-256 seed stream of the batched backend (so the two backends
-    agree bit for bit), but everything downstream -- the dead-coupler
+    trial batches.  The fault draws replay the batched backend's
+    SHA-256 seed stream and sampler bit for bit: the five
+    sample-based built-in models draw a whole batch at once
+    (:class:`~repro.resilience.faults._PickMap`), everything else
+    draws per trial.  Everything downstream -- the dead-coupler
     closure, the surviving group adjacency, reachability (and, in
     ``paths`` mode, all-pairs distances from level-synchronous
     frontier expansion), and the metric ratios -- is batched numpy
@@ -821,6 +808,15 @@ class _VectorContext:
         #: (g, g) intact group distances, the stretch denominators
         #: (``paths`` mode only; computed once per context)
         self._intact_dist = self._intact_group_distances() if self.paths else None
+        #: the batch draw of a sample-based built-in model, else None:
+        #: by exact type, the rule ``auto`` uses (a subclass may sample
+        #: differently), and never for a sampler that :meth:`_draw`
+        #: hands the trial index (``sample_faults_at``)
+        self._picks = None
+        model = getattr(plan, "model", None)
+        batch = hasattr(model, "_pick_map") and not hasattr(model, "sample_faults_at")
+        if type(model) in FAULT_MODELS.values() and batch:
+            self._picks = model._pick_map(self._proxy)
 
     def _intact_group_distances(self) -> np.ndarray:
         """``(g, g)`` BFS distances over the intact loopless group digraph.
@@ -839,23 +835,50 @@ class _VectorContext:
         return group_distances(adj)
 
     def run_range(self, start: int, stop: int) -> list[dict[str, object]]:
-        """Rows of trials ``start .. stop - 1``, in index order."""
+        """Rows of trials ``start .. stop - 1``, in index order.
+
+        Each batch's sampling and scoring times land in
+        ``repro_phase_seconds``, shipped home with the chunk's metrics.
+        """
+        sampling, scoring = (
+            worker_registry().histogram(
+                "repro_phase_seconds",
+                _PHASE_HELP,
+                {"phase": phase, "backend": self.plan.backend},
+            )
+            for phase in ("sample", "score")
+        )
         rows: list[dict[str, object]] = []
         for lo in range(start, stop, self.batch):
-            hi = min(lo + self.batch, stop)
-            rows.extend(self.score(*self._sample_masks(lo, hi)))
+            t0 = now_us()
+            masks = self._sample_masks(lo, min(lo + self.batch, stop))
+            t1 = now_us()
+            rows.extend(self.score(*masks))
+            sampling.observe((t1 - t0) / 1e6)
+            scoring.observe((now_us() - t1) / 1e6)
         return rows
 
     def _sample_masks(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """``(dead_processors, directly_hit_couplers)`` boolean masks.
 
-        One row per trial; each row replays the exact draw the batched
-        backend's ``model.scenario(...)`` would make for that trial
-        index (same sampler, same ``trial_seed`` stream).
+        One row per trial; each row equals the draw the batched
+        backend's ``model.scenario(...)`` makes for that trial index
+        (same sampler, same ``trial_seed`` stream).  A sample-based
+        built-in model draws the whole batch at once, and the rows
+        that batch draw hands back (a draw that outran its words, an
+        adversarial victim with no out-coupler) go through
+        :meth:`_draw` like every other model's trials.
         """
+        rows = hi - lo
         if self.arrays.num_processors <= 1:  # score() answers without a draw
-            return _fault_masks((), hi - lo, self.arrays)
-        return _fault_masks(map(self._draw, range(lo, hi)), hi - lo, self.arrays)
+            return _fault_masks((), rows, self.arrays)
+        if self._picks is None:
+            return _fault_masks(map(self._draw, range(lo, hi)), rows, self.arrays)
+        dead, direct, back = self._picks.draw(trial_seeds(self.plan.seed, lo, hi))
+        if back.size:
+            draws = map(self._draw, (back + lo).tolist())
+            dead[back], direct[back] = _fault_masks(draws, back.size, self.arrays)
+        return dead, direct
 
     def _draw(self, index: int):
         """``(dead couplers, dead processors)`` sampled for trial ``index``."""
@@ -995,11 +1018,13 @@ class _VectorContext:
             )
             return [
                 {
-                    "connectivity": float(connectivity[j]),
-                    "alive_connectivity": float(alive_conn[j]),
-                    **dict(zip(_PATHS_KEYS, quality[j])),
+                    "connectivity": c,
+                    "alive_connectivity": a,
+                    **dict(zip(_PATHS_KEYS, q)),
                 }
-                for j in range(batch)
+                for c, a, q in zip(
+                    connectivity.tolist(), alive_conn.tolist(), quality
+                )
             ]
         live = (alive_per_group > 0).astype(np.int64)
         num_live = live.sum(axis=1)
@@ -1011,12 +1036,10 @@ class _VectorContext:
             num_live >= 2, routed / np.maximum(live_pairs, 1), 1.0
         )
         return [
-            {
-                "connectivity": float(connectivity[j]),
-                "alive_connectivity": float(alive_conn[j]),
-                "reachable_groups": float(reachable[j]),
-            }
-            for j in range(batch)
+            {"connectivity": c, "alive_connectivity": a, "reachable_groups": r}
+            for c, a, r in zip(
+                connectivity.tolist(), alive_conn.tolist(), reachable.tolist()
+            )
         ]
 
 
@@ -1032,6 +1055,7 @@ _PATHS_TRIALS_HELP = (
     "Trials (temporal: trace segments) scored by the vectorized paths kernel"
 )
 _PATHS_HOPS_HELP = "BFS frontier expansions per vectorized paths batch"
+_PHASE_HELP = "Wall time of one vectorized kernel batch's phase"
 _DOWNGRADE_HELP = "Sweeps downgraded from their requested backend"
 
 

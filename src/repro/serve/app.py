@@ -452,7 +452,7 @@ class ReproServer:
                 return
             if length:
                 body = await reader.readexactly(length)
-            await self._dispatch(writer, method, target, body, ctx)
+            await self._dispatch(reader, writer, method, target, body, ctx)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         except Exception as exc:  # never leak a traceback as raw bytes
@@ -514,7 +514,7 @@ class ReproServer:
     # ------------------------------------------------------------------
     # Routing and verb execution.
     # ------------------------------------------------------------------
-    async def _dispatch(self, writer, method, target, body, ctx) -> None:
+    async def _dispatch(self, reader, writer, method, target, body, ctx) -> None:
         if target in ("/healthz", "/stats", "/metrics") and method != "GET":
             raise ServeError(
                 f"{target} is GET-only", code="bad_request", status=405
@@ -555,7 +555,7 @@ class ReproServer:
                 f"request body is not valid JSON: {exc}"
             ) from None
         if verb == "experiment":
-            await self._handle_experiment(writer, payload, ctx)
+            await self._handle_experiment(reader, writer, payload, ctx)
         else:
             await self._handle_simple(writer, verb, payload, ctx)
 
@@ -591,11 +591,11 @@ class ReproServer:
             lambda: self._run_verb(verb, normalized), ctx,
         )
 
-    async def _handle_experiment(self, writer, payload, ctx) -> None:
+    async def _handle_experiment(self, reader, writer, payload, ctx) -> None:
         with span("serve.validate", request_id=ctx["id"], verb="experiment"):
             experiment, normalized = validate_experiment(payload)
         if normalized["stream"]:
-            await self._stream_experiment(writer, experiment, ctx)
+            await self._stream_experiment(reader, writer, experiment, ctx)
             return
         await self._respond_coalesced(
             writer, request_key("experiment", normalized),
@@ -650,7 +650,7 @@ class ReproServer:
             writer, 200, result, extra={"X-Repro-Coalesced": role}, ctx=ctx
         )
 
-    async def _stream_experiment(self, writer, experiment, ctx) -> None:
+    async def _stream_experiment(self, reader, writer, experiment, ctx) -> None:
         """NDJSON: header line, one line per cell in grid order, footer.
 
         A request thread drives :meth:`Session.iter_experiment` on the
@@ -659,28 +659,43 @@ class ReproServer:
         admission slot for its whole duration (it occupies a request
         thread) and is never coalesced -- each stream writes its own
         socket as its cells arrive.  A failure ends the stream with the
-        structured error line a plain request would answer with.
+        structured error line a plain request would answer with.  A
+        client that hangs up (EOF on its socket, or a failed write)
+        stops the grid before its next cell: the cell in flight
+        finishes (on a pool, so do its dispatched chunks), then the
+        slot and the thread are free.
         """
         self._admit()
         loop = asyncio.get_running_loop()
         feed: asyncio.Queue = asyncio.Queue()
+        gone = threading.Event()
 
         def put(line) -> None:
             loop.call_soon_threadsafe(feed.put_nowait, line)
 
         def pump() -> None:
-            cells = 0
+            cells = self.session.iter_experiment(experiment)
             try:
-                for index, cell in enumerate(
-                    self.session.iter_experiment(experiment)
-                ):
+                index = -1
+                for index, cell in enumerate(cells):
                     put({"index": index, "cell": cell.as_dict()})
-                    cells += 1
-                put({"done": True, "cells": cells})
+                    if gone.is_set():
+                        return
+                put({"done": True, "cells": index + 1})
             except Exception as exc:
                 put(_serve_error(exc).payload())
             finally:
+                cells.close()  # closes the spans of a grid cut short
                 put(None)  # the stream ends whatever happened
+
+        async def watch() -> None:
+            # the request is fully read: the next EOF is the hang-up
+            try:
+                while await reader.read(4096):
+                    pass
+            except OSError:
+                pass
+            gone.set()
 
         ctx["status"] = 200
         writer.write(
@@ -691,12 +706,15 @@ class ReproServer:
         )
         writer.write(_dumps({"experiment": experiment.as_dict()}))
         await writer.drain()
+        watcher = asyncio.ensure_future(watch())
         pumping = loop.run_in_executor(self._executor, pump)
         try:
             while (line := await feed.get()) is not None:
                 writer.write(_dumps(line))
                 await writer.drain()
         finally:
+            gone.set()  # a failed write is a hang-up too
+            watcher.cancel()
             await pumping
             self.admission.release()
             self._requests_served += 1

@@ -388,6 +388,29 @@ class TestByteIdentity:
         )
         assert chunk_count >= 2  # really split across workers
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_kernel_phases_counted_once_per_batch(self, workers):
+        from repro.resilience.sweep import _VECTOR_BATCH, _index_chunks
+
+        trials = 10_000
+        chunks = (
+            _index_chunks(trials, workers) if workers else [(0, trials)]
+        )
+        batches = sum(-(-(hi - lo) // _VECTOR_BATCH) for lo, hi in chunks)
+        assert batches > 1
+        REGISTRY.reset()
+        with Session(workers=workers) as session:
+            session.resilience_sweep(
+                "sk(2,2,2)", trials=trials, seed=0, metrics="connectivity"
+            )
+        series = REGISTRY.series("repro_phase_seconds")
+        counts = {
+            dict(labels)["phase"]: histogram.summary()["count"]
+            for labels, histogram in series.items()
+            if dict(labels)["backend"] == "vectorized"
+        }
+        assert counts == {"sample": batches, "score": batches}
+
     def test_inline_sweep_records_parent_side(self):
         REGISTRY.reset()
         with Session(workers=0) as session:

@@ -11,6 +11,7 @@ exactly once; and admission overflow answers a structured 429.
 import asyncio
 import json
 import multiprocessing
+import socket
 import sys
 import threading
 import time
@@ -563,6 +564,44 @@ def test_streamed_experiment_runs_on_the_session_pool():
         assert children() == pool
     assert streams[0] == streams[1]
     assert [line["cell"] for line in streams[0][1:-1]] == body["cells"]
+
+
+def test_hung_up_stream_stops_at_the_next_cell():
+    # six ~0.2 s full cells; the client reads the header line and hangs
+    # up: the cell in flight finishes, no later cell runs, and the
+    # admission slot comes back (a pump that runs on for nobody fails
+    # the trial count: all six cells' trials)
+    grid = Experiment(
+        specs=("sk(2,2,2)",),
+        models=("coupler:1", "coupler:2", "processor:1", "processor:2",
+                "link:1", "link:2"),
+        metrics=("full",),
+        trials=(300,),
+        seed=5,
+    )
+    cell_trials = [cell.trials for _, cell in grid.compile()]
+    body = json.dumps({**grid.to_payload(), "stream": True}).encode()
+    with run_in_thread(workers=0) as client:
+        admission = client.server.admission
+        before = _trials_run()
+        with socket.create_connection((client.host, client.port), 30) as sock:
+            sock.sendall(
+                b"POST /v1/experiment HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body) + body
+            )
+            received = b""
+            while b"\n" not in received.partition(b"\r\n\r\n")[2]:
+                chunk = sock.recv(65536)
+                assert chunk, "server closed before the header line"
+                received += chunk
+        assert b'{"experiment"' in received
+        deadline = time.monotonic() + 30
+        while admission.stats()["active"] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert admission.stats()["active"] == 0
+        ran = _trials_run() - before
+    assert 0 < ran <= sum(cell_trials[:2]) < sum(cell_trials)
 
 
 def test_serve_shards_flag_is_gone(monkeypatch):
