@@ -15,10 +15,14 @@ processor died; a group is dead when all of its processors died.
 Routing is compiled, not searched.  :meth:`DegradedNetwork.distances`
 is one frontier expansion (:func:`group_distances`, shared with the
 vectorized sweep kernel), and the first ``next_coupler`` call turns it
-into one ``[holder group][destination group] -> coupler`` table, so a
-routing decision is two list lookups.  What depends on the network
-alone -- its hypergraph model, coupler endpoints and processor->group
-map -- is built once per network and shared by every view of it.
+into one ``[holder group][destination group] -> coupler`` table
+(:func:`next_hop_table`), so a routing decision is two list lookups.
+Both work on stacks: :func:`stack_views` builds the arcs, distances and
+alive counts of a chunk of views at once (a lone view is a stack of
+one), and a ``full`` sweep compiles the chunk's tables in one call.
+What depends on the network alone -- its hypergraph model, coupler
+endpoints, processor->group map and coupler incidence arrays -- is
+built once per network and shared by every view of it.
 
 >>> from repro.core import build
 >>> from repro.resilience.faults import UniformCouplerFaults
@@ -32,12 +36,14 @@ map -- is built once per network and shared by every view of it.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from ..graphs.digraph import DiGraph
 from ..hypergraphs.hypergraph import DirectedHypergraph
 from ..simulation.engine import Message, SlottedSimulator
+from ..simulation.stacked import CouplerTables
 from .faults import FaultScenario, coupler_endpoints, group_of
 
 __all__ = ["DegradedNetwork", "degrade_network", "group_distances"]
@@ -69,15 +75,114 @@ def group_distances(adj: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _network_state(net) -> tuple[DirectedHypergraph, np.ndarray, tuple[int, ...]]:
-    """``(hypergraph model, (m, 2) coupler endpoints, processor -> group)``.
+def _network_state(net) -> tuple:
+    """``(hypergraph model, (m, 2) coupler endpoints, processor -> group,
+    coupler tables)``.
 
-    Built once per network and shared read-only by every view of it.
+    The tables are the model's
+    :class:`~repro.simulation.stacked.CouplerTables`.  Built once per
+    network and shared read-only by every view of it.
     """
     endpoints = np.asarray(coupler_endpoints(net), dtype=np.int64).reshape(-1, 2)
     endpoints.flags.writeable = False
     groups = tuple(group_of(net, p) for p in range(net.num_processors))
-    return net.hypergraph_model(), endpoints, groups
+    model = net.hypergraph_model()
+    return model, endpoints, groups, CouplerTables.from_hypergraph(model, groups)
+
+
+def next_hop_table(arcs: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """``(B, g, g)`` ``[holder group][destination group] -> coupler`` tables.
+
+    ``arcs`` is a ``(B, g, g)`` stack of lowest surviving couplers per
+    group cell (``-1``: none) and ``dist`` its :func:`group_distances`.
+    A distinct destination group is reached through the smallest
+    surviving successor one hop closer to it (the rule of
+    :func:`~repro.routing.tables.build_routing_table` on the loopless
+    surviving base).  The own group is reached through its loop coupler
+    or, with the loop dead, through the first hop of the shortest
+    surviving closed walk, ties going to the smallest group.  ``-1``
+    means drop.
+    """
+    views, g, _ = arcs.shape
+    rows = np.arange(g)
+    stack = np.arange(views)[:, None]
+    out = arcs >= 0
+    out[:, rows, rows] = False
+    degree = out.sum(axis=2)
+    # succ[b, u, j]: the j-th smallest successor group of u, valid for
+    # j < degree[b, u] (one padding column keeps argmin defined)
+    width = max(1, int(degree.max(initial=0)))
+    succ = np.argsort(~out, axis=2, kind="stable")[:, :, :width]
+    valid = np.arange(width) < degree[..., None]
+    # the first successor, in ascending order, one hop closer to v
+    # takes (u, v); one (B, g, g) pass per successor rank
+    table = np.full((views, g, g), -1, dtype=np.int64)
+    for j in range(width):
+        w = succ[:, :, j]
+        closer = valid[:, :, j, None] & (dist[stack, w] == dist - 1) & (table < 0)
+        table = np.where(closer, arcs[stack, rows, w][..., None], table)
+    # closed walks at u: out through successor w, back in dist[w, u]
+    back = dist[stack[..., None], succ, rows[:, None]]
+    back = np.where(valid & (back >= 0), back, g)  # g: no way back
+    best = back.argmin(axis=2)[..., None]  # first minimum: the smallest group
+    via = np.take_along_axis(succ, best, axis=2)[..., 0]
+    found = np.take_along_axis(back, best, axis=2)[..., 0] < g
+    sibling = np.where(found, arcs[stack, rows, via], -1)
+    loops = arcs[:, rows, rows]
+    table[:, rows, rows] = np.where(loops >= 0, loops, sibling)
+    return table
+
+
+class ViewStack(NamedTuple):
+    """A chunk of views of one network as ``(B, ...)`` arrays.
+
+    Row ``b`` of ``arcs``, ``dist`` and ``alive`` is what view ``b``'s
+    :meth:`~DegradedNetwork.group_arcs`, :meth:`~DegradedNetwork.distances`
+    and :meth:`~DegradedNetwork.alive_per_group` return (read-only);
+    ``dead_processors`` and ``dead_couplers`` are its effective dead
+    sets as boolean masks, and ``tables`` the network's coupler tables.
+    """
+
+    tables: CouplerTables
+    arcs: np.ndarray
+    dist: np.ndarray
+    alive: np.ndarray
+    dead_processors: np.ndarray
+    dead_couplers: np.ndarray
+
+
+def stack_views(views) -> ViewStack:
+    """The :class:`ViewStack` of ``views``, all of one network.
+
+    One :func:`group_distances` call serves the whole stack, and each
+    view that has not computed its arcs, distances and alive counts yet
+    takes its rows of the stack (a lone view computes its own as a
+    stack of one).  Among parallel couplers of a group arc, the lowest
+    surviving index carries it.
+    """
+    net, g = views[0].net, views[0].net.num_groups
+    _, endpoints, groups, tables = _network_state(net)
+    dead_p = np.zeros((len(views), len(groups)), dtype=bool)
+    dead_c = np.zeros((len(views), len(endpoints)), dtype=bool)
+    for b, view in enumerate(views):
+        dead_p[b, list(view.dead_processors)] = True
+        dead_c[b, list(view.dead_couplers)] = True
+    row, coupler = np.nonzero(~dead_c)
+    cell = (row * g + endpoints[coupler, 0]) * g + endpoints[coupler, 1]
+    # np.unique reports each cell's first, i.e. lowest, coupler
+    cells, first = np.unique(cell, return_index=True)
+    arcs = np.full(len(views) * g * g, -1, dtype=np.int64)
+    arcs[cells] = coupler[first]
+    arcs = arcs.reshape(-1, g, g)
+    dist = group_distances(arcs >= 0)
+    alive = np.stack(
+        [np.bincount(tables.groups[~dead], minlength=g) for dead in dead_p]
+    )
+    arcs.flags.writeable = dist.flags.writeable = alive.flags.writeable = False
+    for view, *rows in zip(views, arcs, dist, alive):
+        if view._dist is None:
+            view._arcs, view._dist, view._alive = rows
+    return ViewStack(tables, arcs, dist, alive, dead_p, dead_c)
 
 
 class DegradedNetwork:
@@ -99,7 +204,7 @@ class DegradedNetwork:
         self.net = net
         self.scenario = scenario
         self.family = family if family is not None else family_for_network(net)
-        self._model, self._endpoints, self._group = _network_state(net)
+        self._model, self._endpoints, self._group, tables = _network_state(net)
         n = net.num_processors
         m = self._model.num_hyperarcs
         self.dead_processors = frozenset(
@@ -107,13 +212,11 @@ class DegradedNetwork:
         )
         dead = {c for c in scenario.couplers if 0 <= c < m}
         if self.dead_processors:
-            for idx, ha in enumerate(self._model.hyperarcs):
-                if idx in dead:
-                    continue
-                if all(s in self.dead_processors for s in ha.sources) or all(
-                    t in self.dead_processors for t in ha.targets
-                ):
-                    dead.add(idx)
+            # a coupler whose every source or every target died is dead
+            alive = np.ones(n + 1, dtype=bool)
+            alive[list(self.dead_processors)] = False
+            fed = (tables.sources & alive).any(1) & (tables.is_target & alive).any(1)
+            dead.update(np.flatnonzero(~fed).tolist())
         self.dead_couplers = frozenset(dead)
         # caches, built on demand
         self._base: DiGraph | None = None
@@ -158,12 +261,7 @@ class DegradedNetwork:
     def alive_per_group(self) -> np.ndarray:
         """``(g,)`` surviving processors per group.  Cached; read-only."""
         if self._alive is None:
-            groups = [self._group[p] for p in self.alive_processors]
-            alive = np.bincount(
-                np.asarray(groups, dtype=np.int64), minlength=self.net.num_groups
-            )
-            alive.flags.writeable = False
-            self._alive = alive
+            stack_views([self])
         return self._alive
 
     def word_fault_set(self):
@@ -206,7 +304,7 @@ class DegradedNetwork:
         if self._base is None:
             self._base = DiGraph(
                 self.net.num_groups,
-                self._endpoints[self._alive_couplers()],
+                np.delete(self._endpoints, list(self.dead_couplers), axis=0),
                 name=f"degraded({self.scenario.spec})",
             )
         return self._base
@@ -228,27 +326,15 @@ class DegradedNetwork:
             name=f"degraded({self.scenario.spec})",
         )
 
-    def _alive_couplers(self) -> np.ndarray:
-        """Indices of the surviving couplers, ascending."""
-        alive = np.ones(len(self._endpoints), dtype=bool)
-        alive[list(self.dead_couplers)] = False
-        return np.flatnonzero(alive)
-
     def group_arcs(self) -> np.ndarray:
         """``(g, g)``: the lowest surviving coupler of each group arc.
 
         ``-1`` where no coupler joins the two groups any more; among
-        parallel couplers the lowest index carries the hop.  Cached.
+        parallel couplers the lowest index carries the hop.  Cached;
+        read-only.
         """
         if self._arcs is None:
-            g = self.net.num_groups
-            couplers = self._alive_couplers()
-            ends = self._endpoints[couplers]
-            # np.unique reports each cell's first, i.e. lowest, coupler
-            cells, first = np.unique(ends[:, 0] * g + ends[:, 1], return_index=True)
-            arcs = np.full(g * g, -1, dtype=np.int64)
-            arcs[cells] = couplers[first]
-            self._arcs = arcs.reshape(g, g)
+            stack_views([self])
         return self._arcs
 
     def distances(self) -> np.ndarray:
@@ -258,65 +344,26 @@ class DegradedNetwork:
         marks an unreachable group.  Cached; read-only.
         """
         if self._dist is None:
-            dist = group_distances(self.group_arcs() >= 0)
-            dist.flags.writeable = False
-            self._dist = dist
+            stack_views([self])
         return self._dist
 
     # ------------------------------------------------------------------
     # Degraded-mode routing
     # ------------------------------------------------------------------
-    def _compile_next_hops(self) -> list[list[int]]:
-        """The ``[holder group][destination group] -> coupler`` table.
-
-        A distinct destination group is reached through the smallest
-        surviving successor one hop closer to it (the rule of
-        :func:`~repro.routing.tables.build_routing_table` on the
-        loopless surviving base).  The own group is reached through its
-        loop coupler or, with the loop dead, through the first hop of
-        the shortest surviving closed walk, ties going to the smallest
-        group.  ``-1`` means drop.
-        """
-        arcs = self.group_arcs()
-        dist = self.distances()
-        g = len(arcs)
-        rows = np.arange(g)
-        out = arcs >= 0
-        out[rows, rows] = False
-        degree = out.sum(axis=1)
-        # succ[u, j]: the j-th smallest successor group of u, valid
-        # for j < degree[u] (one padding column keeps argmin defined)
-        width = max(1, int(degree.max(initial=0)))
-        succ = np.argsort(~out, axis=1, kind="stable")[:, :width]
-        valid = np.arange(width) < degree[:, None]
-        # the first successor, in ascending order, one hop closer to v
-        # takes (u, v); one (g, g) pass per successor rank
-        table = np.full((g, g), -1, dtype=np.int64)
-        for j in range(width):
-            w = succ[:, j]
-            closer = valid[:, j, None] & (dist[w] == dist - 1) & (table < 0)
-            table = np.where(closer, arcs[rows, w][:, None], table)
-        # closed walks at u: out through successor w, back in dist[w, u]
-        back = dist[succ, rows[:, None]]
-        back = np.where(valid & (back >= 0), back, g)  # g: no way back
-        best = back.argmin(axis=1)  # first minimum: the smallest group
-        sibling = np.where(back[rows, best] < g, arcs[rows, succ[rows, best]], -1)
-        loops = arcs[rows, rows]
-        table[rows, rows] = np.where(loops >= 0, loops, sibling)
-        return table.tolist()
-
     def next_coupler(self, holder: int, msg: Message) -> int:
         """Fault-aware routing callback for the slotted engine.
 
         Returns ``-1`` ("drop") when the destination is unreachable on
         the surviving network or either endpoint is dead.  The
         next-hop table is compiled on the first call; processor ids are
-        range-checked by the engine's ``inject``.
+        range-checked by the engine's ``inject``.  The table is this
+        view's row of :func:`next_hop_table`.
         """
         if msg.src in self.dead_processors or msg.dst in self.dead_processors:
             return -1
         if self._next_hops is None:
-            self._next_hops = self._compile_next_hops()
+            table = next_hop_table(self.group_arcs()[None], self.distances()[None])
+            self._next_hops = table[0].tolist()
         return self._next_hops[self._group[holder]][self._group[msg.dst]]
 
     def relay(self, coupler: int, msg: Message) -> int:

@@ -11,7 +11,9 @@ Three views of "what still works":
   (the family's ``route_lengths``) feeds :func:`route_quality`, the
   scorer the vectorized sweep kernel runs on its batches too;
 * **delivery under load** -- run the same workload on the broken and
-  the intact machine, compare delivery ratio and latency.
+  the intact machine, compare delivery ratio and latency.  A chunk of
+  views runs as one stack (:func:`full_rows`), its traffic in one
+  array slot pass.
 
 Everything funnels into one flat, JSON-ready
 :class:`ResilienceMetrics` row -- the unit the Monte-Carlo sweep
@@ -21,12 +23,14 @@ aggregates.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
-from .degrade import DegradedNetwork
+from ..simulation.stacked import StackedSimulator
+from .degrade import DegradedNetwork, next_hop_table, stack_views
 
 __all__ = [
     "ResilienceMetrics",
@@ -35,6 +39,7 @@ __all__ = [
     "connectivity_metrics",
     "path_survival",
     "route_quality",
+    "full_rows",
     "measure",
 ]
 
@@ -65,29 +70,55 @@ class ResilienceMetrics:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _connectivity_counts(
-    degraded: DegradedNetwork,
-) -> tuple[int, int, int, np.ndarray, np.ndarray]:
-    """One distance matrix feeding every connectivity-flavoured metric.
+_ROW_KEYS = tuple(f.name for f in fields(ResilienceMetrics))
 
-    Returns ``(connected, alive_pairs, all_pairs, reach, alive_per_group)``
-    over ordered distinct pairs; ``reach[u, v]`` says whether group
-    ``v != u`` is reachable from group ``u`` over surviving couplers.
+
+def _connectivity_columns(
+    adj, reach, alive_per_group, num_processors: int, *, with_reachable: bool = True
+) -> dict[str, list[float]]:
+    """The connectivity metrics of each row of a ``(batch, g, g)`` stack.
+
+    ``adj`` is the surviving group adjacency (loops included),
+    ``reach[b, u, v]`` whether ``v`` is reachable from ``u`` (the
+    diagonal true) and ``alive_per_group`` the ``(batch, g)`` surviving
+    processor counts.  Returns ``connectivity`` and
+    ``alive_connectivity`` (and ``reachable_groups`` with
+    ``with_reachable``) as one float list each, in row order: the one
+    formula behind :func:`connectivity_metrics`, the ``full`` chunk
+    scorer and the vectorized kernel.  Machines with at most one
+    processor score 1.0 throughout.
     """
-    n = degraded.net.num_processors
-    dist = degraded.distances()
-    reach = dist > 0
-    # a surviving closed walk at u exists iff some surviving out-arc
-    # (u, v) is a loop or can get back (dist[v, u] >= 0)
-    sibling_ok = ((degraded.group_arcs() >= 0) & (dist.T >= 0)).any(axis=1)
-    alive_per_group = degraded.alive_per_group()
-    # same-group ordered pairs need that closed walk
-    same = alive_per_group * (alive_per_group - 1)
-    connected = int(alive_per_group @ reach @ alive_per_group) + int(
-        same[sibling_ok].sum()
+    keys = ("connectivity", "alive_connectivity", "reachable_groups")
+    batch, g = alive_per_group.shape
+    if num_processors <= 1:
+        return {key: [1.0] * batch for key in keys[: 2 + with_reachable]}
+    diag = np.arange(g)
+    # a same-group pair needs a surviving closed walk at its group:
+    # some surviving out-arc (u, v) that is a loop or can get back
+    sibling_ok = (adj & np.swapaxes(reach, 1, 2)).any(axis=2)
+    cross = reach.astype(np.int64)
+    cross[:, diag, diag] = 0
+    same = alive_per_group * (alive_per_group - 1) * sibling_ok
+    connected = (
+        np.einsum("bu,buv,bv->b", alive_per_group, cross, alive_per_group)
+        + same.sum(axis=1)
     )
-    alive = int(alive_per_group.sum())
-    return connected, alive * (alive - 1), n * (n - 1), reach, alive_per_group
+    alive = alive_per_group.sum(axis=1)
+    alive_pairs = alive * (alive - 1)
+    out = {
+        "connectivity": (connected / (num_processors * (num_processors - 1))).tolist(),
+        "alive_connectivity": np.where(
+            alive_pairs > 0, connected / np.maximum(alive_pairs, 1), 1.0
+        ).tolist(),
+    }
+    if with_reachable:
+        live = (alive_per_group > 0).astype(np.int64)
+        count = live.sum(axis=1)
+        routed = np.einsum("bu,buv,bv->b", live, cross, live)
+        out["reachable_groups"] = np.where(
+            count >= 2, routed / np.maximum(count * (count - 1), 1), 1.0
+        ).tolist()
+    return out
 
 
 def connectivity_ratio(degraded: DegradedNetwork) -> float:
@@ -104,10 +135,7 @@ def connectivity_ratio(degraded: DegradedNetwork) -> float:
     >>> connectivity_ratio(DegradedNetwork(net, scen))
     1.0
     """
-    if degraded.net.num_processors <= 1:
-        return 1.0
-    connected, _, all_pairs, _, _ = _connectivity_counts(degraded)
-    return connected / all_pairs
+    return connectivity_metrics(degraded, with_reachable=False)["connectivity"]
 
 
 def alive_connectivity_ratio(degraded: DegradedNetwork) -> float:
@@ -118,8 +146,7 @@ def alive_connectivity_ratio(degraded: DegradedNetwork) -> float:
     :func:`connectivity_ratio`.  1.0 when fewer than two processors
     survive.
     """
-    connected, alive_pairs, _, _, _ = _connectivity_counts(degraded)
-    return connected / alive_pairs if alive_pairs else 1.0
+    return connectivity_metrics(degraded, with_reachable=False)["alive_connectivity"]
 
 
 def connectivity_metrics(
@@ -146,29 +173,12 @@ def connectivity_metrics(
     ...         "reachable_groups": 1.0}
     True
     """
-    net = degraded.net
-    if net.num_processors <= 1:
-        row = {"connectivity": 1.0, "alive_connectivity": 1.0}
-        if with_reachable:
-            row["reachable_groups"] = 1.0
-        return row
-    connected, alive_pairs, all_pairs, reach, alive_per_group = (
-        _connectivity_counts(degraded)
+    columns = _connectivity_columns(  # a batch of one
+        degraded.group_arcs()[None] >= 0, degraded.distances()[None] >= 0,
+        degraded.alive_per_group()[None], degraded.net.num_processors,
+        with_reachable=with_reachable,
     )
-    out = {
-        "connectivity": connected / all_pairs,
-        "alive_connectivity": connected / alive_pairs if alive_pairs else 1.0,
-    }
-    if not with_reachable:
-        return out
-    live = alive_per_group > 0
-    count = int(live.sum())
-    if count < 2:
-        reachable = 1.0
-    else:
-        reachable = int(reach[np.ix_(live, live)].sum()) / (count * (count - 1))
-    out["reachable_groups"] = reachable
-    return out
+    return {key: values[0] for key, values in columns.items()}
 
 
 @lru_cache(maxsize=64)
@@ -264,6 +274,56 @@ def path_survival(
     return route_quality(lengths[None], live[None], _intact_rows(net), bound)[0]
 
 
+def full_rows(
+    views, traffic, *, bound: int, max_slots: int, baseline_mean_latency: float,
+    observe=None,
+) -> list[dict[str, object]]:
+    """The ``full`` :class:`ResilienceMetrics` row of each view, as dicts.
+
+    ``views`` are degraded views of one network and ``traffic`` the
+    ``(src, dst, slot)`` triples every one of them carries.  The views
+    are scored as one :func:`~repro.resilience.degrade.stack_views`
+    stack: connectivity from its distance stack, route quality per view
+    (:func:`path_survival`), and delivery from one
+    :class:`~repro.simulation.stacked.StackedSimulator` pass over all
+    of them.  ``latency_inflation`` divides by ``baseline_mean_latency``,
+    the intact machine's mean latency on the same traffic.  Engine
+    checks raise as :func:`~repro.simulation.network_sim.run_traffic`
+    raises them.  ``observe(phase, seconds)``, when given, receives the
+    ``"score"`` and ``"simulate"`` wall times.
+    """
+    start = time.perf_counter()
+    stack = stack_views(views)
+    n = len(stack.tables.groups)
+    conn = _connectivity_columns(
+        stack.arcs >= 0, stack.dist >= 0, stack.alive, n, with_reachable=False
+    )
+    quality = [path_survival(view, bound) for view in views]
+    scored = time.perf_counter()
+    hops = next_hop_table(stack.arcs, stack.dist)
+    dead = stack.dead_processors, stack.dead_couplers
+    sim = StackedSimulator(stack.tables, hops, *dead, traffic)
+    sim.run(max_slots)
+    if not sim.verify_conservation():
+        raise RuntimeError("conservation check failed: message lost or corrupted")
+    if observe is not None:
+        observe("score", scored - start)
+        observe("simulate", time.perf_counter() - scored)
+    rows = []
+    outcomes = sim.outcomes()
+    for view, c, a, paths, outcome in zip(views, *conn.values(), quality, outcomes):
+        ratio, dropped, latency, slots = outcome
+        inflation = (
+            0.0 if ratio == 0.0 else
+            1.0 if baseline_mean_latency == 0.0 else latency / baseline_mean_latency
+        )
+        s = view.scenario
+        values = (s.spec, s.model, s.seed, s.size, c, a, *paths, bound,
+                  ratio, dropped, latency, inflation, slots)
+        rows.append(dict(zip(_ROW_KEYS, values)))
+    return rows
+
+
 def measure(
     degraded: DegradedNetwork,
     *,
@@ -283,52 +343,20 @@ def measure(
     when the broken machine delivers nothing, 1.0 when the intact mean
     is zero).  ``baseline_mean_latency`` short-circuits the intact run
     -- the sweep computes it once and shares it across trials, since
-    the baseline depends only on ``(workload, messages, seed)``.
+    the baseline depends only on ``(workload, messages, seed)``.  The
+    row is :func:`full_rows`' for a stack of one view.
     """
     from ..core.workloads import resolve_workload
     from ..simulation.network_sim import run_traffic
 
     net = degraded.net
-    if bound is None:
-        bound = net.diameter + 2
-    # one distance matrix feeds both ratios (identical values, half the work);
-    # the routed reachable_groups fraction comes from path_survival below
-    conn_row = connectivity_metrics(degraded, with_reachable=False)
-    connectivity = conn_row["connectivity"]
-    alive_connectivity = conn_row["alive_connectivity"]
-    reachable, max_len, stretch, within = path_survival(degraded, bound)
     traffic = resolve_workload(
         workload, net, messages=messages, seed=seed, **workload_options
     )
-    report = run_traffic(
-        degraded.simulator(), traffic, max_slots=max_slots
-    )
     if baseline_mean_latency is None:
-        baseline = run_traffic(
-            degraded.family.simulator(net), list(traffic), max_slots=max_slots
-        )
-        baseline_mean_latency = baseline.mean_latency
-    if report.delivery_ratio == 0.0:
-        inflation = 0.0
-    elif baseline_mean_latency == 0.0:
-        inflation = 1.0
-    else:
-        inflation = report.mean_latency / baseline_mean_latency
-    return ResilienceMetrics(
-        spec=degraded.scenario.spec,
-        model=degraded.scenario.model,
-        seed=degraded.scenario.seed,
-        faults=degraded.scenario.size,
-        connectivity=connectivity,
-        alive_connectivity=alive_connectivity,
-        reachable_groups=reachable,
-        max_path_length=max_len,
-        mean_stretch=stretch,
-        within_bound=within,
-        bound=bound,
-        delivery_ratio=report.delivery_ratio,
-        dropped=report.num_dropped,
-        mean_latency=report.mean_latency,
-        latency_inflation=inflation,
-        slots=report.slots,
-    )
+        intact = run_traffic(degraded.family.simulator(net), traffic, max_slots)
+        baseline_mean_latency = intact.mean_latency
+    bound = net.diameter + 2 if bound is None else bound
+    (row,) = full_rows([degraded], traffic, bound=bound, max_slots=max_slots,
+                       baseline_mean_latency=baseline_mean_latency)
+    return ResilienceMetrics(**row)

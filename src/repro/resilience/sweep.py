@@ -87,10 +87,12 @@ from .adaptive import (
     make_sampler,
     run_adaptive,
 )
-from .degrade import DegradedNetwork, group_distances
+from ..simulation.engine import SlotCapError
+from .degrade import DegradedNetwork, _network_state, group_distances
 from .faults import FAULT_MODELS, FaultModel, resolve_fault_model
 from .faults import trial_seed, trial_seeds
-from .metrics import connectivity_metrics, measure, path_survival, route_quality
+from .metrics import _connectivity_columns, connectivity_metrics, full_rows
+from .metrics import path_survival, route_quality
 
 __all__ = [
     "SweepRequest",
@@ -158,6 +160,11 @@ _VECTOR_BATCH = 4096
 _VECTOR_CELL_BUDGET = 4_000_000
 
 
+def _batch_rows(*cells_per_row: int) -> int:
+    """Rows per batch: :data:`_VECTOR_CELL_BUDGET` over the widest per-row axis."""
+    return max(1, min(_VECTOR_BATCH, _VECTOR_CELL_BUDGET // max(*cells_per_row, 1)))
+
+
 class SweepRequestError(ValueError):
     """A sweep parameter value that :class:`SweepRequest` rejects.
 
@@ -178,6 +185,10 @@ class SweepRequestError(ValueError):
         self.field = field
         self.code = code
         self.details = details
+
+    def __reduce__(self):
+        # a pool worker's error crosses to the parent by pickle
+        return type(self), (self.field, str(self)), self.__dict__
 
 
 def _check_int(name: str, value, minimum: int | None = None) -> None:
@@ -549,6 +560,10 @@ class _TrialContext:
     are shared by every trial of that plan the process executes.
     Everything is built here, never on a first trial: concurrent
     sweeps share a context read-only.
+
+    ``connectivity`` and ``paths`` trials are scored one view at a
+    time; ``full`` trials in sub-batches of :attr:`batch` views, each
+    one :func:`~repro.resilience.metrics.full_rows` stack.
     """
 
     def __init__(self, plan: _SweepPlan, net=None, family=None) -> None:
@@ -560,17 +575,21 @@ class _TrialContext:
         parsed = NetworkSpec.parse(plan.canonical)
         self.net = net if net is not None else parsed.build()
         self.family = family if family is not None else get_family(parsed.family)
-        # the traffic depends on (workload, messages, seed) alone
-        self.traffic = (
-            resolve_workload(
+        self.traffic, self.batch = None, 1
+        if plan.metrics == "full":
+            # the traffic depends on (workload, messages, seed) alone
+            self.traffic = resolve_workload(
                 plan.workload, self.net, messages=plan.messages, seed=plan.seed
             )
-            if plan.metrics == "full"
-            else None
-        )
+            # the widest per-view axis: group cells, messages, or
+            # coupler target slots
+            targets = _network_state(self.net)[-1].targets
+            self.batch = _batch_rows(
+                self.net.num_groups**2, len(self.traffic), targets.size
+            )
 
-    def run_trial(self, index: int) -> dict[str, object]:
-        """The metrics row of trial ``index`` (scored per the plan's mode)."""
+    def view(self, index: int) -> DegradedNetwork:
+        """Trial ``index``'s degraded view of the network."""
         plan = self.plan
         # index-aware samplers (stratified/importance wrappers) need the
         # trial *index*, not just its seed: the index picks the stratum
@@ -583,30 +602,68 @@ class _TrialContext:
             scenario = plan.model.scenario(
                 plan.canonical, self.net, trial_seed(plan.seed, index)
             )
-        degraded = DegradedNetwork(self.net, scenario, family=self.family)
-        if plan.metrics == "full":
-            return measure(
-                degraded,
-                workload=self.traffic,
-                messages=plan.messages,
-                seed=plan.seed,
-                bound=plan.bound,
-                max_slots=plan.max_slots,
-                baseline_mean_latency=plan.baseline_mean_latency,
-            ).as_dict()
+        return DegradedNetwork(self.net, scenario, family=self.family)
+
+    def run_trial(self, index: int) -> dict[str, object]:
+        """The ``connectivity``/``paths`` metrics row of trial ``index``."""
+        degraded = self.view(index)
         # paths mode takes reachable_groups from path_survival (the
         # *routed* fraction) instead of the BFS pass, so skip the
         # redundant reachability loop there
         row: dict[str, object] = connectivity_metrics(
-            degraded, with_reachable=plan.metrics == "connectivity"
+            degraded, with_reachable=self.plan.metrics == "connectivity"
         )
-        if plan.metrics == "paths":
-            row.update(zip(_PATHS_KEYS, path_survival(degraded, plan.bound)))
+        if self.plan.metrics == "paths":
+            row.update(zip(_PATHS_KEYS, path_survival(degraded, self.plan.bound)))
         return row
 
     def run_range(self, start: int, stop: int) -> list[dict[str, object]]:
-        """Rows of trials ``start .. stop - 1``, in index order."""
-        return [self.run_trial(i) for i in range(start, stop)]
+        """Rows of trials ``start .. stop - 1``, in index order.
+
+        In ``full`` mode each sub-batch's phase times (``sample``:
+        scenarios and views; ``score``: stacks, connectivity and route
+        quality; ``simulate``: the slot pass) land in
+        ``repro_phase_seconds``, shipped home with the chunk's metrics.
+        A slot cap the traffic outruns is the request's ``max_slots``
+        error.
+        """
+        plan = self.plan
+        if plan.metrics != "full":
+            return [self.run_trial(i) for i in range(start, stop)]
+        phases = _phase_histograms(plan.backend, ("sample", "score", "simulate"))
+        rows: list[dict[str, object]] = []
+        for lo in range(start, stop, self.batch):
+            t0 = now_us()
+            views = [self.view(i) for i in range(lo, min(lo + self.batch, stop))]
+            phases["sample"].observe((now_us() - t0) / 1e6)
+            try:
+                rows.extend(full_rows(
+                    views, self.traffic, bound=plan.bound, max_slots=plan.max_slots,
+                    baseline_mean_latency=plan.baseline_mean_latency,
+                    observe=lambda phase, seconds: phases[phase].observe(seconds),
+                ))
+            except SlotCapError as exc:
+                raise _slot_cap_error(exc, "a degraded trial") from None
+        return rows
+
+
+def _phase_histograms(backend: str, names) -> dict:
+    """``repro_phase_seconds`` of each phase in ``names``, worker-side."""
+    return {
+        phase: worker_registry().histogram(
+            "repro_phase_seconds", _PHASE_HELP, {"phase": phase, "backend": backend}
+        )
+        for phase in names
+    }
+
+
+def _slot_cap_error(exc: SlotCapError, where: str) -> SweepRequestError:
+    """The request error of a simulation that outran its ``max_slots``."""
+    return SweepRequestError(
+        "max_slots",
+        f"max_slots {exc.cap} is too few for the traffic: {len(exc.stuck)} "
+        f"message(s) of {where} still unsettled at slot {exc.cap}",
+    )
 
 
 # ----------------------------------------------------------------------
@@ -790,15 +847,13 @@ class _VectorContext:
         self.paths = plan.metrics == "paths" if paths is None else paths
         self._proxy = _ArrayNetworkProxy(arrays)
         g = arrays.num_groups
-        cells = max(
+        #: rows (trials or segments) per numpy batch
+        self.batch = _batch_rows(
             g**2,
             arrays.num_processors,
             int(arrays.src_indptr[-1]),
             int(arrays.tgt_indptr[-1]),
-            1,
         )
-        #: rows (trials or segments) per numpy batch
-        self.batch = max(1, min(_VECTOR_BATCH, _VECTOR_CELL_BUDGET // cells))
         self._src_sizes = np.diff(arrays.src_indptr)
         self._tgt_sizes = np.diff(arrays.tgt_indptr)
         #: coupler -> flattened (src_group, dst_group) cell index
@@ -840,22 +895,15 @@ class _VectorContext:
         Each batch's sampling and scoring times land in
         ``repro_phase_seconds``, shipped home with the chunk's metrics.
         """
-        sampling, scoring = (
-            worker_registry().histogram(
-                "repro_phase_seconds",
-                _PHASE_HELP,
-                {"phase": phase, "backend": self.plan.backend},
-            )
-            for phase in ("sample", "score")
-        )
+        phases = _phase_histograms(self.plan.backend, ("sample", "score"))
         rows: list[dict[str, object]] = []
         for lo in range(start, stop, self.batch):
             t0 = now_us()
             masks = self._sample_masks(lo, min(lo + self.batch, stop))
             t1 = now_us()
             rows.extend(self.score(*masks))
-            sampling.observe((t1 - t0) / 1e6)
-            scoring.observe((now_us() - t1) / 1e6)
+            phases["sample"].observe((t1 - t0) / 1e6)
+            phases["score"].observe((now_us() - t1) / 1e6)
         return rows
 
     def _sample_masks(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -921,17 +969,6 @@ class _VectorContext:
         arrays = self.arrays
         n, g, m = arrays.num_processors, arrays.num_groups, arrays.num_couplers
         batch = len(dead_processors)
-        if n <= 1:  # the connectivity_metrics() degenerate short-circuit
-            degenerate: dict[str, object] = {
-                "connectivity": 1.0,
-                "alive_connectivity": 1.0,
-                "reachable_groups": 1.0,
-            }
-            if self.paths:  # path_survival's < 2 live groups answer
-                degenerate.update(
-                    max_path_length=0, mean_stretch=1.0, within_bound=1.0
-                )
-            return [dict(degenerate) for _ in range(batch)]
         dead_i = dead_processors.astype(np.int64)
         # effective dead couplers (the DegradedNetwork closure): hit
         # directly, or every source processor died, or every target died
@@ -978,68 +1015,39 @@ class _VectorContext:
                 if np.array_equal(grown, reach):
                     break
                 reach = grown
-        # a same-group pair needs a surviving closed walk at its group:
-        # some surviving out-arc (u, v) that is a loop or can get back
-        sibling_ok = np.any(adj & np.swapaxes(reach, 1, 2), axis=2)
         ti, pi = np.nonzero(dead_processors)
         dead_per_group = np.bincount(
             ti * g + arrays.proc_group[pi], minlength=batch * g
         ).reshape(batch, g)
         alive_per_group = self._group_sizes[None, :] - dead_per_group
-        reach_off = reach.copy()
-        reach_off[:, diag, diag] = False
-        cross = np.einsum(
-            "bu,buv,bv->b",
-            alive_per_group,
-            reach_off.astype(np.int64),
-            alive_per_group,
+        columns = _connectivity_columns(
+            adj, reach, alive_per_group, n, with_reachable=not self.paths
         )
-        same = (alive_per_group * (alive_per_group - 1) * sibling_ok).sum(axis=1)
-        connected = cross + same
-        alive = alive_per_group.sum(axis=1)
-        alive_pairs = alive * (alive - 1)
-        connectivity = connected / (n * (n - 1))
-        alive_conn = np.where(
-            alive_pairs > 0, connected / np.maximum(alive_pairs, 1), 1.0
-        )
-        if self.paths:
-            registry = worker_registry()
-            labels = {"backend": self.plan.backend}
-            registry.counter(
-                "repro_sweep_paths_kernel_trials_total", _PATHS_TRIALS_HELP, labels
-            ).inc(batch)
-            registry.histogram(
-                "repro_sweep_paths_kernel_hops", _PATHS_HOPS_HELP, labels
-            ).observe(hops)
-            # dist is the generic fault_route's route lengths: the scoring
-            # is path_survival's own
-            quality = route_quality(
-                dist, alive_per_group > 0, self._intact_dist, self.plan.bound
-            )
+        if not self.paths:
             return [
-                {
-                    "connectivity": c,
-                    "alive_connectivity": a,
-                    **dict(zip(_PATHS_KEYS, q)),
-                }
-                for c, a, q in zip(
-                    connectivity.tolist(), alive_conn.tolist(), quality
-                )
+                {"connectivity": c, "alive_connectivity": a, "reachable_groups": r}
+                for c, a, r in zip(*columns.values())
             ]
-        live = (alive_per_group > 0).astype(np.int64)
-        num_live = live.sum(axis=1)
-        routed = np.einsum(
-            "bu,buv,bv->b", live, reach_off.astype(np.int64), live
-        )
-        live_pairs = num_live * (num_live - 1)
-        reachable = np.where(
-            num_live >= 2, routed / np.maximum(live_pairs, 1), 1.0
+        registry = worker_registry()
+        labels = {"backend": self.plan.backend}
+        registry.counter(
+            "repro_sweep_paths_kernel_trials_total", _PATHS_TRIALS_HELP, labels
+        ).inc(batch)
+        registry.histogram(
+            "repro_sweep_paths_kernel_hops", _PATHS_HOPS_HELP, labels
+        ).observe(hops)
+        # dist is the generic fault_route's route lengths: the scoring
+        # is path_survival's own
+        quality = route_quality(
+            dist, alive_per_group > 0, self._intact_dist, self.plan.bound
         )
         return [
-            {"connectivity": c, "alive_connectivity": a, "reachable_groups": r}
-            for c, a, r in zip(
-                connectivity.tolist(), alive_conn.tolist(), reachable.tolist()
-            )
+            {
+                "connectivity": c,
+                "alive_connectivity": a,
+                **dict(zip(_PATHS_KEYS, q)),
+            }
+            for c, a, q in zip(*columns.values(), quality)
         ]
 
 
@@ -1055,7 +1063,7 @@ _PATHS_TRIALS_HELP = (
     "Trials (temporal: trace segments) scored by the vectorized paths kernel"
 )
 _PATHS_HOPS_HELP = "BFS frontier expansions per vectorized paths batch"
-_PHASE_HELP = "Wall time of one vectorized kernel batch's phase"
+_PHASE_HELP = "Wall time of one trial batch's phase"
 _DOWNGRADE_HELP = "Sweeps downgraded from their requested backend"
 
 
@@ -1538,6 +1546,8 @@ def _prepare_sweep(
         except ValueError as exc:  # traffic this machine cannot carry
             message = f"workload {request.workload!r} on {parsed.canonical()}: {exc}"
             raise SweepRequestError("workload", message) from None
+        except SlotCapError as exc:
+            raise _slot_cap_error(exc, "the intact baseline") from None
     plan = _SweepPlan(
         canonical=parsed.canonical(),
         model=model,

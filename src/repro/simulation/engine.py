@@ -35,7 +35,23 @@ from dataclasses import dataclass, field
 from ..hypergraphs.hypergraph import DirectedHypergraph
 from .protocol import ArbitrationPolicy, OldestFirst
 
-__all__ = ["Message", "SlotStats", "SlottedSimulator", "new_messages"]
+__all__ = ["Message", "SlotCapError", "SlotStats", "SlottedSimulator", "new_messages"]
+
+
+class SlotCapError(RuntimeError):
+    """A run reached its slot cap with messages still unsettled.
+
+    ``cap`` is the cap and ``stuck`` the idents of the unsettled
+    messages, in injection order.
+    """
+
+    def __init__(self, cap: int, stuck: Sequence[int]) -> None:
+        self.cap, self.stuck = cap, list(stuck)
+        message = f"slot cap {cap} reached with messages stuck: {self.stuck[:10]}"
+        super().__init__(message)
+
+    def __reduce__(self):
+        return type(self), (self.cap, self.stuck)
 
 
 @dataclass(slots=True)
@@ -89,15 +105,20 @@ def new_messages(
     """
     batch = []
     for src, dst, slot in traffic:
-        if not (0 <= src < num_nodes and 0 <= dst < num_nodes):
-            raise ValueError(
-                f"message {(src, dst, slot)}: processor id out of range "
-                f"[0, {num_nodes})"
-            )
-        if slot < now:
-            raise ValueError(f"cannot inject into past slot {slot} (now {now})")
+        check_message(src, dst, slot, num_nodes, now)
         batch.append(Message(first + len(batch), src, dst, slot))
     return batch
+
+
+def check_message(src: int, dst: int, slot: int, num_nodes: int, now: int) -> None:
+    """Raise ``ValueError`` unless ``(src, dst, slot)`` can be injected at ``now``."""
+    if not (0 <= src < num_nodes and 0 <= dst < num_nodes):
+        raise ValueError(
+            f"message {(src, dst, slot)}: processor id out of range "
+            f"[0, {num_nodes})"
+        )
+    if slot < now:
+        raise ValueError(f"cannot inject into past slot {slot} (now {now})")
 
 
 @dataclass(frozen=True)
@@ -192,15 +213,13 @@ class SlottedSimulator:
         """Advance slots until every message is settled (or the cap).
 
         Settled means delivered, or dropped on a dead coupler.  Raises
-        ``RuntimeError`` on the cap -- a stuck message means a routing
-        bug, and silence would hide it.
+        :class:`SlotCapError` (a ``RuntimeError``) on the cap -- a stuck
+        message means a routing bug or too small a cap, and silence
+        would hide either.
         """
         while self._live:
             if self._now >= max_slots:
-                stuck = [m.ident for m in self._live]
-                raise RuntimeError(
-                    f"slot cap {max_slots} reached with messages stuck: {stuck[:10]}"
-                )
+                raise SlotCapError(max_slots, [m.ident for m in self._live])
             self.step()
 
     def step(self) -> SlotStats:

@@ -72,8 +72,23 @@ def stack_kautz_simulator(
     is itself a test), then mapped to the hyperarc of that base arc;
     same-group delivery uses the loop coupler.
     """
+    return _base_table_simulator(net, policy)
+
+
+def stack_imase_itoh_simulator(
+    net: StackImaseItohNetwork, policy: ArbitrationPolicy | None = None
+) -> SlottedSimulator:
+    """Simulator over ``SII(s, d, n)`` using table routing on the base."""
+    return _base_table_simulator(net, policy)
+
+
+def _base_table_simulator(net, policy) -> SlottedSimulator:
+    """A stack-graph's simulator routing by table over its loopless base.
+
+    Each base arc ``(u, v)`` is its first hyperarc; delivery to a
+    sibling uses the group's loop coupler.
+    """
     base = net.base_graph()
-    model = net.stack_graph_model()
     table = build_routing_table(base.without_loops())
     arc_index = _arc_index_map(base)
     s = net.stacking_factor
@@ -83,33 +98,9 @@ def stack_kautz_simulator(
         v_final = msg.dst // s
         if u == v_final:
             return arc_index[(u, u)]  # loop coupler: sibling delivery
-        nxt = table.next_hop(u, v_final)
-        return arc_index[(u, nxt)]
+        return arc_index[(u, table.next_hop(u, v_final))]
 
-    return SlottedSimulator(model, next_coupler, policy=policy)
-
-
-def stack_imase_itoh_simulator(
-    net: StackImaseItohNetwork, policy: ArbitrationPolicy | None = None
-) -> SlottedSimulator:
-    """Simulator over ``SII(s, d, n)`` using table routing on the base."""
-    base = net.base_graph()
-    model = net.stack_graph_model()
-    # Route over the full base (II arcs may include useful loops);
-    # delivery to a sibling still uses the dedicated loop coupler.
-    table = build_routing_table(base.without_loops())
-    arc_index = _arc_index_map(base)
-    s = net.stacking_factor
-
-    def next_coupler(holder: int, msg: Message) -> int:
-        u = holder // s
-        v_final = msg.dst // s
-        if u == v_final:
-            return arc_index[(u, u)]
-        nxt = table.next_hop(u, v_final)
-        return arc_index[(u, nxt)]
-
-    return SlottedSimulator(model, next_coupler, policy=policy)
+    return SlottedSimulator(net.stack_graph_model(), next_coupler, policy=policy)
 
 
 def _arc_index_map(base) -> dict[tuple[int, int], int]:

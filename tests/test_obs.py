@@ -411,6 +411,31 @@ class TestByteIdentity:
         }
         assert counts == {"sample": batches, "score": batches}
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_full_phases_counted_once_per_sub_batch(self, workers, monkeypatch):
+        from repro.core import build
+        from repro.resilience import sweep
+        from repro.resilience.degrade import _network_state
+
+        trials, batch = 40, 3
+        net = build("sk(6,3,2)")
+        # the widest per-view axis: 6 targets on each of 48 couplers
+        cells = max(net.num_groups**2, 60, _network_state(net)[-1].targets.size)
+        monkeypatch.setattr(sweep, "_VECTOR_CELL_BUDGET", batch * cells)
+        chunks = sweep._index_chunks(trials, workers) if workers else [(0, trials)]
+        sub_batches = sum(-(-(hi - lo) // batch) for lo, hi in chunks)
+        assert sub_batches > len(chunks)
+        REGISTRY.reset()
+        with Session(workers=workers) as session:
+            session.resilience_sweep("sk(6,3,2)", faults=2, trials=trials, seed=0)
+        series = REGISTRY.series("repro_phase_seconds")
+        counts = {
+            dict(labels)["phase"]: histogram.summary()["count"]
+            for labels, histogram in series.items()
+            if dict(labels)["backend"] == "batched"
+        }
+        assert counts == dict.fromkeys(("sample", "score", "simulate"), sub_batches)
+
     def test_inline_sweep_records_parent_side(self):
         REGISTRY.reset()
         with Session(workers=0) as session:

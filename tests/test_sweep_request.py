@@ -9,6 +9,8 @@ the same request -- and the same summary bytes -- through each of them.
 
 import dataclasses
 import json
+import pickle
+import threading
 from unittest import mock
 
 import pytest
@@ -126,6 +128,85 @@ class TestTrafficTheMachineCannotCarry:
             for workload in ("permutation", "broadcast"):
                 summary, _ = client.sweep("pops(1,1)", trials=2, workload=workload)
                 assert summary["trials"] == 2
+
+
+def _within(seconds, call):
+    """``call()``'s raised error; fails if no answer comes within ``seconds``."""
+    box = {}
+
+    def target():
+        try:
+            call()
+        except Exception as exc:  # handed to the test
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"no answer within {seconds} s"
+    return box.get("error")
+
+
+class TestSlotCapIsARequestError:
+    """A ``max_slots`` too small for the traffic is the request's error
+    (``ValueError``, HTTP 400), not an internal one, and never a hang --
+    whether the intact baseline or a degraded trial hits it."""
+
+    CASES = [
+        ({"trials": 3, "max_slots": 2}, "the intact baseline"),
+        ({"trials": 50, "seed": 1, "max_slots": 6}, "a degraded trial"),
+    ]
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize(("kw", "where"), CASES)
+    def test_python_door(self, kw, where, workers):
+        error = _within(60, lambda: repro.resilience_sweep(
+            "sk(6,3,2)", faults=2, workers=workers, **kw
+        ))
+        assert isinstance(error, ValueError)
+        assert (error.field, error.code) == ("max_slots", "bad_request")
+        assert f"max_slots {kw['max_slots']} is too few" in str(error)
+        assert where in str(error)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_http_door(self, workers):
+        from repro.serve.client import ServeHTTPError, run_in_thread
+
+        with run_in_thread(workers=workers) as client:
+            for kw, where in self.CASES:
+                error = _within(60, lambda: client.sweep("sk(6,3,2)", faults=2, **kw))
+                assert isinstance(error, ServeHTTPError)
+                assert (error.status, error.code) == (400, "bad_request")
+                assert where in str(error)
+            # the pool still serves after a worker's chunk failed
+            summary, _ = client.sweep("sk(6,3,2)", faults=2, trials=8)
+            assert summary["trials"] == 8
+
+    def test_engine_cap_stays_a_runtime_error(self):
+        from repro.simulation.engine import SlotCapError
+
+        view = repro.degrade("sk(2,2,2)", faults=1, seed=0)
+        with pytest.raises(SlotCapError) as err:
+            view.simulate(messages=40, max_slots=2)
+        assert isinstance(err.value, RuntimeError)
+        assert not isinstance(err.value, ValueError)
+
+    def test_errors_survive_pickling(self):
+        from repro.resilience.sweep import SweepRequestError
+        from repro.simulation.engine import SlotCapError
+
+        error = SweepRequestError(
+            "max_slots", "too few", code="bad_request", details={"known": [1]}
+        )
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is SweepRequestError and str(copy) == "too few"
+        assert (copy.field, copy.code, copy.details) == (
+            "max_slots", "bad_request", {"known": [1]}
+        )
+        cap = pickle.loads(pickle.dumps(SlotCapError(5, [3, 1])))
+        assert (cap.cap, cap.stuck, str(cap)) == (
+            5, [3, 1], "slot cap 5 reached with messages stuck: [3, 1]"
+        )
 
 
 class TestProcessCellsRunWhatTheyReport:
