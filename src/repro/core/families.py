@@ -14,9 +14,10 @@ transmitter ports), so a route can be replayed against the design's
 
 Stack-Kautz alone overrides the degraded-mode hooks.  Its
 ``fault_route`` looks a pair's Sec. 2.5 candidates up in a per-``(d,
-k)`` :class:`CandidateTable`; its ``route_lengths`` starts every pair
-at its first candidate's length and re-routes only the pairs whose
-first candidate a fault touches.
+k)`` :class:`CandidateTable`; its ``route_lengths`` scores a whole
+stack of views from the table's array index: every pair starts at its
+first candidate's length, and only the pairs whose first candidate a
+fault touches are re-checked.
 """
 
 from __future__ import annotations
@@ -84,8 +85,13 @@ class CandidateTable:
     candidate's internal groups, a bitmask of the links it crosses, and
     its group path -- never mutated once stored.  A candidate survives
     a scenario when both masks miss :meth:`fault_masks`.
-    :meth:`first_routes` indexes every pair's first candidate, the
-    route ``fault_route`` takes unless a fault touches it.
+
+    The array side serves whole stacks of views.  A fault *atom* is a
+    group ``w`` (id ``w``) or a link ``l`` (id ``groups + l``);
+    :meth:`first_routes` indexes every pair's first candidate by the
+    atoms it passes, and :meth:`reroute` checks the pairs a stack's
+    dead atoms touch against their candidates as arrays
+    (:meth:`candidate_row`).
     """
 
     def __init__(self, d: int, k: int) -> None:
@@ -95,7 +101,20 @@ class CandidateTable:
         for u, v in self._arcs:
             if u != v and (u, v) not in self.links:
                 self.links[u, v] = self.links[v, u] = len(self.links) // 2
+        g = self._net.num_groups
+        #: atom count: groups, then links; this id is the open pad and
+        #: the next one the always-dead pad
+        self.atoms = g + len(self.links) // 2
+        # coupler (hyperarc) -> the atom of its link; the open pad for loops
+        self._coupler_atoms = np.array(
+            [g + self.links[u, v] if u != v else self.atoms for u, v in self._arcs],
+            dtype=np.int64,
+        )
+        # a candidate has at most 1 + d + d * d alternatives (candidate_paths'
+        # depths 0, 1 and 2) and at most k + 1 internal groups and k + 2 links
+        self._shape = (1 + d + d * d, 2 * k + 3)
         self._pairs: dict[tuple[int, int], tuple] = {}
+        self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._first: tuple | None = None
 
     def fault_masks(self, groups, couplers) -> tuple[int, int]:
@@ -130,33 +149,131 @@ class CandidateTable:
     def first_routes(self) -> tuple[np.ndarray, tuple, tuple]:
         """``(lengths, by_group, by_link)`` of every pair's first candidate.
 
-        ``lengths`` is the read-only ``(g, g)`` hop count of each
-        distinct pair's first candidate (0 on the diagonal);
-        ``by_group[w]`` and ``by_link[l]`` are tuples of the pairs, as
-        flat indices ``u * g + v``, whose first candidate has ``w`` as
-        an internal group or crosses link ``l``.  A fault outside those
-        lists leaves the pair on its first candidate.  Built once.
+        The first candidate is the label-induced route of Sec. 2.5, the
+        unique shortest path (a walk of length ``L <= k`` from ``x`` to
+        ``y`` shifts in ``y``'s last ``L`` letters), so ``lengths`` is
+        the read-only ``(g, g)`` intact group distance matrix, and the
+        routes come from one walk of all pairs at once along the next
+        hop one step closer.  ``by_group`` and ``by_link`` are CSR
+        ``(indptr, pairs)`` arrays: the pairs, as flat indices ``u * g +
+        v`` in ascending order, whose first candidate has group ``w`` as
+        an internal group are ``pairs[indptr[w]:indptr[w + 1]]``, and
+        likewise for the links it crosses.  A fault outside those lists
+        leaves the pair on its first candidate.  Built once; both CSR
+        halves are views of one ``indptr``/``pairs`` pair indexed by
+        atom.
         """
+        lengths, indptr, ids = self._atom_index()
+        g = len(lengths)
+        return lengths, (indptr[: g + 1], ids), (indptr[g:], ids)
+
+    def _atom_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(lengths, indptr, pairs)``: :meth:`first_routes` by atom id."""
         if self._first is None:
+            from ..resilience.degrade import group_distances
+
             g = self._net.num_groups
-            lengths = np.zeros((g, g), dtype=np.int64)
-            by_group: list[list[int]] = [[] for _ in range(g)]
-            by_link: list[list[int]] = [[] for _ in range(len(self.links) // 2)]
-            for u in range(g):
-                for v in range(g):
-                    if u != v:
-                        path = self.candidates(u, v)[0][2]
-                        lengths[u, v] = len(path) - 1
-                        for w in path[1:-1]:
-                            by_group[w].append(u * g + v)
-                        for arc in zip(path, path[1:]):
-                            by_link[self.links[arc]].append(u * g + v)
-            lengths.flags.writeable = False
+            arcs = np.asarray(self._arcs, dtype=np.int64)
+            adj = np.zeros((g, g), dtype=bool)
+            adj[arcs[:, 0], arcs[:, 1]] = True
+            lengths = group_distances(adj)
+            # each group's successors, ascending; every group has d of them
+            out = arcs[arcs[:, 0] != arcs[:, 1]]
+            succ = out[np.lexsort(out.T[::-1])][:, 1].reshape(g, -1)
+            closer = lengths[succ] == lengths[:, None, :] - 1
+            step_to = succ[np.arange(g)[:, None], closer.argmax(axis=1)]
+            link_atom = np.full((g, g), -1, dtype=np.int64)
+            link_atom[arcs[:, 0], arcs[:, 1]] = self._coupler_atoms
+            # walk every pair's route at once, recording (atom, pair)
+            pair = np.flatnonzero(lengths > 0)
+            cur, dst = np.divmod(pair, g)
+            atoms, pairs = [], []
+            while pair.size:
+                nxt = step_to[cur, dst]
+                atoms.append(link_atom[cur, nxt])
+                pairs.append(pair)
+                inner = nxt != dst
+                cur, dst, pair = nxt[inner], dst[inner], pair[inner]
+                atoms.append(cur)
+                pairs.append(pair)
+            key = np.sort(np.concatenate(atoms) * g * g + np.concatenate(pairs))
+            indptr = np.zeros(self.atoms + 1, dtype=np.int64)
+            np.cumsum(np.bincount(key // (g * g), minlength=self.atoms), out=indptr[1:])
+            ids = key % (g * g)
+            for array in (lengths, indptr, ids):
+                array.flags.writeable = False
             # published whole, in one assignment: threads share the table
-            self._first = (
-                lengths, tuple(map(tuple, by_group)), tuple(map(tuple, by_link))
-            )
+            self._first = (lengths, indptr, ids)
         return self._first
+
+    def reroute(
+        self, alive: np.ndarray, dead_couplers: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs a stack's faults touch, on their candidates.
+
+        ``alive`` is a ``(B, g)`` stack's surviving processors per group
+        and ``dead_couplers`` its ``(B, m)`` effective dead couplers (a
+        :class:`~repro.resilience.degrade.ViewStack`'s).  Returns
+        ``(rows, pairs, lengths)``: each touched ``(row, pair)`` of two
+        live groups, ascending, and the length of its first candidate
+        that misses the row's dead groups and dead links (``-1``: every
+        candidate is blocked).  The touched pairs come from one CSR
+        gather and one :func:`numpy.unique`.
+        """
+        views, g = alive.shape
+        dead = np.zeros((views, self.atoms + 2), dtype=bool)
+        dead[:, :g] = alive == 0
+        row, coupler = np.nonzero(dead_couplers)
+        dead[row, self._coupler_atoms[coupler]] = True
+        dead[:, self.atoms] = False  # loop couplers carry no link
+        dead[:, -1] = True
+        _, indptr, ids = self._atom_index()
+        row, atom = np.nonzero(dead[:, : self.atoms])
+        start, count = indptr[atom], indptr[atom + 1] - indptr[atom]
+        offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        key = np.unique(np.repeat(row, count) * g * g + ids[np.repeat(start, count) + offset])
+        row, pair = np.divmod(key, g * g)
+        src, dst = np.divmod(pair, g)
+        live = ~(dead[row, src] | dead[row, dst])
+        row, pair = row[live], pair[live]
+        out = np.full(row.size, -1, dtype=np.int64)
+        if not row.size:
+            return row, pair, out
+        pairs, which = np.unique(pair, return_inverse=True)
+        atoms, lengths = map(np.stack, zip(*map(self.candidate_row, pairs.tolist())))
+        todo = np.arange(row.size)
+        for j in range(self._shape[0]):  # first open candidate, in order
+            blocked = dead[row[todo, None], atoms[which[todo], j]].any(axis=1)
+            done = todo[~blocked]
+            out[done] = lengths[which[done], j]
+            todo = todo[blocked]
+            if not todo.size:
+                break
+        return row, pair, out
+
+    def candidate_row(self, pair: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(atoms, lengths)`` of the candidates of flat pair id ``pair``.
+
+        ``atoms[j]`` lists the atoms candidate ``j`` passes (its
+        internal groups, then its links), padded with the open pad
+        :attr:`atoms`; ``lengths[j]`` is its hop count.  Rows past the
+        last candidate hold the always-dead pad ``atoms + 1`` and
+        length ``-1``.  Compiled from :meth:`candidates` the first time
+        the pair is asked for, and published whole (read-only).
+        """
+        row = self._rows.get(pair)
+        if row is not None:
+            return row
+        g = self._net.num_groups
+        atoms = np.full(self._shape, self.atoms + 1, dtype=np.int64)
+        lengths = np.full(self._shape[0], -1, dtype=np.int64)
+        for j, (_, _, path) in enumerate(self.candidates(*divmod(pair, g))):
+            ids = [*path[1:-1], *(g + self.links[arc] for arc in zip(path, path[1:]))]
+            atoms[j] = self.atoms
+            atoms[j, : len(ids)] = ids
+            lengths[j] = len(path) - 1
+        atoms.flags.writeable = lengths.flags.writeable = False
+        return self._rows.setdefault(pair, (atoms, lengths))
 
     def _compile(self, src_group: int, dst_group: int) -> tuple:
         from ..routing.fault_tolerant import candidate_paths
@@ -174,6 +291,11 @@ class CandidateTable:
                 crossed |= 1 << self.links[arc]
             out.append((internal, crossed, path))
         return tuple(out)
+
+
+#: Help strings of the stack-Kautz route counters (worker registry).
+_REROUTES_HELP = "Live group pairs a view's faults touched, re-checked on their candidates"
+_FALLBACKS_HELP = "Touched group pairs with every candidate blocked (word-level BFS)"
 
 
 @lru_cache(maxsize=16)
@@ -266,12 +388,7 @@ class StackKautzFamily(NetworkFamily):
         compiled candidates (:func:`candidate_table`, once per
         ``(d, k)`` per process) whose internal groups and crossed links
         miss ``degraded.word_fault_masks()``.  When every candidate is
-        blocked it falls back to the word-level BFS of
-        :func:`~repro.routing.fault_tolerant.fault_tolerant_route` over
-        ``degraded.word_fault_set()``, whose link-fault semantics treat
-        a dead coupler as a dead fiber pair; when that conservative view
-        severs the pair, to the registry default -- directed BFS on the
-        survivors.
+        blocked, :meth:`_blocked_route`.
         """
         if src_group == dst_group:
             return [src_group]
@@ -280,6 +397,18 @@ class StackKautzFamily(NetworkFamily):
         for internal, crossed, path in table.candidates(src_group, dst_group):
             if not (internal & dead_groups or crossed & dead_links):
                 return list(path)
+        return self._blocked_route(net, src_group, dst_group, degraded)
+
+    def _blocked_route(self, net, src_group: int, dst_group: int, degraded):
+        """The route of a pair whose every candidate is blocked.
+
+        The word-level BFS of
+        :func:`~repro.routing.fault_tolerant.fault_tolerant_route` over
+        ``degraded.word_fault_set()``, whose link-fault semantics treat
+        a dead coupler as a dead fiber pair; when that conservative view
+        severs the pair, the registry default -- directed BFS on the
+        survivors.
+        """
         from ..routing.fault_tolerant import fault_tolerant_route
 
         path = fault_tolerant_route(
@@ -292,32 +421,40 @@ class StackKautzFamily(NetworkFamily):
             return [net.group_of_word(w) for w in path]
         return super().fault_route(net, src_group, dst_group, degraded)
 
-    def route_lengths(self, net: StackKautzNetwork, degraded) -> np.ndarray:
-        """:meth:`fault_route` lengths of every pair, rerouting only what
-        a fault touches.
+    def route_lengths(self, net: StackKautzNetwork, stack) -> np.ndarray:
+        """:meth:`fault_route` lengths of every pair of every view of a stack.
 
-        Starts from the first candidates' lengths
-        (:meth:`CandidateTable.first_routes`); a pair whose first
-        candidate passes a dead group or crosses a dead link of
-        ``degraded.word_fault_masks()`` -- and has no dead endpoint --
-        is routed by :meth:`fault_route` itself.  Returns a new array.
+        Starts each view from the first candidates' lengths
+        (:meth:`CandidateTable.first_routes`).  The pairs whose first
+        candidate passes a dead group or crosses a dead link of a view,
+        and that have no dead endpoint, are checked against their
+        candidates as arrays (:meth:`CandidateTable.reroute`); only a
+        pair with every candidate blocked takes :meth:`_blocked_route`
+        on its view.  Counts both under
+        ``repro_route_reroutes_total`` and
+        ``repro_route_fallbacks_total`` in the worker registry.
+        Returns a new ``(B, g, g)`` array.
         """
-        lengths, by_group, by_link = candidate_table(
-            net.degree, net.diameter
-        ).first_routes()
-        out = lengths.copy()
-        dead_groups, dead_links = degraded.word_fault_masks()
-        touched: set[int] = set()
-        for ids, mask in ((by_group, dead_groups), (by_link, dead_links)):
-            for i, pairs in enumerate(ids):
-                if mask >> i & 1:
-                    touched.update(pairs)
-        g = len(out)
-        for pair in sorted(touched):
-            u, v = divmod(pair, g)
-            if not (dead_groups >> u & 1 or dead_groups >> v & 1):
-                path = self.fault_route(net, u, v, degraded)
-                out[u, v] = -1 if path is None else len(path) - 1
+        from ..obs.metrics import worker_registry
+
+        table = candidate_table(net.degree, net.diameter)
+        lengths = table.first_routes()[0]
+        views, g = stack.alive.shape
+        row, pair, found = table.reroute(stack.alive, stack.dead_couplers)
+        blocked = np.flatnonzero(found < 0).tolist()
+        for i in blocked:
+            u, v = divmod(int(pair[i]), g)
+            path = self._blocked_route(net, u, v, stack.views[row[i]])
+            found[i] = -1 if path is None else len(path) - 1
+        out = np.broadcast_to(lengths, (views, g, g)).copy()
+        out.reshape(views, g * g)[row, pair] = found
+        registry, labels = worker_registry(), {"family": self.key}
+        registry.counter("repro_route_reroutes_total", _REROUTES_HELP, labels).inc(
+            len(row)
+        )
+        registry.counter("repro_route_fallbacks_total", _FALLBACKS_HELP, labels).inc(
+            len(blocked)
+        )
         return out
 
     def simulator(self, net: StackKautzNetwork, policy=None):

@@ -133,17 +133,22 @@ class NetworkFamily:
             return [src_group]
         return degraded.surviving_base().shortest_path(src_group, dst_group)
 
-    def route_lengths(self, net, degraded):
-        """``(g, g)`` int array of :meth:`fault_route` lengths on ``degraded``.
+    def route_lengths(self, net, stack):
+        """``(B, g, g)`` int array of :meth:`fault_route` lengths on a stack.
 
-        For live distinct groups, entry ``[u, v]`` is
-        ``len(fault_route(net, u, v, degraded)) - 1``, or ``-1`` when
-        the hook returns ``None``; other entries are unspecified.  This
-        is what :func:`~repro.resilience.metrics.path_survival` scores.
-        The default is ``degraded.distances()`` (shared, do not
-        mutate): the default hook's BFS route is a shortest path.
+        ``stack`` is a :class:`~repro.resilience.degrade.ViewStack` of
+        ``B`` degraded views of ``net``.  For live distinct groups of
+        view ``b``, entry ``[b, u, v]`` is
+        ``len(fault_route(net, u, v, stack.views[b])) - 1``, or ``-1``
+        when the hook returns ``None``; other entries are unspecified.
+        This is what :func:`~repro.resilience.metrics.route_quality`
+        scores for a sweep's stacks, and
+        :meth:`~repro.resilience.degrade.DegradedNetwork.route_lengths`
+        calls it on a stack of one.  The default is ``stack.dist``
+        (shared, do not mutate): the default hook's BFS route is a
+        shortest path.
         """
-        return degraded.distances()
+        return stack.dist
 
     # -- description ---------------------------------------------------
     def signature(self) -> str:

@@ -36,6 +36,7 @@ built once per network and shared by every view of it.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -136,7 +137,7 @@ def next_hop_table(arcs: np.ndarray, dist: np.ndarray) -> np.ndarray:
 class ViewStack(NamedTuple):
     """A chunk of views of one network as ``(B, ...)`` arrays.
 
-    Row ``b`` of ``arcs``, ``dist`` and ``alive`` is what view ``b``'s
+    Row ``b`` of ``arcs``, ``dist`` and ``alive`` is what ``views[b]``'s
     :meth:`~DegradedNetwork.group_arcs`, :meth:`~DegradedNetwork.distances`
     and :meth:`~DegradedNetwork.alive_per_group` return (read-only);
     ``dead_processors`` and ``dead_couplers`` are its effective dead
@@ -149,24 +150,33 @@ class ViewStack(NamedTuple):
     alive: np.ndarray
     dead_processors: np.ndarray
     dead_couplers: np.ndarray
+    views: tuple
+
+
+def _scatter(sets, width: int) -> np.ndarray:
+    """``(len(sets), width)`` boolean mask with row ``b`` true at ``sets[b]``."""
+    counts = [len(s) for s in sets]
+    mask = np.zeros((len(sets), width), dtype=bool)
+    cols = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=sum(counts))
+    mask[np.repeat(np.arange(len(sets)), counts), cols] = True
+    return mask
 
 
 def stack_views(views) -> ViewStack:
     """The :class:`ViewStack` of ``views``, all of one network.
 
-    One :func:`group_distances` call serves the whole stack, and each
-    view that has not computed its arcs, distances and alive counts yet
-    takes its rows of the stack (a lone view computes its own as a
-    stack of one).  Among parallel couplers of a group arc, the lowest
-    surviving index carries it.
+    One :func:`group_distances` call serves the whole stack, the dead
+    masks are one scatter each and the alive counts one
+    :func:`numpy.bincount`; each view that has not computed its arcs,
+    distances and alive counts yet takes its rows of the stack (a lone
+    view computes its own as a stack of one).  Among parallel couplers
+    of a group arc, the lowest surviving index carries it.
     """
+    views = tuple(views)
     net, g = views[0].net, views[0].net.num_groups
     _, endpoints, groups, tables = _network_state(net)
-    dead_p = np.zeros((len(views), len(groups)), dtype=bool)
-    dead_c = np.zeros((len(views), len(endpoints)), dtype=bool)
-    for b, view in enumerate(views):
-        dead_p[b, list(view.dead_processors)] = True
-        dead_c[b, list(view.dead_couplers)] = True
+    dead_p = _scatter([view.dead_processors for view in views], len(groups))
+    dead_c = _scatter([view.dead_couplers for view in views], len(endpoints))
     row, coupler = np.nonzero(~dead_c)
     cell = (row * g + endpoints[coupler, 0]) * g + endpoints[coupler, 1]
     # np.unique reports each cell's first, i.e. lowest, coupler
@@ -175,14 +185,14 @@ def stack_views(views) -> ViewStack:
     arcs[cells] = coupler[first]
     arcs = arcs.reshape(-1, g, g)
     dist = group_distances(arcs >= 0)
-    alive = np.stack(
-        [np.bincount(tables.groups[~dead], minlength=g) for dead in dead_p]
-    )
+    row, processor = np.nonzero(dead_p)
+    dead = np.bincount(row * g + tables.groups[processor], minlength=len(views) * g)
+    alive = np.bincount(tables.groups, minlength=g) - dead.reshape(-1, g)
     arcs.flags.writeable = dist.flags.writeable = alive.flags.writeable = False
-    for view, *rows in zip(views, arcs, dist, alive):
+    for b, view in enumerate(views):
         if view._dist is None:
-            view._arcs, view._dist, view._alive = rows
-    return ViewStack(tables, arcs, dist, alive, dead_p, dead_c)
+            view._arcs, view._dist, view._alive = arcs[b], dist[b], alive[b]
+    return ViewStack(tables, arcs, dist, alive, dead_p, dead_c, views)
 
 
 class DegradedNetwork:
@@ -404,11 +414,12 @@ class DegradedNetwork:
     def route_lengths(self) -> np.ndarray:
         """``(g, g)`` lengths of :meth:`fault_route`, via the family's hook.
 
-        Entry ``[u, v]`` of live distinct groups is
+        The hook on a stack of one (:func:`stack_views`).  Entry
+        ``[u, v]`` of live distinct groups is
         ``len(fault_route(u, v)) - 1``, or ``-1`` when there is no
         route; the array may be shared, so do not mutate it.
         """
-        return self.family.route_lengths(self.net, self)
+        return self.family.route_lengths(self.net, stack_views([self]))[0]
 
     # ------------------------------------------------------------------
     # Simulation

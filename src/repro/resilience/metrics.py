@@ -7,13 +7,14 @@ Three views of "what still works":
 * **path quality** -- degraded group-route lengths from the family's
   ``fault_route`` hook, their stretch over the intact distances, and
   the fraction within the paper's ``k + 2`` bound (``diameter + 2``
-  generalized to every family).  One route-length matrix per view
-  (the family's ``route_lengths``) feeds :func:`route_quality`, the
-  scorer the vectorized sweep kernel runs on its batches too;
+  generalized to every family).  One batched ``route_lengths`` call of
+  the family per stack of views (a lone view is a stack of one) feeds
+  :func:`route_quality`, the scorer the vectorized sweep kernel runs
+  on its batches too;
 * **delivery under load** -- run the same workload on the broken and
   the intact machine, compare delivery ratio and latency.  A chunk of
-  views runs as one stack (:func:`full_rows`), its traffic in one
-  array slot pass.
+  views runs as one stack (:func:`stack_rows`, which scores the
+  lighter modes' stacks too), its traffic in one array slot pass.
 
 Everything funnels into one flat, JSON-ready
 :class:`ResilienceMetrics` row -- the unit the Monte-Carlo sweep
@@ -39,7 +40,7 @@ __all__ = [
     "connectivity_metrics",
     "path_survival",
     "route_quality",
-    "full_rows",
+    "stack_rows",
     "measure",
 ]
 
@@ -274,53 +275,74 @@ def path_survival(
     return route_quality(lengths[None], live[None], _intact_rows(net), bound)[0]
 
 
-def full_rows(
-    views, traffic, *, bound: int, max_slots: int, baseline_mean_latency: float,
-    observe=None,
-) -> list[dict[str, object]]:
-    """The ``full`` :class:`ResilienceMetrics` row of each view, as dicts.
+#: The route-quality row keys, in :func:`path_survival`'s tuple order.
+_QUALITY_KEYS = ("reachable_groups", "max_path_length", "mean_stretch", "within_bound")
 
-    ``views`` are degraded views of one network and ``traffic`` the
-    ``(src, dst, slot)`` triples every one of them carries.  The views
-    are scored as one :func:`~repro.resilience.degrade.stack_views`
-    stack: connectivity from its distance stack, route quality per view
-    (:func:`path_survival`), and delivery from one
-    :class:`~repro.simulation.stacked.StackedSimulator` pass over all
-    of them.  ``latency_inflation`` divides by ``baseline_mean_latency``,
-    the intact machine's mean latency on the same traffic.  Engine
-    checks raise as :func:`~repro.simulation.network_sim.run_traffic`
-    raises them.  ``observe(phase, seconds)``, when given, receives the
-    ``"score"`` and ``"simulate"`` wall times.
+
+def stack_rows(
+    views, metrics: str, *, bound: int, traffic=(), max_slots: int = 100_000,
+    baseline_mean_latency: float = 0.0, observe=None,
+) -> list[dict[str, object]]:
+    """The ``metrics``-mode row of each view, as dicts: one stack.
+
+    ``views`` are degraded views of one network, scored as one
+    :func:`~repro.resilience.degrade.stack_views` stack: connectivity
+    from its distance stack (:func:`connectivity_metrics`' formula);
+    for ``"paths"`` and ``"full"``, route quality from one call of the
+    family's batched ``route_lengths`` hook (:func:`path_survival`'s
+    scoring); and for ``"full"`` delivery from one
+    :class:`~repro.simulation.stacked.StackedSimulator` pass of
+    ``traffic``, the ``(src, dst, slot)`` triples every view carries,
+    whose engine checks raise as
+    :func:`~repro.simulation.network_sim.run_traffic` raises them.
+    ``latency_inflation`` divides by ``baseline_mean_latency``, the
+    intact machine's mean latency on the same traffic.
+    ``observe(phase, seconds)``, when given, receives the wall times of
+    ``"route"`` (the hook), ``"score"`` (the rest of the scoring) and
+    ``"simulate"`` (the slot pass), as far as the mode runs them.
     """
-    start = time.perf_counter()
+    start, route = time.perf_counter(), 0.0
     stack = stack_views(views)
-    n = len(stack.tables.groups)
     conn = _connectivity_columns(
-        stack.arcs >= 0, stack.dist >= 0, stack.alive, n, with_reachable=False
+        stack.arcs >= 0, stack.dist >= 0, stack.alive, len(stack.tables.groups),
+        with_reachable=metrics == "connectivity",
     )
-    quality = [path_survival(view, bound) for view in views]
+    if metrics == "connectivity":
+        rows = [dict(zip(conn, values)) for values in zip(*conn.values())]
+    else:
+        view, hooked = stack.views[0], time.perf_counter()
+        lengths = view.family.route_lengths(view.net, stack)
+        route = time.perf_counter() - hooked
+        quality = route_quality(lengths, stack.alive > 0, _intact_rows(view.net), bound)
+        rows = [
+            {"connectivity": c, "alive_connectivity": a, **dict(zip(_QUALITY_KEYS, q))}
+            for c, a, q in zip(*conn.values(), quality)
+        ]
     scored = time.perf_counter()
-    hops = next_hop_table(stack.arcs, stack.dist)
-    dead = stack.dead_processors, stack.dead_couplers
-    sim = StackedSimulator(stack.tables, hops, *dead, traffic)
-    sim.run(max_slots)
-    if not sim.verify_conservation():
-        raise RuntimeError("conservation check failed: message lost or corrupted")
+    if metrics == "full":
+        hops = next_hop_table(stack.arcs, stack.dist)
+        dead = stack.dead_processors, stack.dead_couplers
+        sim = StackedSimulator(stack.tables, hops, *dead, traffic)
+        sim.run(max_slots)
+        if not sim.verify_conservation():
+            raise RuntimeError("conservation check failed: message lost or corrupted")
+        scores, rows = rows, []
+        for view, score, outcome in zip(views, scores, sim.outcomes()):
+            ratio, dropped, latency, slots = outcome
+            inflation = (
+                0.0 if ratio == 0.0 else
+                1.0 if baseline_mean_latency == 0.0 else latency / baseline_mean_latency
+            )
+            s = view.scenario
+            values = (s.spec, s.model, s.seed, s.size, *score.values(), bound,
+                      ratio, dropped, latency, inflation, slots)
+            rows.append(dict(zip(_ROW_KEYS, values)))
     if observe is not None:
-        observe("score", scored - start)
-        observe("simulate", time.perf_counter() - scored)
-    rows = []
-    outcomes = sim.outcomes()
-    for view, c, a, paths, outcome in zip(views, *conn.values(), quality, outcomes):
-        ratio, dropped, latency, slots = outcome
-        inflation = (
-            0.0 if ratio == 0.0 else
-            1.0 if baseline_mean_latency == 0.0 else latency / baseline_mean_latency
-        )
-        s = view.scenario
-        values = (s.spec, s.model, s.seed, s.size, c, a, *paths, bound,
-                  ratio, dropped, latency, inflation, slots)
-        rows.append(dict(zip(_ROW_KEYS, values)))
+        if metrics != "connectivity":
+            observe("route", route)
+        observe("score", scored - start - route)
+        if metrics == "full":
+            observe("simulate", time.perf_counter() - scored)
     return rows
 
 
@@ -344,7 +366,7 @@ def measure(
     is zero).  ``baseline_mean_latency`` short-circuits the intact run
     -- the sweep computes it once and shares it across trials, since
     the baseline depends only on ``(workload, messages, seed)``.  The
-    row is :func:`full_rows`' for a stack of one view.
+    row is :func:`stack_rows`' ``full`` row for a stack of one view.
     """
     from ..core.workloads import resolve_workload
     from ..simulation.network_sim import run_traffic
@@ -357,6 +379,6 @@ def measure(
         intact = run_traffic(degraded.family.simulator(net), traffic, max_slots)
         baseline_mean_latency = intact.mean_latency
     bound = net.diameter + 2 if bound is None else bound
-    (row,) = full_rows([degraded], traffic, bound=bound, max_slots=max_slots,
-                       baseline_mean_latency=baseline_mean_latency)
+    (row,) = stack_rows([degraded], "full", bound=bound, traffic=traffic,
+                        max_slots=max_slots, baseline_mean_latency=baseline_mean_latency)
     return ResilienceMetrics(**row)

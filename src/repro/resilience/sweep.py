@@ -91,8 +91,12 @@ from ..simulation.engine import SlotCapError
 from .degrade import DegradedNetwork, _network_state, group_distances
 from .faults import FAULT_MODELS, FaultModel, resolve_fault_model
 from .faults import trial_seed, trial_seeds
-from .metrics import _connectivity_columns, connectivity_metrics, full_rows
-from .metrics import path_survival, route_quality
+from .metrics import _QUALITY_KEYS, _connectivity_columns, route_quality, stack_rows
+
+# bound here for perfbench's layer clock, which times the per-view
+# scorers by patching this module's names
+from .metrics import connectivity_metrics as connectivity_metrics
+from .metrics import path_survival as path_survival
 
 __all__ = [
     "SweepRequest",
@@ -139,8 +143,6 @@ METRICS_MODES: dict[str, tuple[str, ...]] = {
     ),
     "full": _SUMMARIZED,
 }
-#: The route-quality keys, in :func:`path_survival`'s tuple order.
-_PATHS_KEYS = METRICS_MODES["paths"][2:]
 
 #: Accepted ``backend`` values: the two trial executors (see the module
 #: docstring) and ``auto``, which picks one of them per sweep.
@@ -561,9 +563,8 @@ class _TrialContext:
     Everything is built here, never on a first trial: concurrent
     sweeps share a context read-only.
 
-    ``connectivity`` and ``paths`` trials are scored one view at a
-    time; ``full`` trials in sub-batches of :attr:`batch` views, each
-    one :func:`~repro.resilience.metrics.full_rows` stack.
+    Trials are scored in sub-batches of :attr:`batch` views, each one
+    :func:`~repro.resilience.metrics.stack_rows` stack.
     """
 
     def __init__(self, plan: _SweepPlan, net=None, family=None) -> None:
@@ -575,18 +576,17 @@ class _TrialContext:
         parsed = NetworkSpec.parse(plan.canonical)
         self.net = net if net is not None else parsed.build()
         self.family = family if family is not None else get_family(parsed.family)
-        self.traffic, self.batch = None, 1
+        # the widest per-view axis: group cells, coupler target slots
+        # or (full mode) messages
+        cells = [self.net.num_groups**2, _network_state(self.net)[-1].targets.size]
+        self.traffic = None
         if plan.metrics == "full":
             # the traffic depends on (workload, messages, seed) alone
             self.traffic = resolve_workload(
                 plan.workload, self.net, messages=plan.messages, seed=plan.seed
             )
-            # the widest per-view axis: group cells, messages, or
-            # coupler target slots
-            targets = _network_state(self.net)[-1].targets
-            self.batch = _batch_rows(
-                self.net.num_groups**2, len(self.traffic), targets.size
-            )
+            cells.append(len(self.traffic))
+        self.batch = _batch_rows(*cells)
 
     def view(self, index: int) -> DegradedNetwork:
         """Trial ``index``'s degraded view of the network."""
@@ -604,47 +604,45 @@ class _TrialContext:
             )
         return DegradedNetwork(self.net, scenario, family=self.family)
 
-    def run_trial(self, index: int) -> dict[str, object]:
-        """The ``connectivity``/``paths`` metrics row of trial ``index``."""
-        degraded = self.view(index)
-        # paths mode takes reachable_groups from path_survival (the
-        # *routed* fraction) instead of the BFS pass, so skip the
-        # redundant reachability loop there
-        row: dict[str, object] = connectivity_metrics(
-            degraded, with_reachable=self.plan.metrics == "connectivity"
-        )
-        if self.plan.metrics == "paths":
-            row.update(zip(_PATHS_KEYS, path_survival(degraded, self.plan.bound)))
-        return row
-
     def run_range(self, start: int, stop: int) -> list[dict[str, object]]:
         """Rows of trials ``start .. stop - 1``, in index order.
 
-        In ``full`` mode each sub-batch's phase times (``sample``:
-        scenarios and views; ``score``: stacks, connectivity and route
-        quality; ``simulate``: the slot pass) land in
+        Each sub-batch's phase times (``sample``: scenarios and views;
+        ``route``: the family's batched ``route_lengths``, in ``paths``
+        and ``full`` mode; ``score``: the rest of the scoring;
+        ``simulate``: the ``full`` slot pass) land in
         ``repro_phase_seconds``, shipped home with the chunk's metrics.
         A slot cap the traffic outruns is the request's ``max_slots``
         error.
         """
         plan = self.plan
-        if plan.metrics != "full":
-            return [self.run_trial(i) for i in range(start, stop)]
-        phases = _phase_histograms(plan.backend, ("sample", "score", "simulate"))
+        phases = _phase_histograms(plan.backend, _STACK_PHASES[plan.metrics])
+
+        def observe(phase: str, seconds: float) -> None:
+            phases[phase].observe(seconds)
+
         rows: list[dict[str, object]] = []
         for lo in range(start, stop, self.batch):
             t0 = now_us()
             views = [self.view(i) for i in range(lo, min(lo + self.batch, stop))]
             phases["sample"].observe((now_us() - t0) / 1e6)
             try:
-                rows.extend(full_rows(
-                    views, self.traffic, bound=plan.bound, max_slots=plan.max_slots,
-                    baseline_mean_latency=plan.baseline_mean_latency,
-                    observe=lambda phase, seconds: phases[phase].observe(seconds),
+                rows.extend(stack_rows(
+                    views, plan.metrics, bound=plan.bound, traffic=self.traffic,
+                    max_slots=plan.max_slots,
+                    baseline_mean_latency=plan.baseline_mean_latency, observe=observe,
                 ))
             except SlotCapError as exc:
                 raise _slot_cap_error(exc, "a degraded trial") from None
         return rows
+
+
+#: The phases each metrics mode's sub-batches record.
+_STACK_PHASES = {
+    "connectivity": ("sample", "score"),
+    "paths": ("sample", "route", "score"),
+    "full": ("sample", "route", "score", "simulate"),
+}
 
 
 def _phase_histograms(backend: str, names) -> dict:
@@ -1045,7 +1043,7 @@ class _VectorContext:
             {
                 "connectivity": c,
                 "alive_connectivity": a,
-                **dict(zip(_PATHS_KEYS, q)),
+                **dict(zip(_QUALITY_KEYS, q)),
             }
             for c, a, q in zip(*columns.values(), quality)
         ]
@@ -1128,9 +1126,20 @@ def _absorb_chunk_meta(meta, dispatched_us: int) -> None:
 
 
 def _index_chunks(trials: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous ``(start, stop)`` trial ranges, ~4 chunks per worker."""
-    chunk = max(1, trials // (workers * 4))
-    return [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
+    """Contiguous ``(start, stop)`` trial ranges of near-equal size.
+
+    Each worker gets an even share of at most 4 chunks, and no chunk is
+    cut below :data:`_VECTOR_BATCH` trials unless an even share is
+    smaller: a context scores a chunk in sub-batches of up to that
+    many trials, and fewer, wider sub-batches cost less per trial.
+    Sizes differ by at most one; with ``trials >= workers`` there is a
+    multiple of ``workers`` chunks (else one chunk per trial).
+    """
+    per_worker = min(4, max(1, trials // (workers * _VECTOR_BATCH)))
+    count = min(trials, workers * per_worker)
+    size, extra = divmod(trials, max(count, 1))
+    bounds = [lo * size + min(lo, extra) for lo in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 # ----------------------------------------------------------------------

@@ -111,6 +111,15 @@ class StackedSimulator:
         self.trace = np.full((views * count, 4), -1, dtype=np.int64)
         ends = np.stack([self.src, self.dst], axis=1)
         self._lost = self._dead_processors[self.view[:, None], ends].any(axis=1)
+        # (view, coupler) cells whose relay needs the live-target
+        # count: a target died, or no target is alive at all
+        listed = tables.targets < len(tables.groups)
+        counts = listed.sum(axis=1)
+        alive = (listed & ~self._dead_processors[:, tables.targets]).sum(axis=2)
+        self._dirty = (alive < counts) | (alive == 0)
+        self._intact_counts = np.maximum(counts, 1)
+        #: inject slots span [0, _slots): the winner sort key's radix
+        self._slots = int(triples[:, 2].max(initial=0)) + 1
         #: unsettled rows, ascending (view-major, then injection order)
         self._live = np.arange(views * count)
         self._waiting = bool((triples[:, 2] > 0).any())
@@ -154,12 +163,7 @@ class StackedSimulator:
             raise RuntimeError(
                 f"routing returned coupler {coupler[i]} not sourced at {holder[i]}"
             )
-        # one winner per (view, coupler): the oldest, then the lowest id
-        cell = view * len(self.tables.targets) + coupler
-        order = np.lexsort((self.ident[live], self.inject_slot[live], cell))
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = cell[order[1:]] != cell[order[:-1]]
-        win = order[first]
+        win = self._winners(view * len(self.tables.targets) + coupler, live)
         rows, coupler, dst = live[win], coupler[win], dst[win]
         relay = self._relay(view[win], coupler, dst)
         hops = self.hops[rows] + 1
@@ -174,19 +178,41 @@ class StackedSimulator:
         self._live = live[settle < 0]
         self._now += 1
 
+    def _winners(self, cell, live) -> np.ndarray:
+        """Positions in ``live`` of each ``(view, coupler)`` cell's winner.
+
+        The oldest request, ties going to the lowest message id: live
+        rows ascend by id within a view (and ``cell`` names the view),
+        so one stable sort on ``(cell, inject slot)`` keeps that
+        tie-break.  Ascending by cell.
+        """
+        order = np.argsort(cell * self._slots + self.inject_slot[live], kind="stable")
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = cell[order[1:]] != cell[order[:-1]]
+        return order[first]
+
     def _relay(self, view, coupler, dst) -> np.ndarray:
-        """``dst`` if the coupler reaches it, else the live target at its offset."""
+        """``dst`` if the coupler reaches it, else the live target at its offset.
+
+        On a ``(view, coupler)`` cell with every target alive that is
+        the intact target at the offset, one gather; only dirty cells
+        count their live targets.
+        """
         tables = self.tables
-        row = tables.targets[coupler]
-        alive = ~self._dead_processors[view[:, None], row]
-        count = alive.sum(axis=1)
         direct = tables.is_target[coupler, dst]
-        if not (direct | (count > 0)).all():
-            i = np.argmin(direct | (count > 0))
-            raise RuntimeError(f"coupler {coupler[i]} has no surviving targets")
-        offset = dst % np.maximum(count, 1)
-        pos = (np.cumsum(alive, axis=1) > offset[:, None]).argmax(axis=1)
-        relay = np.where(direct, dst, row[np.arange(len(row)), pos])
+        intact = tables.targets[coupler, dst % self._intact_counts[coupler]]
+        relay = np.where(direct, dst, intact)
+        slow = np.flatnonzero(self._dirty[view, coupler] & ~direct)
+        if slow.size:
+            row = tables.targets[coupler[slow]]
+            alive = ~self._dead_processors[view[slow, None], row]
+            count = alive.sum(axis=1)
+            if not (count > 0).all():
+                i = slow[np.argmin(count > 0)]
+                raise RuntimeError(f"coupler {coupler[i]} has no surviving targets")
+            offset = dst[slow] % count
+            pos = (np.cumsum(alive, axis=1) > offset[:, None]).argmax(axis=1)
+            relay[slow] = row[np.arange(slow.size), pos]
         listed = tables.is_target[coupler, relay]
         if not listed.all():
             i = np.argmin(listed)

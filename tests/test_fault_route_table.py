@@ -34,6 +34,7 @@ from repro.resilience.faults import (
 from repro.resilience.sweep import survivability_sweep, trial_seed
 from repro.routing import fault_tolerant
 from repro.routing.fault_tolerant import candidate_paths, fault_tolerant_route
+from repro.routing.kautz_routing import kautz_route
 from repro.temporal import TrafficMatrix, served_fraction, utilization
 
 SK = get_family("sk")
@@ -201,10 +202,26 @@ class TestTableMatchesReference:
 # ----------------------------------------------------------------------
 class TestCompiledOnce:
     def test_full_sweep_compiles_each_pair_at_most_once(self, compiled_pairs):
+        """Each pair at most once, and exactly the live pairs whose
+        label-induced first route some trial's faults touch."""
         first = survivability_sweep(
             "sk(6,3,2)", "coupler", faults=2, trials=20, seed=0, metrics="full"
         )
-        assert len(compiled_pairs) == len(set(compiled_pairs)) == 12 * 11
+        net, model = build("sk(6,3,2)"), FAULT_MODELS["coupler"](2)
+        touched = set()
+        for i in range(20):
+            view = DegradedNetwork(
+                net, model.scenario("sk(6,3,2)", net, trial_seed(0, i))
+            )
+            faults = view.word_fault_set()
+            live = set(range(net.num_groups)) - view.dead_groups
+            for u, v in itertools.permutations(live, 2):
+                x, y = net.group_word(u), net.group_word(v)
+                if faults.blocks(kautz_route(x, y, net.degree)):
+                    touched.add((x, y))
+        assert 0 < len(touched) < 12 * 11
+        assert len(compiled_pairs) == len(set(compiled_pairs)) == len(touched)
+        assert set(compiled_pairs) == touched
         compiled_pairs.clear()
         second = survivability_sweep(
             "sk(6,3,2)", "coupler", faults=2, trials=20, seed=0, metrics="full"

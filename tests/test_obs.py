@@ -434,7 +434,62 @@ class TestByteIdentity:
             for labels, histogram in series.items()
             if dict(labels)["backend"] == "batched"
         }
-        assert counts == dict.fromkeys(("sample", "score", "simulate"), sub_batches)
+        assert counts == dict.fromkeys(
+            ("sample", "route", "score", "simulate"), sub_batches
+        )
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize(
+        ("metrics", "phases"),
+        [("connectivity", ("sample", "score")), ("paths", ("sample", "route", "score"))],
+    )
+    def test_stacked_phases_counted_once_per_sub_batch(
+        self, workers, metrics, phases, monkeypatch
+    ):
+        from repro.core import build
+        from repro.resilience import sweep
+        from repro.resilience.degrade import _network_state
+
+        trials, batch = 40, 3
+        net = build("sk(6,3,2)")
+        cells = max(net.num_groups**2, _network_state(net)[-1].targets.size)
+        monkeypatch.setattr(sweep, "_VECTOR_CELL_BUDGET", batch * cells)
+        chunks = sweep._index_chunks(trials, workers) if workers else [(0, trials)]
+        sub_batches = sum(-(-(hi - lo) // batch) for lo, hi in chunks)
+        REGISTRY.reset()
+        with Session(workers=workers) as session:
+            session.resilience_sweep(
+                "sk(6,3,2)", faults=2, trials=trials, seed=0, metrics=metrics,
+                backend="batched",
+            )
+        series = REGISTRY.series("repro_phase_seconds")
+        counts = {
+            dict(labels)["phase"]: histogram.summary()["count"]
+            for labels, histogram in series.items()
+            if dict(labels)["backend"] == "batched"
+        }
+        assert counts == dict.fromkeys(phases, sub_batches)
+
+    def test_route_counters_are_worker_independent(self):
+        def counters(workers):
+            REGISTRY.reset()
+            with Session(workers=workers) as session:
+                session.resilience_sweep(
+                    "sk(1,2,4)", model="processor", faults=3, trials=30, seed=2,
+                    metrics="paths",
+                )
+            return {
+                name: {
+                    dict(labels)["family"]: c.value
+                    for labels, c in REGISTRY.series(name).items()
+                }
+                for name in ("repro_route_reroutes_total", "repro_route_fallbacks_total")
+            }
+
+        inline = counters(0)
+        assert inline == counters(2)
+        touched = inline["repro_route_reroutes_total"]["sk"]
+        assert 0 < inline["repro_route_fallbacks_total"]["sk"] < touched
 
     def test_inline_sweep_records_parent_side(self):
         REGISTRY.reset()

@@ -137,7 +137,7 @@ def test_first_route_index_is_published_whole_under_threads():
 
     def build():
         lengths, by_group, by_link = table.first_routes()
-        seen.append((lengths.tobytes(), by_group, by_link))
+        seen.append(tuple(a.tobytes() for a in (lengths, *by_group, *by_link)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -1,7 +1,7 @@
 """The stacked ``full`` scorer against the scalar slotted engine.
 
 A ``full`` sweep scores each trial chunk as one stack of degraded
-views (:func:`repro.resilience.metrics.full_rows`): one distance
+views (:func:`repro.resilience.metrics.stack_rows`): one distance
 stack, one next-hop compile and one array slot pass
 (:class:`repro.simulation.stacked.StackedSimulator`).  The scalar
 :class:`~repro.simulation.engine.SlottedSimulator`, wired by
@@ -38,7 +38,7 @@ from repro.resilience.faults import FaultScenario, make_fault_model
 from repro.resilience.metrics import (
     ResilienceMetrics,
     connectivity_metrics,
-    full_rows,
+    stack_rows,
     measure,
     path_survival,
 )
@@ -206,6 +206,134 @@ class TestEngineMatchesScalar:
 
 
 # ----------------------------------------------------------------------
+# The stack's masks and counts against the per-view loop
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("model", ("processor", "coupler", "group"))
+def test_stack_views_equals_the_per_view_loop(spec, model):
+    views = _views(spec, model, 3, range(12))
+    stack = stack_views(views)
+    _, endpoints, groups, tables = _network_state(views[0].net)
+    for b, view in enumerate(views):
+        dead_p = np.zeros(len(groups), dtype=bool)
+        dead_p[list(view.dead_processors)] = True
+        dead_c = np.zeros(len(endpoints), dtype=bool)
+        dead_c[list(view.dead_couplers)] = True
+        alive = np.bincount(tables.groups[~dead_p], minlength=view.net.num_groups)
+        assert (stack.dead_processors[b] == dead_p).all()
+        assert (stack.dead_couplers[b] == dead_c).all()
+        assert (stack.alive[b] == alive).all() and stack.alive.dtype == alive.dtype
+        assert view.alive_per_group() is not None and (view.alive_per_group() == alive).all()
+    for array in (stack.arcs, stack.dist, stack.alive):
+        assert not array.flags.writeable
+    assert stack.views == tuple(views)
+
+
+# ----------------------------------------------------------------------
+# The slot pass's shortcuts against the general rules they replace
+# ----------------------------------------------------------------------
+def _cumsum_relay(sim, view, coupler, dst):
+    """The relay rule counted out on every row: the oracle of ``_relay``."""
+    tables = sim.tables
+    row = tables.targets[coupler]
+    alive = ~sim._dead_processors[view[:, None], row]
+    count = alive.sum(axis=1)
+    direct = tables.is_target[coupler, dst]
+    if not (direct | (count > 0)).all():
+        i = np.argmin(direct | (count > 0))
+        raise RuntimeError(f"coupler {coupler[i]} has no surviving targets")
+    offset = dst % np.maximum(count, 1)
+    pos = (np.cumsum(alive, axis=1) > offset[:, None]).argmax(axis=1)
+    relay = np.where(direct, dst, row[np.arange(len(row)), pos])
+    listed = tables.is_target[coupler, relay]
+    if not listed.all():
+        i = np.argmin(listed)
+        raise RuntimeError(f"relay {relay[i]} is not a target of coupler {coupler[i]}")
+    return relay
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args).tolist()
+    except RuntimeError as exc:
+        return str(exc)
+
+
+class TestSlotPassShortcuts:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        spec=st.sampled_from(SPECS + ("sk(1,2,3)",)),
+        model=st.sampled_from(("processor", "coupler", "group")),
+        faults=st.integers(0, 4),
+        seed=st.integers(0, 10**6),
+        views=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_fault_free_relay_equals_the_cumsum_path(
+        self, spec, model, faults, seed, views, data
+    ):
+        """Clean and dirty (view, coupler) cells, dead processors included."""
+        stack = stack_views(_views(spec, model, faults, [seed + b for b in range(views)]))
+        sim = StackedSimulator(
+            stack.tables, next_hop_table(stack.arcs, stack.dist),
+            stack.dead_processors, stack.dead_couplers, [],
+        )
+        n, m = stack.dead_processors.shape[1], stack.dead_couplers.shape[1]
+        requests = data.draw(st.lists(
+            st.tuples(st.integers(0, views - 1), st.integers(0, m - 1), st.integers(0, n - 1)),
+            min_size=1, max_size=30,
+        ))
+        view, coupler, dst = (np.array(column) for column in zip(*requests))
+        assert _outcome(sim._relay, view, coupler, dst) == _outcome(
+            _cumsum_relay, sim, view, coupler, dst
+        )
+
+    def test_relay_mixes_clean_and_dirty_cells(self):
+        stack = stack_views(_views("sk(2,2,2)", "processor", 3, range(6)))
+        sim = StackedSimulator(
+            stack.tables, next_hop_table(stack.arcs, stack.dist),
+            stack.dead_processors, stack.dead_couplers, [],
+        )
+        live = ~stack.dead_couplers
+        assert (sim._dirty & live).any() and (~sim._dirty & live).any()
+        view, coupler = np.nonzero(live)
+        for dst in range(stack.dead_processors.shape[1]):
+            dsts = np.full(view.size, dst)
+            assert _outcome(sim._relay, view, coupler, dsts) == _outcome(
+                _cumsum_relay, sim, view, coupler, dsts
+            )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        traffic=st.lists(
+            st.tuples(st.integers(0, 11), st.integers(0, 11), st.integers(0, 9)),
+            min_size=1, max_size=40,
+        ),
+        views=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_winners_equal_the_three_key_lexsort(self, traffic, views, data):
+        stack = stack_views(_views("sk(2,2,2)", "coupler", 0, range(views)))
+        sim = StackedSimulator(
+            stack.tables, next_hop_table(stack.arcs, stack.dist),
+            stack.dead_processors, stack.dead_couplers, traffic,
+        )
+        rows = views * len(traffic)
+        keep = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+        live = np.flatnonzero(keep)
+        m = len(stack.tables.targets)
+        coupler = np.array(
+            data.draw(st.lists(st.integers(0, 3), min_size=live.size, max_size=live.size)),
+            dtype=np.int64,
+        )
+        cell = sim.view[live] * m + coupler
+        order = np.lexsort((sim.ident[live], sim.inject_slot[live], cell))
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = cell[order[1:]] != cell[order[:-1]]
+        assert sim._winners(cell, live).tolist() == order[first].tolist()
+
+
+# ----------------------------------------------------------------------
 # Rows: the stacked scorer against scalar rows, at any chunking
 # ----------------------------------------------------------------------
 class TestRowsMatchScalar:
@@ -241,7 +369,7 @@ class TestRowsMatchScalar:
 
     @pytest.mark.parametrize(("spec", "model", "faults", "workload"), CASES)
     def test_sweeps_equal_inline_and_pooled(self, pooled, spec, model, faults, workload):
-        # 7, 56 and 200 trials on two workers are chunks of 1, 7 and 25
+        # 7, 56 and 200 trials on two workers: two chunks each
         for trials in (7, 56, 200):
             prepared, ctx = self._prepared(spec, model, faults, workload, trials)
             plan = prepared.plan
@@ -301,8 +429,9 @@ class TestChecksFire:
         net = build(self.SPEC)
         traffic = resolve_workload("uniform", net, messages=30, seed=1)
         views = views or _views(self.SPEC, "coupler", 1, range(4))
-        return full_rows(
-            views, traffic, bound=4, max_slots=max_slots, baseline_mean_latency=2.0
+        return stack_rows(
+            views, "full", traffic=traffic, bound=4, max_slots=max_slots,
+            baseline_mean_latency=2.0,
         )
 
     def test_coupler_not_sourced_at_holder(self, monkeypatch):
@@ -338,6 +467,43 @@ class TestChecksFire:
             stack.dead_processors, stack.dead_couplers, traffic,
         )
         with pytest.raises(RuntimeError, match="is not a target of coupler"):
+            sim.run()
+
+    def test_coupler_with_no_surviving_target(self):
+        """A route through a coupler whose only target died: the intact
+        next hops with the dead-coupler closure left out."""
+        spec = "sk(1,2,2)"
+        net = build(spec)
+        intact = stack_views([DegradedNetwork(net, FaultScenario(spec, "none", 0))])
+        lengths = intact.dist[0]
+        u, v = map(int, np.argwhere(lengths == 2)[0])
+        w = int(np.flatnonzero((lengths[u] == 1) & (lengths[:, v] == 1))[0])
+        broken = DegradedNetwork(
+            net, FaultScenario(spec, "manual", 0, processors=frozenset({w}))
+        )
+        dead = stack_views([broken]).dead_processors
+        sim = StackedSimulator(
+            intact.tables, next_hop_table(intact.arcs, intact.dist), dead,
+            np.zeros_like(intact.dead_couplers), [(u, v, 0)],
+        )
+        with pytest.raises(RuntimeError, match="has no surviving targets"):
+            sim.run()
+
+    def test_coupler_with_no_target_at_all(self):
+        """A coupler listing no target goes down the counting path too."""
+        net = build(self.SPEC)
+        stack = stack_views([DegradedNetwork(net, FaultScenario(self.SPEC, "none", 0))])
+        hops = next_hop_table(stack.arcs, stack.dist)
+        groups = stack.tables.groups
+        src, dst = 0, int(np.flatnonzero(groups != groups[0])[0])
+        coupler = hops[0, groups[src], groups[dst]]
+        targets, is_target = stack.tables.targets.copy(), stack.tables.is_target.copy()
+        targets[coupler], is_target[coupler] = len(groups), False
+        tables = dataclasses.replace(stack.tables, targets=targets, is_target=is_target)
+        sim = StackedSimulator(
+            tables, hops, stack.dead_processors, stack.dead_couplers, [(src, dst, 0)]
+        )
+        with pytest.raises(RuntimeError, match="has no surviving targets"):
             sim.run()
 
     @pytest.mark.parametrize("corruption", ["settled-twice", "broken-trace", "hops"])
@@ -385,8 +551,8 @@ class TestChecksFire:
             ([(0, 1, -2)], r"cannot inject into past slot -2 \(now 0\)"),
         ):
             with pytest.raises(ValueError, match=message):
-                full_rows(views, traffic, bound=4, max_slots=100,
-                          baseline_mean_latency=1.0)
+                stack_rows(views, "full", traffic=traffic, bound=4, max_slots=100,
+                           baseline_mean_latency=1.0)
 
 
 # ----------------------------------------------------------------------
@@ -409,8 +575,8 @@ class TestDegenerateRuns:
             [DegradedNetwork(net, FaultScenario(spec, "none", 0))],
             _views(spec, "processor", 1, range(5)),
         ):
-            rows = full_rows(views, traffic, bound=net.diameter + 2,
-                             max_slots=100, baseline_mean_latency=1.0)
+            rows = stack_rows(views, "full", traffic=traffic, bound=net.diameter + 2,
+                              max_slots=100, baseline_mean_latency=1.0)
             assert rows == [
                 _scalar_row(view, traffic, net.diameter + 2, 1.0)
                 for view in _views_like(views)
@@ -434,3 +600,34 @@ class TestDegenerateRuns:
 def _views_like(views):
     """Fresh views of the same scenarios (no caches shared with a stack)."""
     return [DegradedNetwork(view.net, view.scenario) for view in views]
+
+
+# ----------------------------------------------------------------------
+# The chunk rule: worker-sized chunks, never cut below a sub-batch
+# ----------------------------------------------------------------------
+class TestIndexChunks:
+    @settings(max_examples=300, deadline=None)
+    @given(trials=st.integers(0, 200_000), workers=st.integers(2, 16))
+    def test_properties(self, trials, workers):
+        from repro.resilience.sweep import _VECTOR_BATCH, _index_chunks
+
+        chunks = _index_chunks(trials, workers)
+        bounds = [lo for lo, _ in chunks] + [trials]
+        assert [hi for _, hi in chunks] == bounds[1:] and bounds[0] == 0  # cover
+        assert len(chunks) <= 4 * workers
+        if trials >= workers:
+            assert len(chunks) % workers == 0
+        sizes = [hi - lo for lo, hi in chunks]
+        assert all(size > 0 for size in sizes)
+        if sizes:
+            assert max(sizes) - min(sizes) <= 1
+            assert min(sizes) >= min(_VECTOR_BATCH, trials // workers)
+
+    def test_perfbench_sweep_is_one_sub_batch_per_worker(self):
+        from repro.resilience.sweep import _index_chunks
+
+        assert _index_chunks(200, 2) == [(0, 100), (100, 200)]
+        assert _index_chunks(10_000, 2) == [(0, 5_000), (5_000, 10_000)]
+        assert len(_index_chunks(100_000, 2)) == 8
+        assert _index_chunks(3, 4) == [(0, 1), (1, 2), (2, 3)]
+        assert _index_chunks(0, 2) == []
