@@ -494,9 +494,11 @@ _C30, _C1, _C2 = (np.array(c, dtype=_U32) for c in (30, 1664525, 1566083941))
 #: batch, ~500 reseeds at ~5.8 us (measured on a 2-vCPU x86 host).
 _REPLAY_MIN_ROWS = 512
 #: Most rows one replay's ``(624, rows)`` state holds (2.5 KB a row): a
-#: bigger batch is replayed in even pieces, which keeps a 4,096-trial
-#: kernel batch's sampling peak at ~5 MB.
-_REPLAY_ROWS = 2048
+#: bigger batch is replayed in even pieces.  It is the kernel batch
+#: (``sweep._VECTOR_BATCH``), so a batch replays in one piece (~10 MB
+#: of state); the kernel's rows with equal fault masks share one dict
+#: (``_VectorContext.score``), which frees more than that.
+_REPLAY_ROWS = 4096
 
 
 def _c_words(seeds: np.ndarray, count: int) -> np.ndarray:
@@ -562,9 +564,11 @@ def _word_stream(seeds: np.ndarray, count: int) -> np.ndarray:
 
     Column ``j`` is ``[random.Random(s).getrandbits(32) for _ in
     range(count)]`` for ``s = seeds[j]`` and ``count <= 227``.  A big
-    batch is replayed in numpy, apart from seeds under ``2**32``, whose
-    1-word key seeds differently; those and small batches reseed one C
-    generator per row.
+    batch is replayed in numpy, in one piece up to :data:`_REPLAY_ROWS`
+    seeds (a whole kernel batch), apart from seeds under ``2**32``,
+    whose 1-word key seeds differently; those and small batches reseed
+    one C generator per row.  Columns are independent, so the pieces
+    never change a word.
     """
     if not count:
         return np.zeros((0, len(seeds)), dtype=_U32)

@@ -963,7 +963,43 @@ class _VectorContext:
         ``paths``, :func:`~repro.resilience.metrics.path_survival`)
         score a ``DegradedNetwork`` of those dead sets.  At most
         :attr:`batch` rows per call keep the working set bounded.
+
+        Rows with equal masks share one dict, which callers must not
+        modify: only the batch's distinct rows (keyed by their packed
+        mask bits) are scored, and the inverse of ``np.unique`` hands
+        them back in input order.  Every column is a function of its
+        own row's masks, so the rows equal a row-by-row scoring.  The
+        paths-kernel trial counter still counts every input row.
         """
+        n, m = self.arrays.num_processors, self.arrays.num_couplers
+        rows = len(dead_processors)
+        width = 8 * -(-(n + m) // 64)  # key bytes, in whole 64-bit words
+        bits = np.zeros((rows, 8 * width), dtype=bool)
+        bits[:, :n] = dead_processors
+        bits[:, n : n + m] = direct_couplers
+        keys = np.packbits(bits).view(np.uint64 if width == 8 else f"V{width}")
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        registry = worker_registry()
+        labels = {"backend": self.plan.backend}
+        for kind, count in (("in", rows), ("scored", len(first))):
+            registry.counter(
+                "repro_kernel_rows_total", _KERNEL_ROWS_HELP, {**labels, "kind": kind}
+            ).inc(count)
+        scored, hops = self._score_rows(dead_processors[first], direct_couplers[first])
+        if self.paths:
+            registry.counter(
+                "repro_sweep_paths_kernel_trials_total", _PATHS_TRIALS_HELP, labels
+            ).inc(rows)
+            registry.histogram(
+                "repro_sweep_paths_kernel_hops", _PATHS_HOPS_HELP, labels
+            ).observe(hops)
+        return [scored[i] for i in inverse.tolist()]
+
+    def _score_rows(
+        self, dead_processors: np.ndarray, direct_couplers: np.ndarray
+    ) -> tuple[list[dict[str, object]], int]:
+        """``(rows, hops)``: each mask row's metrics row, and in ``paths``
+        mode the deepest BFS frontier of the batch (else 0)."""
         arrays = self.arrays
         n, g, m = arrays.num_processors, arrays.num_groups, arrays.num_couplers
         batch = len(dead_processors)
@@ -1025,15 +1061,7 @@ class _VectorContext:
             return [
                 {"connectivity": c, "alive_connectivity": a, "reachable_groups": r}
                 for c, a, r in zip(*columns.values())
-            ]
-        registry = worker_registry()
-        labels = {"backend": self.plan.backend}
-        registry.counter(
-            "repro_sweep_paths_kernel_trials_total", _PATHS_TRIALS_HELP, labels
-        ).inc(batch)
-        registry.histogram(
-            "repro_sweep_paths_kernel_hops", _PATHS_HOPS_HELP, labels
-        ).observe(hops)
+            ], 0
         # dist is the generic fault_route's route lengths: the scoring
         # is path_survival's own
         quality = route_quality(
@@ -1046,7 +1074,7 @@ class _VectorContext:
                 **dict(zip(_QUALITY_KEYS, q)),
             }
             for c, a, q in zip(*columns.values(), quality)
-        ]
+        ], hops
 
 
 # ----------------------------------------------------------------------
@@ -1061,6 +1089,9 @@ _PATHS_TRIALS_HELP = (
     "Trials (temporal: trace segments) scored by the vectorized paths kernel"
 )
 _PATHS_HOPS_HELP = "BFS frontier expansions per vectorized paths batch"
+_KERNEL_ROWS_HELP = (
+    "Fault-mask rows handed to the vectorized kernel (in) and distinct rows it scored"
+)
 _PHASE_HELP = "Wall time of one trial batch's phase"
 _DOWNGRADE_HELP = "Sweeps downgraded from their requested backend"
 

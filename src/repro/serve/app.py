@@ -441,7 +441,13 @@ class ReproServer:
             method, target, headers = self._parse_head(head)
             ctx["method"], ctx["target"] = method, target
             body = b""
-            length = int(headers.get("content-length", "0") or "0")
+            declared = headers.get("content-length", "0")
+            if not (declared.isascii() and declared.isdigit()):
+                raise ServeError(
+                    f"malformed Content-Length {declared!r}: expected a "
+                    "non-negative decimal integer"
+                )
+            length = int(declared)
             if length > MAX_BODY:
                 await self._respond(
                     writer, 413, ServeError(

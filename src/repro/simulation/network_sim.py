@@ -8,6 +8,7 @@ ready :class:`~repro.simulation.engine.SlottedSimulator`.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
 
 from ..networks.pops import POPSNetwork
 from ..networks.stack_imase_itoh import StackImaseItohNetwork
@@ -88,9 +89,7 @@ def _base_table_simulator(net, policy) -> SlottedSimulator:
     Each base arc ``(u, v)`` is its first hyperarc; delivery to a
     sibling uses the group's loop coupler.
     """
-    base = net.base_graph()
-    table = build_routing_table(base.without_loops())
-    arc_index = _arc_index_map(base)
+    table, arc_index, model = _base_routing(net)
     s = net.stacking_factor
 
     def next_coupler(holder: int, msg: Message) -> int:
@@ -100,7 +99,20 @@ def _base_table_simulator(net, policy) -> SlottedSimulator:
             return arc_index[(u, u)]  # loop coupler: sibling delivery
         return arc_index[(u, table.next_hop(u, v_final))]
 
-    return SlottedSimulator(net.stack_graph_model(), next_coupler, policy=policy)
+    return SlottedSimulator(model, next_coupler, policy=policy)
+
+
+@lru_cache(maxsize=64)
+def _base_routing(net) -> tuple:
+    """``(routing table, base arc -> hyperarc map, stack-graph model)``.
+
+    The routing skeleton of :func:`_base_table_simulator`, built once
+    per network and shared read-only by every simulator over it (the
+    intact baseline of each new sweep seed builds one).
+    """
+    base = net.base_graph()
+    table = build_routing_table(base.without_loops())
+    return table, _arc_index_map(base), net.stack_graph_model()
 
 
 def _arc_index_map(base) -> dict[tuple[int, int], int]:

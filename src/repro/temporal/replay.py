@@ -378,16 +378,30 @@ def prepare_temporal_sweep(
 # Per-trial replay
 # ----------------------------------------------------------------------
 def _bin_curve(segvals, horizon: int, points: int) -> list[float]:
-    """Time-weighted mean of a piecewise-constant signal per bin."""
-    curve = []
+    """Time-weighted mean of a piecewise-constant signal per bin.
+
+    ``segvals`` holds ``(start, stop, value)`` segments in time order
+    that tile ``[0, horizon)``.  Bins and segments are walked together,
+    and each bin sums only the segments that overlap it: the terms of
+    the sum over every segment minus its exact zeros, so the same
+    floats.
+    """
+    curve, first = [], 0
     for b in range(points):
         lo = horizon * b / points
         hi = horizon * (b + 1) / points
-        acc = math.fsum(
-            max(0.0, min(stop, hi) - max(start, lo)) * value
-            for start, stop, value in segvals
-        )
-        curve.append(acc / (hi - lo))
+        terms = []
+        while first < len(segvals):
+            start, stop, value = segvals[first]
+            if start >= hi:
+                break
+            width = min(stop, hi) - max(start, lo)
+            if width > 0:
+                terms.append(width * value)
+            if stop > hi:  # runs on into the next bin
+                break
+            first += 1
+        curve.append(math.fsum(terms) / (hi - lo))
     return curve
 
 

@@ -94,6 +94,20 @@ class TestWordSources:
         words = faults._word_stream(seeds, 5)
         assert words.T.tolist() == [scalar_words(s, 5) for s in seeds.tolist()]
 
+    def test_a_kernel_batch_replays_in_one_piece(self, monkeypatch):
+        from repro.resilience.sweep import _VECTOR_BATCH
+
+        pieces = []
+        replay = faults._replayed_words
+
+        def counted(seeds, count):
+            pieces.append(len(seeds))
+            return replay(seeds, count)
+
+        monkeypatch.setattr(faults, "_replayed_words", counted)
+        faults._word_stream(trial_seeds(4, 0, _VECTOR_BATCH), 3)
+        assert pieces == [_VECTOR_BATCH]
+
 
 @given(
     seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),

@@ -525,6 +525,28 @@ class TestHTTP:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize(
+        "declared", [b"abc", b"-1", b"+5", b"1e3", b"", b"\xb2"]
+    )
+    def test_malformed_content_length_400(self, server, declared):
+        body = b'{"spec": "pops(2,2)"}'
+        with socket.create_connection((server.host, server.port), 30) as sock:
+            sock.sendall(
+                b"POST /v1/describe HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: " + declared + b"\r\n\r\n" + body
+            )
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk
+        head, _, payload = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        error = json.loads(payload)["error"]
+        assert error["code"] == "bad_request"
+        assert "Content-Length" in error["message"]
+        # the server keeps answering
+        assert server.describe("pops 2 2")["processors"] == 4
+
     def test_stats_shape(self, server):
         stats = server.stats()
         assert set(stats) >= {

@@ -347,6 +347,28 @@ class TestAdapters:
         assert rep.num_messages == 8
         assert rep.throughput == pytest.approx(8 / rep.slots)
 
+    @pytest.mark.parametrize(
+        "net", [StackKautzNetwork(6, 3, 2), StackImaseItohNetwork(3, 2, 7)]
+    )
+    def test_routing_skeleton_built_once_per_network(self, net, monkeypatch):
+        from repro.simulation import network_sim
+
+        traffic = uniform_traffic(net.num_processors, 80, seed=5)
+        first, second = (network_sim.simulator_for(net) for _ in range(2))
+        assert first is not second  # a fresh engine per call
+        assert first.network is second.network
+        table = network_sim._base_routing(net)[0]
+        assert network_sim._base_routing(net)[0] is table
+        reports = [run_traffic(sim, traffic) for sim in (first, second)]
+        assert reports[0] == reports[1]
+        # the shared skeleton routes as a freshly built one does
+        monkeypatch.setattr(
+            network_sim, "_base_routing", network_sim._base_routing.__wrapped__
+        )
+        fresh = network_sim.simulator_for(net)
+        assert fresh.network is not first.network
+        assert run_traffic(fresh, traffic) == reports[0]
+
 
 class TestTraffic:
     def test_uniform_no_self_messages(self):

@@ -10,6 +10,7 @@ the observed renewal cycles.
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,7 @@ from repro.temporal import (
     summarize_temporal,
     utilization,
 )
-from repro.temporal.replay import _TemporalContext
+from repro.temporal.replay import _bin_curve, _TemporalContext
 
 
 class TestStreamSeed:
@@ -265,6 +266,43 @@ class TestReplaySemantics:
             )
         with pytest.raises(ValueError, match="curve_points"):
             repro.temporal_sweep("sk(2,2,2)", curve_points=0)
+
+
+def nested_bin_curve(segvals, horizon, points):
+    """Every bin sums every segment: the definition ``_bin_curve`` walks."""
+    curve = []
+    for b in range(points):
+        lo = horizon * b / points
+        hi = horizon * (b + 1) / points
+        acc = math.fsum(
+            max(0.0, min(stop, hi) - max(start, lo)) * value
+            for start, stop, value in segvals
+        )
+        curve.append(acc / (hi - lo))
+    return curve
+
+
+@st.composite
+def tilings(draw):
+    """``(segments, horizon)``: segments in time order tiling ``[0, horizon)``."""
+    horizon = draw(st.integers(1, 5000))
+    cuts = draw(st.lists(st.integers(1, max(horizon - 1, 1)), max_size=40))
+    bounds = sorted({0, horizon, *(c for c in cuts if c < horizon)})
+    values = st.one_of(
+        st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, allow_nan=False)
+    )
+    segments = [(a, b, draw(values)) for a, b in zip(bounds, bounds[1:])]
+    return segments, horizon
+
+
+class TestBinCurve:
+    @given(tiling=tilings(), points=st.integers(1, 512))
+    def test_one_walk_equals_the_nested_loop(self, tiling, points):
+        segments, horizon = tiling
+        walked = _bin_curve(segments, horizon, points)
+        assert [v.hex() for v in walked] == [
+            v.hex() for v in nested_bin_curve(segments, horizon, points)
+        ]
 
 
 class TestCapacityAccounting:

@@ -100,6 +100,43 @@ class TestPathsByteIdentity:
         assert trials[0][1] == PATHS["trials"]
         assert "repro_sweep_paths_kernel_hops" in snap
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_kernel_counters_count_every_row(self, workers, monkeypatch):
+        # scoring each distinct fault pattern once changes neither
+        # series: the trial counter counts every row, and each batch
+        # observes its deepest frontier over all of its rows
+        import repro.resilience.sweep as sweep_mod
+        from repro.obs.metrics import reset_worker_registry
+        from repro.resilience.sweep import SweepRequest, _index_chunks, _prepare_sweep
+
+        monkeypatch.setattr(sweep_mod, "_VECTOR_BATCH", 7)
+        trials, seed = 40, 3
+        request = SweepRequest(
+            model="processor", faults=2, trials=trials, seed=seed,
+            metrics="paths", backend="vectorized",
+        )
+        prepared = _prepare_sweep("pops(2,3)", request)
+        ctx = prepared.plan.build_context(net=prepared.net)
+        chunks = _index_chunks(trials, workers) if workers else [(0, trials)]
+        hops, distinct = [], 0
+        for lo, hi in chunks:
+            for start in range(lo, hi, ctx.batch):
+                dead, direct = ctx._sample_masks(start, min(start + ctx.batch, hi))
+                hops.append(ctx._score_rows(dead, direct)[1])  # every row scored
+                distinct += len({(d.tobytes(), c.tobytes()) for d, c in zip(dead, direct)})
+        assert distinct < trials  # some rows really are shared
+        reset_worker_registry()
+        REGISTRY.reset()
+        survivability_sweep(
+            "pops(2,3)", "processor", faults=2, trials=trials, seed=seed,
+            metrics="paths", backend="vectorized", workers=workers,
+        )
+        (counter,) = REGISTRY.series("repro_sweep_paths_kernel_trials_total").values()
+        assert counter.value == trials
+        (histogram,) = REGISTRY.series("repro_sweep_paths_kernel_hops").values()
+        assert histogram.summary()["count"] == len(hops)
+        assert histogram.summary()["sum"] == sum(hops)
+
     def test_cli_paths_backend_flag(self, capsys):
         argv = [
             "resilience",

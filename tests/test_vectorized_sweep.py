@@ -9,19 +9,23 @@ worker count, fault model and family; and a design search on a pool
 identical to per-sweep execution.
 """
 
+import copy
 import json
 
+import numpy as np
 import pytest
 
+from repro import temporal_sweep
 from repro.__main__ import main
 from repro.core import design_search
 from repro.resilience import (
     SWEEP_BACKENDS,
+    BernoulliCouplerFaults,
     SweepRequest,
     pooled_survivability_sweeps,
     survivability_sweep,
 )
-from repro.resilience.sweep import _TopologyArrays, _VECTOR_BATCH
+from repro.resilience.sweep import _TopologyArrays, _VECTOR_BATCH, _prepare_sweep
 
 CONN = dict(trials=24, seed=7, metrics="connectivity")
 
@@ -157,6 +161,173 @@ class TestTopologyArrays:
                 )
                 assert frozenset(couplers) == scenario.couplers, key
                 assert frozenset(processors) == scenario.processors, key
+
+
+# ----------------------------------------------------------------------
+# Shared rows: the kernel scores each distinct fault pattern once
+# ----------------------------------------------------------------------
+def kernel(spec, metrics, model="coupler", faults=1, seed=7):
+    """The vectorized trial context of one sweep plan."""
+    request = SweepRequest(
+        model=model, faults=faults, trials=8, seed=seed, metrics=metrics,
+        backend="vectorized",
+    )
+    prepared = _prepare_sweep(spec, request)
+    return prepared.plan.build_context(net=prepared.net)
+
+
+def mask_rows(dead, direct):
+    """Each row's masks as one hashable key."""
+    return [(d.tobytes(), c.tobytes()) for d, c in zip(dead, direct)]
+
+
+def batches(ctx, rows):
+    """``(name, dead, direct)`` batches of every sharing shape."""
+    dead, direct = ctx._sample_masks(0, rows)  # a sampled batch: repeats
+    n, m = dead.shape[1], direct.shape[1]
+    # all distinct: row j kills the set bits of j, xor one random pattern
+    count = min(rows, 2 ** (n + m))
+    flip = np.random.default_rng(rows).random(n + m) < 0.5
+    bits = ((np.arange(count)[:, None] >> np.arange(n + m)) & 1 == 1) ^ flip
+    return [
+        ("sampled", dead, direct),
+        ("all-equal", np.repeat(dead[:1], rows, 0), np.repeat(direct[:1], rows, 0)),
+        ("all-distinct", bits[:, :n], bits[:, n:]),
+        ("single", dead[:1], direct[:1]),
+        (
+            "mixed",
+            np.concatenate([dead, bits[:, :n], dead[::-1]]),
+            np.concatenate([direct, bits[:, n:], direct[::-1]]),
+        ),
+    ]
+
+
+class TestSharedRows:
+    CASES = [
+        ("sk(2,2,2)", "connectivity", "coupler", 1),
+        ("sk(2,2,2)", "connectivity", "processor", 2),
+        ("pops(2,3)", "paths", "coupler", 1),
+        ("sii(2,2,6)", "paths", "link", 1),
+        ("pops(1,1)", "connectivity", "coupler", 1),  # num_processors <= 1
+        ("sops(1)", "paths", "processor", 1),
+    ]
+
+    @pytest.mark.parametrize("spec,metrics,model,faults", CASES)
+    def test_scores_equal_row_by_row_scoring(self, spec, metrics, model, faults):
+        ctx = kernel(spec, metrics, model, faults)
+        for name, dead, direct in batches(ctx, 48):
+            rows = ctx.score(dead, direct)
+            # the oracle: every row scored, none shared
+            assert rows == ctx._score_rows(dead, direct)[0], name
+            assert rows == [
+                ctx.score(dead[j : j + 1], direct[j : j + 1])[0]
+                for j in range(len(dead))
+            ], name
+            # equal masks share one dict, distinct masks never do
+            keys = mask_rows(dead, direct)
+            if name == "all-distinct":
+                assert len(set(keys)) == len(keys)
+            by_key = {}
+            for key, row in zip(keys, rows):
+                assert by_key.setdefault(key, row) is row, name
+            assert len({id(row) for row in rows}) == len(set(keys)), name
+
+    def test_empty_batch_scores_nothing(self):
+        ctx = kernel("sk(2,2,2)", "connectivity")
+        dead, direct = ctx._sample_masks(0, 0)
+        assert ctx.score(dead, direct) == []
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_kernel_rows_counted_in_and_scored(self, workers):
+        from repro.core.session import Session
+        from repro.obs.metrics import REGISTRY, reset_worker_registry
+        from repro.obs.trace import disable_tracing, enable_tracing
+        from repro.resilience.sweep import _index_chunks
+
+        trials, seed = 10_000, 4
+        ctx = kernel("sk(2,2,2)", "connectivity", seed=seed)
+        chunks = _index_chunks(trials, workers) if workers else [(0, trials)]
+        scored = 0
+        for lo, hi in chunks:
+            for start in range(lo, hi, ctx.batch):
+                dead, direct = ctx._sample_masks(start, min(start + ctx.batch, hi))
+                scored += len(set(mask_rows(dead, direct)))
+        assert scored <= 18 * sum(-(-(hi - lo) // ctx.batch) for lo, hi in chunks)
+
+        def run():
+            # direct score() calls of other tests land in this process's
+            # worker registry until a chunk drains it
+            reset_worker_registry()
+            REGISTRY.reset()
+            with Session(workers=workers) as session:
+                text = session.resilience_sweep(
+                    "sk(2,2,2)", trials=trials, seed=seed, metrics="connectivity"
+                ).to_json()
+            counts = {
+                dict(labels)["kind"]: counter.value
+                for labels, counter in REGISTRY.series("repro_kernel_rows_total").items()
+                if dict(labels)["backend"] == "vectorized"
+            }
+            return text, counts
+
+        plain, counts = run()
+        assert counts == {"in": trials, "scored": scored}
+        enable_tracing()
+        try:
+            traced, traced_counts = run()
+        finally:
+            disable_tracing()
+        assert traced == plain
+        assert traced_counts == counts
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: survivability_sweep(
+                "sk(2,2,2)", "coupler", faults=1, trials=5000, seed=2,
+                metrics="connectivity", backend="vectorized",
+            ),
+            lambda: survivability_sweep(
+                "pops(2,3)", "processor", faults=2, trials=600, seed=2,
+                metrics="paths", backend="vectorized",
+            ),
+            lambda: survivability_sweep(
+                "sk(2,2,2)", "coupler", faults=2, trials=20_000, seed=2,
+                metrics="connectivity", backend="vectorized", ci_target=0.02,
+            ),
+            lambda: survivability_sweep(
+                "sk(2,2,2)", BernoulliCouplerFaults(rate=0.0075), trials=20_000,
+                seed=3, metrics="connectivity", backend="vectorized",
+                ci_target=0.001, sampling="importance",
+            ),
+            lambda: temporal_sweep(
+                "sk(2,2,2)", faults=2, trials=12, horizon=200, seed=1,
+                metrics="connectivity",
+            ),
+            lambda: temporal_sweep(
+                "pops(4,2)", faults=2, trials=12, horizon=200, seed=1,
+                metrics="paths",
+            ),
+        ],
+        ids=["sweep", "paths", "adaptive", "importance", "temporal", "temporal-paths"],
+    )
+    def test_consumers_leave_shared_rows_unchanged(self, monkeypatch, run):
+        from repro.resilience.sweep import _VectorContext
+
+        handed_out = []
+        score = _VectorContext.score
+
+        def recording(self, dead, direct):
+            rows = score(self, dead, direct)
+            handed_out.append((rows, copy.deepcopy(rows)))
+            return rows
+
+        monkeypatch.setattr(_VectorContext, "score", recording)
+        run()
+        shared = sum(len(rows) - len({id(r) for r in rows}) for rows, _ in handed_out)
+        assert shared > 0  # the run really handed out shared rows
+        for rows, before in handed_out:
+            assert rows == before
 
 
 # ----------------------------------------------------------------------
