@@ -430,12 +430,12 @@ class StackKautzFamily(NetworkFamily):
         and that have no dead endpoint, are checked against their
         candidates as arrays (:meth:`CandidateTable.reroute`); only a
         pair with every candidate blocked takes :meth:`_blocked_route`
-        on its view.  Counts both under
-        ``repro_route_reroutes_total`` and
-        ``repro_route_fallbacks_total`` in the worker registry.
+        on its view (which a mask stack builds only then).  Counts both
+        under ``repro_route_reroutes_total`` and
+        ``repro_route_fallbacks_total`` in the recording registry.
         Returns a new ``(B, g, g)`` array.
         """
-        from ..obs.metrics import worker_registry
+        from ..obs.metrics import recording_registry
 
         table = candidate_table(net.degree, net.diameter)
         lengths = table.first_routes()[0]
@@ -448,7 +448,7 @@ class StackKautzFamily(NetworkFamily):
             found[i] = -1 if path is None else len(path) - 1
         out = np.broadcast_to(lengths, (views, g, g)).copy()
         out.reshape(views, g * g)[row, pair] = found
-        registry, labels = worker_registry(), {"family": self.key}
+        registry, labels = recording_registry(), {"family": self.key}
         registry.counter("repro_route_reroutes_total", _REROUTES_HELP, labels).inc(
             len(row)
         )

@@ -141,6 +141,9 @@ class NetworkFamily:
         view ``b``, entry ``[b, u, v]`` is
         ``len(fault_route(net, u, v, stack.views[b])) - 1``, or ``-1``
         when the hook returns ``None``; other entries are unspecified.
+        A sweep's stack builds ``stack.views[b]`` only when it is
+        asked for, so a hook should read the stack's arrays and reach
+        for a view only where they cannot answer.
         This is what :func:`~repro.resilience.metrics.route_quality`
         scores for a sweep's stacks, and
         :meth:`~repro.resilience.degrade.DegradedNetwork.route_lengths`

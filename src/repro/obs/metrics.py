@@ -26,7 +26,11 @@ state back; instead each worker process records into a dedicated
 with the rows.  The parent merges each delta as its chunk arrives
 (:meth:`MetricsRegistry.merge`) -- counters and histogram buckets add,
 gauges take the max -- all commutative, so the merged totals are
-deterministic for any worker count and arrival order.
+deterministic for any worker count and arrival order.  Scorers record
+into :func:`recording_registry`: the worker registry while their
+thread runs a chunk (:func:`chunk_scope`), else the process registry,
+so a scorer called directly never leaves series for the next chunk to
+ship.
 
 >>> r = MetricsRegistry()
 >>> r.counter("jobs_total", "jobs run").inc()
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import bisect
 import threading
+from contextlib import contextmanager
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -58,6 +63,8 @@ __all__ = [
     "get_registry",
     "worker_registry",
     "reset_worker_registry",
+    "chunk_scope",
+    "recording_registry",
 ]
 
 #: Default histogram bucket upper bounds, in seconds: microbenchmark
@@ -469,3 +476,33 @@ def worker_registry() -> MetricsRegistry:
 def reset_worker_registry() -> None:
     """Forget fork-inherited worker state (pool initializers call this)."""
     _WORKER_REGISTRY.reset()
+
+
+_CHUNK = threading.local()
+
+
+@contextmanager
+def chunk_scope():
+    """Run the block as a chunk: its scorers record into the worker registry.
+
+    The sweep executors' chunk runner enters it and drains the worker
+    registry afterwards; the scope is per thread, so concurrent inline
+    runs and direct scorer calls in other threads keep their own.
+    """
+    depth = getattr(_CHUNK, "depth", 0)
+    _CHUNK.depth = depth + 1
+    try:
+        yield
+    finally:
+        _CHUNK.depth = depth
+
+
+def recording_registry() -> MetricsRegistry:
+    """The registry a scorer records into right now.
+
+    The worker registry inside :func:`chunk_scope` (the chunk ships it
+    home), else :data:`REGISTRY`: a scorer called outside any chunk --
+    a direct ``replay_trace`` or ``route_lengths`` call -- counts where
+    it runs instead of in the next chunk's delta.
+    """
+    return _WORKER_REGISTRY if getattr(_CHUNK, "depth", 0) else REGISTRY

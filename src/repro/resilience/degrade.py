@@ -17,9 +17,11 @@ is one frontier expansion (:func:`group_distances`, shared with the
 vectorized sweep kernel), and the first ``next_coupler`` call turns it
 into one ``[holder group][destination group] -> coupler`` table
 (:func:`next_hop_table`), so a routing decision is two list lookups.
-Both work on stacks: :func:`stack_views` builds the arcs, distances and
-alive counts of a chunk of views at once (a lone view is a stack of
-one), and a ``full`` sweep compiles the chunk's tables in one call.
+Both work on stacks: :func:`stack_masks` builds the arcs, distances and
+alive counts of a chunk of fault masks at once -- a sweep's sub-batch,
+which builds no view per trial -- and :func:`stack_views` the same for
+a chunk of views (a lone view is a stack of one); a ``full`` sweep
+compiles the chunk's tables in one call.
 What depends on the network alone -- its hypergraph model, coupler
 endpoints, processor->group map and coupler incidence arrays -- is
 built once per network and shared by every view of it.
@@ -35,6 +37,8 @@ built once per network and shared by every view of it.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
@@ -47,7 +51,7 @@ from ..simulation.engine import Message, SlottedSimulator
 from ..simulation.stacked import CouplerTables
 from .faults import FaultScenario, coupler_endpoints, group_of
 
-__all__ = ["DegradedNetwork", "degrade_network", "group_distances"]
+__all__ = ["DegradedNetwork", "degrade_network", "group_distances", "stack_masks"]
 
 
 def group_distances(adj: np.ndarray) -> np.ndarray:
@@ -91,6 +95,42 @@ def _network_state(net) -> tuple:
     return model, endpoints, groups, CouplerTables.from_hypergraph(model, groups)
 
 
+@lru_cache(maxsize=64)
+def _arc_index(net) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, starts, cells)``: the couplers of each group arc.
+
+    ``order`` lists every coupler grouped by its flat ``(src, dst)``
+    group cell, ascending within a cell; ``starts`` is where each
+    cell's run begins in ``order`` and ``cells`` the cell of each run.
+    """
+    endpoints, g = _network_state(net)[1], net.num_groups
+    cell = endpoints[:, 0] * g + endpoints[:, 1]
+    order = np.argsort(cell, kind="stable")
+    cells, starts = np.unique(cell[order], return_index=True)
+    return order, starts, cells
+
+
+def dead_coupler_closure(
+    dead_processors: np.ndarray, direct_couplers: np.ndarray, sources, targets
+) -> np.ndarray:
+    """``(rows, m)`` effective dead couplers of fault-mask rows.
+
+    A coupler is dead when it was hit directly, or when every source
+    or every target processor of it died.  ``sources`` and ``targets``
+    are ``(indptr, processors)`` CSR incidence of each coupler; the
+    counts are one :func:`numpy.add.reduceat` each, over the rows that
+    lost a processor only.
+    """
+    dead = direct_couplers.copy()
+    rows = np.flatnonzero(dead_processors.any(axis=1))
+    if rows.size and dead.shape[1]:
+        lost = dead_processors[rows].astype(np.int64)
+        for indptr, members in (sources, targets):
+            count = np.add.reduceat(lost[:, members], indptr[:-1], axis=1)
+            dead[rows] |= count == np.diff(indptr)
+    return dead
+
+
 def next_hop_table(arcs: np.ndarray, dist: np.ndarray) -> np.ndarray:
     """``(B, g, g)`` ``[holder group][destination group] -> coupler`` tables.
 
@@ -102,32 +142,37 @@ def next_hop_table(arcs: np.ndarray, dist: np.ndarray) -> np.ndarray:
     surviving base).  The own group is reached through its loop coupler
     or, with the loop dead, through the first hop of the shortest
     surviving closed walk, ties going to the smallest group.  ``-1``
-    means drop.
+    means drop.  Each view walks one ``(g, width)`` table of the
+    successors any view of the stack has, ascending, and skips those
+    it lost.
     """
     views, g, _ = arcs.shape
     rows = np.arange(g)
     stack = np.arange(views)[:, None]
     out = arcs >= 0
     out[:, rows, rows] = False
-    degree = out.sum(axis=2)
-    # succ[b, u, j]: the j-th smallest successor group of u, valid for
-    # j < degree[b, u] (one padding column keeps argmin defined)
+    union = out.any(axis=0)
+    degree = union.sum(axis=1)
     width = max(1, int(degree.max(initial=0)))
-    succ = np.argsort(~out, axis=2, kind="stable")[:, :, :width]
-    valid = np.arange(width) < degree[..., None]
+    # succ[u, j]: the j-th smallest successor group of u in the stack,
+    # for j < degree[u] (group 0 pads, never valid)
+    listed = np.arange(width) < degree[:, None]
+    succ = np.zeros((g, width), dtype=np.int64)
+    succ[listed] = np.nonzero(union)[1]
+    valid = out[:, rows[:, None], succ] & listed
     # the first successor, in ascending order, one hop closer to v
     # takes (u, v); one (B, g, g) pass per successor rank
     table = np.full((views, g, g), -1, dtype=np.int64)
     for j in range(width):
-        w = succ[:, :, j]
-        closer = valid[:, :, j, None] & (dist[stack, w] == dist - 1) & (table < 0)
-        table = np.where(closer, arcs[stack, rows, w][..., None], table)
+        w = succ[:, j]
+        closer = valid[:, :, j, None] & (dist[:, w] == dist - 1) & (table < 0)
+        table = np.where(closer, arcs[:, rows, w][..., None], table)
     # closed walks at u: out through successor w, back in dist[w, u]
-    back = dist[stack[..., None], succ, rows[:, None]]
+    back = dist[:, succ, rows[:, None]]
     back = np.where(valid & (back >= 0), back, g)  # g: no way back
-    best = back.argmin(axis=2)[..., None]  # first minimum: the smallest group
-    via = np.take_along_axis(succ, best, axis=2)[..., 0]
-    found = np.take_along_axis(back, best, axis=2)[..., 0] < g
+    best = back.argmin(axis=2)  # first minimum: the smallest group
+    via = succ[rows, best]
+    found = np.take_along_axis(back, best[..., None], axis=2)[..., 0] < g
     sibling = np.where(found, arcs[stack, rows, via], -1)
     loops = arcs[:, rows, rows]
     table[:, rows, rows] = np.where(loops >= 0, loops, sibling)
@@ -135,13 +180,18 @@ def next_hop_table(arcs: np.ndarray, dist: np.ndarray) -> np.ndarray:
 
 
 class ViewStack(NamedTuple):
-    """A chunk of views of one network as ``(B, ...)`` arrays.
+    """A chunk of degraded views of one network as ``(B, ...)`` arrays.
 
     Row ``b`` of ``arcs``, ``dist`` and ``alive`` is what ``views[b]``'s
     :meth:`~DegradedNetwork.group_arcs`, :meth:`~DegradedNetwork.distances`
     and :meth:`~DegradedNetwork.alive_per_group` return (read-only);
     ``dead_processors`` and ``dead_couplers`` are its effective dead
-    sets as boolean masks, and ``tables`` the network's coupler tables.
+    sets as boolean masks, ``tables`` the network's coupler tables,
+    ``net`` the network and ``family`` the family whose hooks score the
+    stack.  ``views`` is a sequence of the rows' :class:`DegradedNetwork`
+    views: the ones a :func:`stack_views` stack was built from, or, on
+    a :func:`stack_masks` stack, each built from its row's masks the
+    first time it is asked for.
     """
 
     tables: CouplerTables
@@ -150,7 +200,73 @@ class ViewStack(NamedTuple):
     alive: np.ndarray
     dead_processors: np.ndarray
     dead_couplers: np.ndarray
-    views: tuple
+    views: Sequence
+    net: object
+    family: object
+
+
+class _MaskViews(Sequence):
+    """A :func:`stack_masks` stack's rows as views, built on first use."""
+
+    def __init__(self, stack: ViewStack) -> None:
+        self._stack = stack
+        self._built: dict[int, DegradedNetwork] = {}
+
+    def __len__(self) -> int:
+        return len(self._stack.dead_processors)
+
+    def __getitem__(self, index):
+        b = range(len(self))[operator.index(index)]
+        view = self._built.get(b)
+        if view is None:
+            stack = self._stack
+            scenario = FaultScenario(
+                spec="", model="masks", seed=b,
+                couplers=frozenset(np.flatnonzero(stack.dead_couplers[b]).tolist()),
+                processors=frozenset(np.flatnonzero(stack.dead_processors[b]).tolist()),
+            )
+            view = DegradedNetwork(stack.net, scenario, family=stack.family)
+            view._arcs, view._dist, view._alive = stack.arcs[b], stack.dist[b], stack.alive[b]
+            view = self._built.setdefault(b, view)
+        return view
+
+
+def stack_masks(
+    net, dead_processors: np.ndarray, direct_couplers: np.ndarray, *, family=None
+) -> ViewStack:
+    """The :class:`ViewStack` of ``(B, n)`` dead-processor and ``(B, m)``
+    directly-hit coupler masks on ``net``.
+
+    Every stack is built here: the dead-coupler closure
+    (:func:`dead_coupler_closure`), the lowest surviving coupler of
+    each group arc (one :func:`numpy.minimum.reduceat` over the
+    network's couplers grouped by arc), one :func:`group_distances`
+    call for the whole stack and the alive counts as one
+    :func:`numpy.bincount`.  ``family`` (default: the network's) is the
+    one whose hooks score the stack; its views are built lazily.
+    """
+    from ..core.registry import family_for_network
+
+    tables = _network_state(net)[3]
+    views, g = len(dead_processors), net.num_groups
+    dead_c = dead_coupler_closure(
+        dead_processors, direct_couplers, tables.source_csr, tables.target_csr
+    )
+    m = dead_c.shape[1]
+    arcs = np.full((views, g * g), -1, dtype=np.int64)
+    if m:
+        order, starts, cells = _arc_index(net)
+        lowest = np.minimum.reduceat(np.where(dead_c[:, order], m, order), starts, axis=1)
+        arcs[:, cells] = np.where(lowest < m, lowest, -1)
+    arcs = arcs.reshape(views, g, g)
+    dist = group_distances(arcs >= 0)
+    row, processor = np.nonzero(dead_processors)
+    dead = np.bincount(row * g + tables.groups[processor], minlength=views * g)
+    alive = np.bincount(tables.groups, minlength=g) - dead.reshape(-1, g)
+    arcs.flags.writeable = dist.flags.writeable = alive.flags.writeable = False
+    family = family_for_network(net) if family is None else family
+    stack = ViewStack(tables, arcs, dist, alive, dead_processors, dead_c, (), net, family)
+    return stack._replace(views=_MaskViews(stack))
 
 
 def _scatter(sets, width: int) -> np.ndarray:
@@ -165,34 +281,24 @@ def _scatter(sets, width: int) -> np.ndarray:
 def stack_views(views) -> ViewStack:
     """The :class:`ViewStack` of ``views``, all of one network.
 
-    One :func:`group_distances` call serves the whole stack, the dead
-    masks are one scatter each and the alive counts one
-    :func:`numpy.bincount`; each view that has not computed its arcs,
-    distances and alive counts yet takes its rows of the stack (a lone
-    view computes its own as a stack of one).  Among parallel couplers
-    of a group arc, the lowest surviving index carries it.
+    The views' dead sets scattered into masks, one :func:`stack_masks`
+    call, and each view that has not computed its arcs, distances and
+    alive counts yet takes its rows of the stack (a lone view computes
+    its own as a stack of one).
     """
     views = tuple(views)
-    net, g = views[0].net, views[0].net.num_groups
-    _, endpoints, groups, tables = _network_state(net)
-    dead_p = _scatter([view.dead_processors for view in views], len(groups))
-    dead_c = _scatter([view.dead_couplers for view in views], len(endpoints))
-    row, coupler = np.nonzero(~dead_c)
-    cell = (row * g + endpoints[coupler, 0]) * g + endpoints[coupler, 1]
-    # np.unique reports each cell's first, i.e. lowest, coupler
-    cells, first = np.unique(cell, return_index=True)
-    arcs = np.full(len(views) * g * g, -1, dtype=np.int64)
-    arcs[cells] = coupler[first]
-    arcs = arcs.reshape(-1, g, g)
-    dist = group_distances(arcs >= 0)
-    row, processor = np.nonzero(dead_p)
-    dead = np.bincount(row * g + tables.groups[processor], minlength=len(views) * g)
-    alive = np.bincount(tables.groups, minlength=g) - dead.reshape(-1, g)
-    arcs.flags.writeable = dist.flags.writeable = alive.flags.writeable = False
+    net = views[0].net
+    _, endpoints, groups, _ = _network_state(net)
+    stack = stack_masks(
+        net,
+        _scatter([view.dead_processors for view in views], len(groups)),
+        _scatter([view.dead_couplers for view in views], len(endpoints)),
+        family=views[0].family,
+    )._replace(views=views)
     for b, view in enumerate(views):
         if view._dist is None:
-            view._arcs, view._dist, view._alive = arcs[b], dist[b], alive[b]
-    return ViewStack(tables, arcs, dist, alive, dead_p, dead_c, views)
+            view._arcs, view._dist, view._alive = stack.arcs[b], stack.dist[b], stack.alive[b]
+    return stack
 
 
 class DegradedNetwork:
@@ -222,11 +328,12 @@ class DegradedNetwork:
         )
         dead = {c for c in scenario.couplers if 0 <= c < m}
         if self.dead_processors:
-            # a coupler whose every source or every target died is dead
-            alive = np.ones(n + 1, dtype=bool)
-            alive[list(self.dead_processors)] = False
-            fed = (tables.sources & alive).any(1) & (tables.is_target & alive).any(1)
-            dead.update(np.flatnonzero(~fed).tolist())
+            lost = np.zeros((1, n), dtype=bool)
+            lost[0, list(self.dead_processors)] = True
+            closed = dead_coupler_closure(
+                lost, np.zeros((1, m), dtype=bool), tables.source_csr, tables.target_csr
+            )
+            dead.update(np.flatnonzero(closed[0]).tolist())
         self.dead_couplers = frozenset(dead)
         # caches, built on demand
         self._base: DiGraph | None = None

@@ -13,8 +13,9 @@ Three views of "what still works":
   on its batches too;
 * **delivery under load** -- run the same workload on the broken and
   the intact machine, compare delivery ratio and latency.  A chunk of
-  views runs as one stack (:func:`stack_rows`, which scores the
-  lighter modes' stacks too), its traffic in one array slot pass.
+  trials runs as one stack of fault masks (:func:`stack_rows`, which
+  scores the lighter modes' stacks too), its traffic in one array slot
+  pass.
 
 Everything funnels into one flat, JSON-ready
 :class:`ResilienceMetrics` row -- the unit the Monte-Carlo sweep
@@ -280,29 +281,33 @@ _QUALITY_KEYS = ("reachable_groups", "max_path_length", "mean_stretch", "within_
 
 
 def stack_rows(
-    views, metrics: str, *, bound: int, traffic=(), max_slots: int = 100_000,
-    baseline_mean_latency: float = 0.0, observe=None,
+    stack, metrics: str, *, bound: int, spec: str = "", model: str = "", seeds=(),
+    sizes=(), traffic=(), max_slots: int = 100_000, baseline_mean_latency: float = 0.0,
+    observe=None,
 ) -> list[dict[str, object]]:
-    """The ``metrics``-mode row of each view, as dicts: one stack.
+    """The ``metrics``-mode row of each row of a stack, as dicts.
 
-    ``views`` are degraded views of one network, scored as one
-    :func:`~repro.resilience.degrade.stack_views` stack: connectivity
-    from its distance stack (:func:`connectivity_metrics`' formula);
-    for ``"paths"`` and ``"full"``, route quality from one call of the
-    family's batched ``route_lengths`` hook (:func:`path_survival`'s
-    scoring); and for ``"full"`` delivery from one
-    :class:`~repro.simulation.stacked.StackedSimulator` pass of
-    ``traffic``, the ``(src, dst, slot)`` triples every view carries,
+    ``stack`` is a :class:`~repro.resilience.degrade.ViewStack`
+    (:func:`~repro.resilience.degrade.stack_masks`, or
+    :func:`~repro.resilience.degrade.stack_views` of degraded views):
+    connectivity from its distance stack (:func:`connectivity_metrics`'
+    formula); for ``"paths"`` and ``"full"``, route quality from one
+    call of the stack family's batched ``route_lengths`` hook
+    (:func:`path_survival`'s scoring); and for ``"full"`` delivery from
+    one :class:`~repro.simulation.stacked.StackedSimulator` pass of
+    ``traffic``, the ``(src, dst, slot)`` triples every row carries,
     whose engine checks raise as
     :func:`~repro.simulation.network_sim.run_traffic` raises them.
-    ``latency_inflation`` divides by ``baseline_mean_latency``, the
-    intact machine's mean latency on the same traffic.
-    ``observe(phase, seconds)``, when given, receives the wall times of
-    ``"route"`` (the hook), ``"score"`` (the rest of the scoring) and
-    ``"simulate"`` (the slot pass), as far as the mode runs them.
+    A ``full`` row's ``spec``, ``model``, ``seed`` and ``faults`` fields
+    are ``spec``, ``model`` and the row's entries of ``seeds`` and
+    ``sizes``.  ``latency_inflation`` divides by
+    ``baseline_mean_latency``, the intact machine's mean latency on the
+    same traffic.  ``observe(phase, seconds)``, when given, receives
+    the wall times of ``"route"`` (the hook), ``"score"`` (the rest of
+    the scoring) and ``"simulate"`` (the slot pass), as far as the mode
+    runs them.
     """
     start, route = time.perf_counter(), 0.0
-    stack = stack_views(views)
     conn = _connectivity_columns(
         stack.arcs >= 0, stack.dist >= 0, stack.alive, len(stack.tables.groups),
         with_reachable=metrics == "connectivity",
@@ -310,10 +315,10 @@ def stack_rows(
     if metrics == "connectivity":
         rows = [dict(zip(conn, values)) for values in zip(*conn.values())]
     else:
-        view, hooked = stack.views[0], time.perf_counter()
-        lengths = view.family.route_lengths(view.net, stack)
+        hooked = time.perf_counter()
+        lengths = stack.family.route_lengths(stack.net, stack)
         route = time.perf_counter() - hooked
-        quality = route_quality(lengths, stack.alive > 0, _intact_rows(view.net), bound)
+        quality = route_quality(lengths, stack.alive > 0, _intact_rows(stack.net), bound)
         rows = [
             {"connectivity": c, "alive_connectivity": a, **dict(zip(_QUALITY_KEYS, q))}
             for c, a, q in zip(*conn.values(), quality)
@@ -327,14 +332,13 @@ def stack_rows(
         if not sim.verify_conservation():
             raise RuntimeError("conservation check failed: message lost or corrupted")
         scores, rows = rows, []
-        for view, score, outcome in zip(views, scores, sim.outcomes()):
+        for seed, size, score, outcome in zip(seeds, sizes, scores, sim.outcomes()):
             ratio, dropped, latency, slots = outcome
             inflation = (
                 0.0 if ratio == 0.0 else
                 1.0 if baseline_mean_latency == 0.0 else latency / baseline_mean_latency
             )
-            s = view.scenario
-            values = (s.spec, s.model, s.seed, s.size, *score.values(), bound,
+            values = (spec, model, seed, size, *score.values(), bound,
                       ratio, dropped, latency, inflation, slots)
             rows.append(dict(zip(_ROW_KEYS, values)))
     if observe is not None:
@@ -366,7 +370,8 @@ def measure(
     is zero).  ``baseline_mean_latency`` short-circuits the intact run
     -- the sweep computes it once and shares it across trials, since
     the baseline depends only on ``(workload, messages, seed)``.  The
-    row is :func:`stack_rows`' ``full`` row for a stack of one view.
+    row is :func:`stack_rows`' ``full`` row for a stack of one view,
+    whose scenario fields are the view's scenario's.
     """
     from ..core.workloads import resolve_workload
     from ..simulation.network_sim import run_traffic
@@ -379,6 +384,10 @@ def measure(
         intact = run_traffic(degraded.family.simulator(net), traffic, max_slots)
         baseline_mean_latency = intact.mean_latency
     bound = net.diameter + 2 if bound is None else bound
-    (row,) = stack_rows([degraded], "full", bound=bound, traffic=traffic,
-                        max_slots=max_slots, baseline_mean_latency=baseline_mean_latency)
+    s = degraded.scenario
+    (row,) = stack_rows(
+        stack_views([degraded]), "full", bound=bound, spec=s.spec, model=s.model,
+        seeds=[s.seed], sizes=[s.size], traffic=traffic, max_slots=max_slots,
+        baseline_mean_latency=baseline_mean_latency,
+    )
     return ResilienceMetrics(**row)

@@ -66,7 +66,6 @@ count; a module-level sweep function opens one scoped to the call.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import random
 import threading
@@ -78,7 +77,9 @@ from itertools import islice
 
 import numpy as np
 
-from ..obs.metrics import REGISTRY, reset_worker_registry, worker_registry
+from ..obs.metrics import (
+    REGISTRY, chunk_scope, recording_registry, reset_worker_registry, worker_registry,
+)
 from ..obs.trace import add_complete_event, now_us, span
 from .adaptive import (
     SAMPLING_MODES,
@@ -88,8 +89,8 @@ from .adaptive import (
     run_adaptive,
 )
 from ..simulation.engine import SlotCapError
-from .degrade import DegradedNetwork, _network_state, group_distances
-from .faults import FAULT_MODELS, FaultModel, resolve_fault_model
+from .degrade import _network_state, dead_coupler_closure, group_distances, stack_masks
+from .faults import FAULT_MODELS, FaultModel, FaultScenario, resolve_fault_model
 from .faults import trial_seed, trial_seeds
 from .metrics import _QUALITY_KEYS, _connectivity_columns, route_quality, stack_rows
 
@@ -103,6 +104,7 @@ __all__ = [
     "SweepRequestError",
     "SweepSummary",
     "PersistentSweepExecutor",
+    "WorkerDiedError",
     "survivability_sweep",
     "pooled_survivability_sweeps",
     "METRICS_MODES",
@@ -160,6 +162,13 @@ _VECTOR_BATCH = 4096
 #: source/target gathers) -- so machines that are large in *any*
 #: dimension get smaller batches instead of multi-GB temporaries.
 _VECTOR_CELL_BUDGET = 4_000_000
+
+#: int64 cells one message row of a ``full`` slot pass holds at its
+#: peak: ~16 columns (view, ident, endpoints, slots, holder, hops,
+#: routing offsets, ...), its 4-hop trace, and the first slots' gathered
+#: copies of them; a ``full`` sub-batch's per-trial axis is
+#: ``messages * _MESSAGE_COLUMNS``.
+_MESSAGE_COLUMNS = 40
 
 
 def _batch_rows(*cells_per_row: int) -> int:
@@ -563,8 +572,12 @@ class _TrialContext:
     Everything is built here, never on a first trial: concurrent
     sweeps share a context read-only.
 
-    Trials are scored in sub-batches of :attr:`batch` views, each one
-    :func:`~repro.resilience.metrics.stack_rows` stack.
+    Trials are scored in sub-batches of :attr:`batch` trials.  A
+    sub-batch draws its fault masks the way the kernel draws them
+    (:func:`_batch_draw`, else one :meth:`scenario` per trial), and is
+    one :func:`~repro.resilience.degrade.stack_masks` stack scored by
+    :func:`~repro.resilience.metrics.stack_rows`; no trial builds a
+    :class:`~repro.resilience.degrade.DegradedNetwork`.
     """
 
     def __init__(self, plan: _SweepPlan, net=None, family=None) -> None:
@@ -576,8 +589,8 @@ class _TrialContext:
         parsed = NetworkSpec.parse(plan.canonical)
         self.net = net if net is not None else parsed.build()
         self.family = family if family is not None else get_family(parsed.family)
-        # the widest per-view axis: group cells, coupler target slots
-        # or (full mode) messages
+        # the widest per-trial axis: group cells, coupler target slots
+        # or (full mode) the message rows' columns
         cells = [self.net.num_groups**2, _network_state(self.net)[-1].targets.size]
         self.traffic = None
         if plan.metrics == "full":
@@ -585,32 +598,45 @@ class _TrialContext:
             self.traffic = resolve_workload(
                 plan.workload, self.net, messages=plan.messages, seed=plan.seed
             )
-            cells.append(len(self.traffic))
+            cells.append(len(self.traffic) * _MESSAGE_COLUMNS)
         self.batch = _batch_rows(*cells)
+        self._picks = _batch_draw(plan.model, self.net)
 
-    def view(self, index: int) -> DegradedNetwork:
-        """Trial ``index``'s degraded view of the network."""
+    def scenario(self, index: int, seed: int | None = None) -> FaultScenario:
+        """Trial ``index``'s scenario, drawn on its own.
+
+        ``seed`` is the trial's :func:`trial_seed` when the caller has
+        it.  Index-aware samplers (stratified/importance wrappers) need
+        the trial *index*, not just its seed: the index picks the
+        stratum or replays the proposal draw.  Duck-typed so custom
+        models can opt in without importing the adaptive machinery.
+        """
         plan = self.plan
-        # index-aware samplers (stratified/importance wrappers) need the
-        # trial *index*, not just its seed: the index picks the stratum
-        # or replays the proposal draw.  Duck-typed so custom models can
-        # opt in without importing the adaptive machinery.
         scenario_at = getattr(plan.model, "scenario_at", None)
         if scenario_at is not None:
-            scenario = scenario_at(plan.canonical, self.net, plan.seed, index)
-        else:
-            scenario = plan.model.scenario(
-                plan.canonical, self.net, trial_seed(plan.seed, index)
-            )
-        return DegradedNetwork(self.net, scenario, family=self.family)
+            return scenario_at(plan.canonical, self.net, plan.seed, index)
+        seed = trial_seed(plan.seed, index) if seed is None else seed
+        return plan.model.scenario(plan.canonical, self.net, seed)
+
+    def _masks(self, lo: int, hi: int):
+        """``(dead_processors, direct_couplers, sizes, seeds)`` of trials
+        ``lo .. hi - 1`` (:func:`_draw_masks`, each per-trial draw a
+        :meth:`scenario`)."""
+        seeds = trial_seeds(self.plan.seed, lo, hi)
+
+        def draw(index, seed):
+            scenario = self.scenario(index, seed)
+            return scenario.couplers, scenario.processors
+
+        return (*_draw_masks(self._picks, seeds, lo, draw, self.net), seeds)
 
     def run_range(self, start: int, stop: int) -> list[dict[str, object]]:
         """Rows of trials ``start .. stop - 1``, in index order.
 
-        Each sub-batch's phase times (``sample``: scenarios and views;
-        ``route``: the family's batched ``route_lengths``, in ``paths``
-        and ``full`` mode; ``score``: the rest of the scoring;
-        ``simulate``: the ``full`` slot pass) land in
+        Each sub-batch's phase times (``sample``: the fault masks and
+        their stack; ``route``: the family's batched ``route_lengths``,
+        in ``paths`` and ``full`` mode; ``score``: the rest of the
+        scoring; ``simulate``: the ``full`` slot pass) land in
         ``repro_phase_seconds``, shipped home with the chunk's metrics.
         A slot cap the traffic outruns is the request's ``max_slots``
         error.
@@ -624,17 +650,61 @@ class _TrialContext:
         rows: list[dict[str, object]] = []
         for lo in range(start, stop, self.batch):
             t0 = now_us()
-            views = [self.view(i) for i in range(lo, min(lo + self.batch, stop))]
+            dead, direct, sizes, seeds = self._masks(lo, min(lo + self.batch, stop))
+            stack = stack_masks(self.net, dead, direct, family=self.family)
             phases["sample"].observe((now_us() - t0) / 1e6)
             try:
                 rows.extend(stack_rows(
-                    views, plan.metrics, bound=plan.bound, traffic=self.traffic,
-                    max_slots=plan.max_slots,
+                    stack, plan.metrics, bound=plan.bound, spec=plan.canonical,
+                    model=plan.model.key, seeds=seeds.tolist(), sizes=sizes.tolist(),
+                    traffic=self.traffic, max_slots=plan.max_slots,
                     baseline_mean_latency=plan.baseline_mean_latency, observe=observe,
                 ))
             except SlotCapError as exc:
                 raise _slot_cap_error(exc, "a degraded trial") from None
         return rows
+
+
+def _draw_masks(picks, seeds, lo: int, draw, space):
+    """``(dead_processors, direct_couplers, sizes)`` of the trials from
+    ``lo`` whose :func:`trial_seed` values are ``seeds``.
+
+    ``picks`` (a :func:`_batch_draw`, or ``None``) draws the whole
+    batch, and its rows count their mask bits.  The rows it hands back
+    (a draw that outran its words, an adversarial victim with no
+    out-coupler), and every row without one, take ``draw(index, seed)``:
+    a ``(couplers, processors)`` pair, scattered into the masks with
+    out-of-range indices dropped (as a view drops them) and counted
+    whole.  ``space`` (the network or its arrays) sizes the masks.
+    """
+    rows = len(seeds)
+    if picks is None:
+        back = np.arange(rows)
+        dead = np.zeros((rows, space.num_processors), dtype=bool)
+        direct = np.zeros((rows, space.num_couplers), dtype=bool)
+        sizes = np.zeros(rows, dtype=np.int64)
+    else:
+        dead, direct, back = picks.draw(seeds)
+        sizes = dead.sum(axis=1) + direct.sum(axis=1)
+    if back.size:
+        draws = [draw(lo + i, seed) for i, seed in zip(back.tolist(), seeds[back].tolist())]
+        dead[back], direct[back] = _fault_masks(draws, back.size, space)
+        sizes[back] = [len(couplers) + len(processors) for couplers, processors in draws]
+    return dead, direct, sizes
+
+
+def _batch_draw(model, net):
+    """The batch draw (:class:`~repro.resilience.faults._PickMap`) of
+    ``model`` on ``net``, or ``None``.
+
+    By exact type, the rule ``auto`` uses (a subclass may sample
+    differently): a sample-based built-in model, never a sampler that
+    takes the trial index (``sample_faults_at``).
+    """
+    batch = hasattr(model, "_pick_map") and not hasattr(model, "sample_faults_at")
+    if type(model) in FAULT_MODELS.values() and batch:
+        return model._pick_map(net)
+    return None
 
 
 #: The phases each metrics mode's sub-batches record.
@@ -646,9 +716,9 @@ _STACK_PHASES = {
 
 
 def _phase_histograms(backend: str, names) -> dict:
-    """``repro_phase_seconds`` of each phase in ``names``, worker-side."""
+    """``repro_phase_seconds`` of each phase in ``names``, where scorers record."""
     return {
-        phase: worker_registry().histogram(
+        phase: recording_registry().histogram(
             "repro_phase_seconds", _PHASE_HELP, {"phase": phase, "backend": backend}
         )
         for phase in names
@@ -852,8 +922,6 @@ class _VectorContext:
             int(arrays.src_indptr[-1]),
             int(arrays.tgt_indptr[-1]),
         )
-        self._src_sizes = np.diff(arrays.src_indptr)
-        self._tgt_sizes = np.diff(arrays.tgt_indptr)
         #: coupler -> flattened (src_group, dst_group) cell index
         self._pair_id = arrays.endpoints[:, 0] * g + arrays.endpoints[:, 1]
         #: (g,) processors per group, the intact alive counts
@@ -861,15 +929,8 @@ class _VectorContext:
         #: (g, g) intact group distances, the stretch denominators
         #: (``paths`` mode only; computed once per context)
         self._intact_dist = self._intact_group_distances() if self.paths else None
-        #: the batch draw of a sample-based built-in model, else None:
-        #: by exact type, the rule ``auto`` uses (a subclass may sample
-        #: differently), and never for a sampler that :meth:`_draw`
-        #: hands the trial index (``sample_faults_at``)
-        self._picks = None
-        model = getattr(plan, "model", None)
-        batch = hasattr(model, "_pick_map") and not hasattr(model, "sample_faults_at")
-        if type(model) in FAULT_MODELS.values() and batch:
-            self._picks = model._pick_map(self._proxy)
+        #: the batch draw of a sample-based built-in model, else None
+        self._picks = _batch_draw(getattr(plan, "model", None), self._proxy)
 
     def _intact_group_distances(self) -> np.ndarray:
         """``(g, g)`` BFS distances over the intact loopless group digraph.
@@ -909,27 +970,19 @@ class _VectorContext:
 
         One row per trial; each row equals the draw the batched
         backend's ``model.scenario(...)`` makes for that trial index
-        (same sampler, same ``trial_seed`` stream).  A sample-based
-        built-in model draws the whole batch at once, and the rows
-        that batch draw hands back (a draw that outran its words, an
-        adversarial victim with no out-coupler) go through
-        :meth:`_draw` like every other model's trials.
+        (same sampler, same ``trial_seed`` stream): :func:`_draw_masks`,
+        each per-trial draw a :meth:`_draw`.
         """
-        rows = hi - lo
         if self.arrays.num_processors <= 1:  # score() answers without a draw
-            return _fault_masks((), rows, self.arrays)
-        if self._picks is None:
-            return _fault_masks(map(self._draw, range(lo, hi)), rows, self.arrays)
-        dead, direct, back = self._picks.draw(trial_seeds(self.plan.seed, lo, hi))
-        if back.size:
-            draws = map(self._draw, (back + lo).tolist())
-            dead[back], direct[back] = _fault_masks(draws, back.size, self.arrays)
-        return dead, direct
+            return _fault_masks((), hi - lo, self.arrays)
+        seeds = trial_seeds(self.plan.seed, lo, hi)
+        return _draw_masks(self._picks, seeds, lo, self._draw, self.arrays)[:2]
 
-    def _draw(self, index: int):
-        """``(dead couplers, dead processors)`` sampled for trial ``index``."""
+    def _draw(self, index: int, seed: int):
+        """``(dead couplers, dead processors)`` sampled for trial ``index``,
+        whose :func:`trial_seed` is ``seed``."""
         plan = self.plan
-        rng = random.Random(trial_seed(plan.seed, index))
+        rng = random.Random(seed)
         sample_at = getattr(plan.model, "sample_faults_at", None)
         try:
             if sample_at is not None:
@@ -979,7 +1032,7 @@ class _VectorContext:
         bits[:, n : n + m] = direct_couplers
         keys = np.packbits(bits).view(np.uint64 if width == 8 else f"V{width}")
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        registry = worker_registry()
+        registry = recording_registry()
         labels = {"backend": self.plan.backend}
         for kind, count in (("in", rows), ("scored", len(first))):
             registry.counter(
@@ -1003,23 +1056,11 @@ class _VectorContext:
         arrays = self.arrays
         n, g, m = arrays.num_processors, arrays.num_groups, arrays.num_couplers
         batch = len(dead_processors)
-        dead_i = dead_processors.astype(np.int64)
-        # effective dead couplers (the DegradedNetwork closure): hit
-        # directly, or every source processor died, or every target died
-        if m:
-            src_dead = np.add.reduceat(
-                dead_i[:, arrays.src_indices], arrays.src_indptr[:-1], axis=1
-            )
-            tgt_dead = np.add.reduceat(
-                dead_i[:, arrays.tgt_indices], arrays.tgt_indptr[:-1], axis=1
-            )
-            dead_coupler = (
-                direct_couplers
-                | (src_dead == self._src_sizes)
-                | (tgt_dead == self._tgt_sizes)
-            )
-        else:
-            dead_coupler = direct_couplers
+        # effective dead couplers (the DegradedNetwork closure)
+        dead_coupler = dead_coupler_closure(
+            dead_processors, direct_couplers,
+            (arrays.src_indptr, arrays.src_indices), (arrays.tgt_indptr, arrays.tgt_indices),
+        )
         # surviving group adjacency, one scatter for the whole batch
         ti, ci = np.nonzero(~dead_coupler)
         counts = np.bincount(
@@ -1094,13 +1135,15 @@ _KERNEL_ROWS_HELP = (
 )
 _PHASE_HELP = "Wall time of one trial batch's phase"
 _DOWNGRADE_HELP = "Sweeps downgraded from their requested backend"
+_DEATHS_HELP = "Pool workers that died mid-run (each breaks its pool)"
 
 
 def _observed_range(ctx, start: int, stop: int):
     """``(rows, meta)`` of a trial range, with the worker's obs delta.
 
     Workers always measure (two clock reads per multi-trial chunk --
-    noise) and record into the per-process worker registry; ``meta``
+    noise) and record into the per-process worker registry (the run is
+    one :func:`~repro.obs.metrics.chunk_scope`, so its scorers do too); ``meta``
     ships the drained registry delta plus the chunk's wall window home
     with the rows.  The parent merges the delta into the global
     registry and decides whether a tracer turns the timings into
@@ -1110,7 +1153,8 @@ def _observed_range(ctx, start: int, stop: int):
     labels = {"backend": ctx.plan.backend}
     registry = worker_registry()
     start_us = now_us()
-    rows = ctx.run_range(start, stop)
+    with chunk_scope():
+        rows = ctx.run_range(start, stop)
     duration_us = now_us() - start_us
     registry.counter("repro_sweep_chunks_total", _CHUNKS_HELP, labels).inc()
     registry.counter("repro_sweep_trials_total", _TRIALS_HELP, labels).inc(
@@ -1228,14 +1272,24 @@ def _run_persistent_chunk(task: tuple[object, int, int]):
     return _observed_range(_cached_context(_PERSIST_CTXS, plan), start, stop)
 
 
+class WorkerDiedError(RuntimeError):
+    """A pool worker died mid-run (a SIGKILL, an out-of-memory kill).
+
+    Its trial chunk is lost, so the run fails with this error instead of
+    waiting for rows that never come; the executor drops the broken
+    pool, and its next call starts a fresh one.
+    """
+
+
 class PersistentSweepExecutor:
     """A reusable sweep executor that owns one lazily-started pool.
 
-    The pool stays alive across calls and each task carries its frozen
-    plan, so workers build a trial context only when they meet a new
-    plan.  ``workers`` of ``None``/``0``/``1`` runs inline with a
-    parent-side context cache (warm repeated sweeps skip context
-    rebuilds there too).
+    The pool (a :class:`concurrent.futures.ProcessPoolExecutor`) stays
+    alive across calls and each task carries its frozen plan, so
+    workers build a trial context only when they meet a new plan.
+    ``workers`` of ``None``/``0``/``1`` runs inline with a parent-side
+    context cache (warm repeated sweeps skip context rebuilds there
+    too) and never imports the pool machinery.
 
     A *prepared* run is a sweep's :class:`_PreparedSweep` or a prepared
     temporal replay: its ``plan`` builds the trial context, ``net`` is
@@ -1273,35 +1327,89 @@ class PersistentSweepExecutor:
         if self._closed:
             raise RuntimeError("executor is closed")
         # locked: concurrent server threads must share ONE pool, never
-        # race two into existence (Pool itself is thread-safe once built)
+        # race two into existence (the pool is thread-safe once built)
         with self._pool_lock:
+            stale = self._pool if self._pool is not None and self._pool._broken else None
+            if stale is not None:
+                # a worker died between runs: no chunk was lost, so this
+                # run just starts on a fresh pool
+                self._pool = None
             if self._pool is None:
-                self._pool = multiprocessing.Pool(
-                    processes=self.workers,
+                import multiprocessing
+                from concurrent.futures import ProcessPoolExecutor
+
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    mp_context=multiprocessing.get_context(),
                     initializer=_init_persistent_worker,
                 )
-            return self._pool
+            pool = self._pool
+        if stale is not None:
+            REGISTRY.counter("repro_worker_deaths_total", _DEATHS_HELP).inc()
+            stale.shutdown(wait=True)
+        return pool
 
     def _map_chunks(self, tasks):
-        """Yield ``(rows, meta)`` per chunk task, in task order.
+        """Yield ``(rows, meta)`` per chunk task of the list ``tasks``, in
+        task order.
 
-        ``Pool.imap`` releases each chunk as soon as it and every
-        earlier one are in; its worker observation delta is merged into
-        the parent registry on the way.  A
-        ``KeyboardInterrupt``/``SystemExit`` mid-map can leave tasks the
-        pool will never drain; marking the executor interrupted makes
-        the eventual :meth:`close` terminate the workers instead of
-        hanging on (or warning out of) a doomed drain.
+        Every task is submitted at once, and each chunk is released as
+        soon as it and every earlier one are in; its worker observation
+        delta is merged into the parent registry on the way.  Chunks
+        still pending when the caller stops (an error, an abandoned
+        stream) are cancelled.  A worker that dies breaks the pool: the
+        map raises :class:`WorkerDiedError` naming the spec and trial
+        range of the first chunk lost (:meth:`_worker_died`).  A
+        ``KeyboardInterrupt``/``SystemExit`` mid-map can leave chunks
+        running; marking the executor interrupted makes the eventual
+        :meth:`close` terminate the workers instead of waiting for them.
         """
+        from concurrent.futures.process import BrokenProcessPool
+
         dispatched_us = now_us()
         pool = self._ensure_pool()
+        futures, task = [], None
         try:
-            for rows, meta in pool.imap(_run_persistent_chunk, tasks):
+            for task in tasks:
+                futures.append(pool.submit(_run_persistent_chunk, task))
+            for task, future in zip(tasks, futures):
+                rows, meta = future.result()
                 _absorb_chunk_meta(meta, dispatched_us)
                 yield rows, meta
+        except BrokenProcessPool:
+            raise self._worker_died(pool, task) from None
         except (KeyboardInterrupt, SystemExit):
             self._interrupted = True
             raise
+        finally:
+            for future in futures:
+                future.cancel()
+
+    def _worker_died(self, pool, task) -> RuntimeError:
+        """The error of a chunk a dead worker lost; drops the broken pool.
+
+        Whichever caller finds the pool broken first drops it (under
+        the pool lock), counts ``repro_worker_deaths_total`` and reaps
+        it, so the next call builds a fresh pool; a pool that
+        :meth:`close` terminated is no death.  (A worker that dies
+        between runs loses no chunk: :meth:`_ensure_pool` drops and
+        counts that pool when the next run starts.)
+        """
+        if self._closed:
+            return RuntimeError("executor is closed")
+        with self._pool_lock:
+            dropped = self._pool is pool
+            if dropped:
+                self._pool = None
+        if dropped:
+            REGISTRY.counter("repro_worker_deaths_total", _DEATHS_HELP).inc()
+            pool.shutdown(wait=True)
+        plan, start, stop = task
+        return WorkerDiedError(
+            f"a sweep worker died while trials {start}..{stop - 1} of "
+            f"{plan.canonical} were in flight; the run is lost, and the next "
+            f"call starts a fresh pool"
+        )
 
     def run(self, prepared, *, extra_stop=None) -> list[dict]:
         """All trial rows of one prepared run, in trial-index order.
@@ -1373,7 +1481,7 @@ class PersistentSweepExecutor:
             for p, run_ranges in zip(prepared_list, ranges)
             for lo, hi in run_ranges
         ])
-        # imap keeps task order, and each run's chunks are queued in
+        # the map keeps task order, and each run's chunks are queued in
         # trial-index order: run i's rows are the next len(ranges[i])
         for run_ranges in ranges:
             yield [
@@ -1388,12 +1496,13 @@ class PersistentSweepExecutor:
         ``terminate=False`` (the default) drains the pool: workers
         finish in-flight chunks and exit.  ``terminate=True`` kills
         them immediately -- the path signal handlers take, where an
-        interrupted ``map`` may never return its tasks and a drain
-        would hang.  Either way teardown is quiet: a pool whose drain
-        fails (workers already dead after a ``KeyboardInterrupt``,
-        interpreter shutdown races) falls back to terminate instead of
-        leaking ``BrokenProcessPool``/resource-tracker warnings out of
-        ``atexit``.
+        interrupted map may leave chunks running and a drain would
+        wait on them.  (``ProcessPoolExecutor`` has no
+        ``terminate_workers()`` before Python 3.14: the workers are
+        terminated, and the broken pool's own thread reaps them.)
+        Either way teardown is quiet: a shutdown that fails
+        (interpreter shutdown races) falls back to terminating the
+        workers instead of leaking noise out of ``atexit``.
         """
         self._closed = True
         self._inline_ctxs.clear()
@@ -1402,20 +1511,20 @@ class PersistentSweepExecutor:
         if pool is None:
             return
         terminate = terminate or self._interrupted
+        processes = list((pool._processes or {}).values())
         try:
             if terminate:
-                pool.terminate()
-            else:
-                pool.close()
-            pool.join()
+                for process in processes:
+                    process.terminate()
+            pool.shutdown(wait=True, cancel_futures=True)
         except BaseException:
             # last resort: never let teardown noise escape -- kill the
             # workers and swallow whatever state the pool was left in
-            try:
-                pool.terminate()
-                pool.join()
-            except BaseException:  # pragma: no cover - interpreter exit
-                pass
+            for process in processes:
+                try:
+                    process.terminate()
+                except BaseException:  # pragma: no cover - interpreter exit
+                    pass
             if not terminate:
                 raise
 

@@ -54,7 +54,7 @@ from ..obs.logging import AccessLogger, new_request_id
 from ..obs.metrics import REGISTRY, MetricsRegistry
 from ..obs.process import process_info
 from ..obs.trace import add_complete_event, now_us, span
-from ..resilience.sweep import SweepRequestError
+from ..resilience.sweep import SweepRequestError, WorkerDiedError
 from .protocol import (
     ServeError,
     request_key,
@@ -101,6 +101,7 @@ _STATUS_TEXT = {
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
+    503: "Service Unavailable",
 }
 
 
@@ -113,14 +114,17 @@ def _serve_error(exc: Exception) -> ServeError:
 
     A :class:`ServeError` stands as raised.  A sweep request the built
     machine rejects (the stratified trial floor, traffic it cannot
-    carry) is the caller's mistake, a 400 like a door check; anything
-    else is a 500 ``internal``.  Plain answers and stream error lines
-    both come from here.
+    carry) is the caller's mistake, a 400 like a door check; a pool
+    worker that died mid-run is a 503 ``worker_died`` (the next request
+    runs on a fresh pool); anything else is a 500 ``internal``.  Plain
+    answers and stream error lines both come from here.
     """
     if isinstance(exc, ServeError):
         return exc
     if isinstance(exc, SweepRequestError):
         return ServeError(str(exc), code=exc.code, details=exc.details)
+    if isinstance(exc, WorkerDiedError):
+        return ServeError(str(exc), code="worker_died", status=503)
     return ServeError(
         f"{type(exc).__name__}: {exc}", code="internal", status=500
     )

@@ -32,7 +32,7 @@ with no surviving target, and the conservation re-walk
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,13 +48,26 @@ class CouplerTables:
     ``groups`` maps processor -> group; ``sources`` and ``is_target``
     are ``(couplers, n + 1)`` incidence masks, and ``targets`` lists
     each coupler's targets in hyperarc order, padded with ``n`` (whose
-    mask column is all false).
+    mask column is all false).  ``source_csr`` and ``target_csr``, the
+    ``(indptr, processors)`` incidence of each coupler, ascending, are
+    derived from the masks, so :func:`dataclasses.replace` keeps them
+    in step.
     """
 
     groups: np.ndarray  # (n,) int64
     sources: np.ndarray
     is_target: np.ndarray
     targets: np.ndarray  # (couplers, width) int64
+    source_csr: tuple = field(init=False, repr=False, compare=False)
+    target_csr: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n, m = len(self.groups), len(self.sources)
+        for name, mask in (("source_csr", self.sources), ("target_csr", self.is_target)):
+            coupler, member = np.nonzero(mask[:, :n])
+            indptr = np.zeros(m + 1, dtype=np.int64)
+            np.cumsum(np.bincount(coupler, minlength=m), out=indptr[1:])
+            object.__setattr__(self, name, (indptr, member))
 
     @classmethod
     def from_hypergraph(cls, model: DirectedHypergraph, groups) -> "CouplerTables":
@@ -85,6 +98,9 @@ class StackedSimulator:
     traffic:
         ``(src, dst, inject_slot)`` triples, injected into every view
         at slot 0.  Row ``b * M + i`` is message ``i`` of view ``b``.
+
+    A slot reads its tables through 1-D gathers: flat next hops, dead
+    couplers, ``(view, coupler)`` cells and coupler tables.
     """
 
     def __init__(
@@ -95,11 +111,18 @@ class StackedSimulator:
             check_message(src, dst, slot, len(tables.groups), 0)
         triples = np.asarray(traffic, dtype=np.int64).reshape(-1, 3)
         views, count = len(next_hops), len(triples)
+        m, g = len(tables.sources), next_hops.shape[1]
         self.tables, self.next_hops, self.num_messages = tables, next_hops, count
-        # one padding column each (processor n, coupler -1), always dead
-        pad = ((0, 0), (0, 1))
-        self._dead_processors = np.pad(dead_processors, pad, constant_values=True)
-        self._dead_couplers = np.pad(dead_couplers, pad, constant_values=True)
+        self._next_flat = np.ascontiguousarray(next_hops).reshape(-1)
+        self._sources, self._is_target, self._targets = (
+            np.ravel(a) for a in (tables.sources, tables.is_target, tables.targets)
+        )
+        # one padding column each, always dead: processor n last, and
+        # coupler -1 first, so row b's coupler c is flat b * (m + 1) + c + 1
+        self._dead_processors = np.pad(dead_processors, ((0, 0), (0, 1)),
+                                       constant_values=True)
+        self._dead_flat = np.pad(dead_couplers, ((0, 0), (1, 0)),
+                                 constant_values=True).reshape(-1)
         self.view = np.repeat(np.arange(views), count)
         self.ident = np.tile(np.arange(count), views)
         self.src, self.dst, self.inject_slot = np.tile(triples.T, views)
@@ -111,6 +134,9 @@ class StackedSimulator:
         self.trace = np.full((views * count, 4), -1, dtype=np.int64)
         ends = np.stack([self.src, self.dst], axis=1)
         self._lost = self._dead_processors[self.view[:, None], ends].any(axis=1)
+        #: a row's next hop is _next_flat[_route[row] + _group_row[holder]]
+        self._route = self.view * (g * g) + tables.groups[self.dst]
+        self._group_row = tables.groups * g
         # (view, coupler) cells whose relay needs the live-target
         # count: a target died, or no target is alive at all
         listed = tables.targets < len(tables.groups)
@@ -120,8 +146,12 @@ class StackedSimulator:
         self._intact_counts = np.maximum(counts, 1)
         #: inject slots span [0, _slots): the winner sort key's radix
         self._slots = int(triples[:, 2].max(initial=0)) + 1
+        #: the narrowest unsigned type of a winner key (16 bits and
+        #: less sort by radix)
+        self._key_type = np.min_scalar_type(max(views * m * self._slots - 1, 0))
         #: unsettled rows, ascending (view-major, then injection order)
         self._live = np.arange(views * count)
+        self._open = np.ones(views * count, dtype=bool)
         self._waiting = bool((triples[:, 2] > 0).any())
         self._now = 0
 
@@ -140,7 +170,8 @@ class StackedSimulator:
 
     def step(self) -> None:
         """Execute one slot of every view."""
-        now, live, groups = self._now, self._live, self.tables.groups
+        now, live, tables = self._now, self._live, self.tables
+        m, stride = tables.sources.shape
         if self._waiting:
             live = live[self.inject_slot[live] <= now]
             self._waiting = live.size < self._live.size
@@ -148,22 +179,26 @@ class StackedSimulator:
         home = holder == dst
         if home.any():  # delivered at injection (src == dst): zero slots
             self.deliver_slot[live[home]] = now
+            self._open[live[home]] = False
             live, holder, dst = live[~home], holder[~home], dst[~home]
         view = self.view[live]
-        coupler = self.next_hops[view, groups[holder], groups[dst]]
+        coupler = self._next_flat[self._route[live] + self._group_row[holder]]
         coupler[self._lost[live]] = -1
-        keep = ~self._dead_couplers[view, coupler]  # -1: the dead padding
-        self.drop_slot[live[~keep]] = now
-        live, holder, dst, view, coupler = (
-            a[keep] for a in (live, holder, dst, view, coupler)
-        )
-        sourced = self.tables.sources[coupler, holder]
+        keep = ~self._dead_flat[view * (m + 1) + coupler + 1]  # -1: the dead padding
+        if not keep.all():
+            dropped = live[~keep]
+            self.drop_slot[dropped] = now
+            self._open[dropped] = False
+            live, holder, dst, view, coupler = (
+                a[keep] for a in (live, holder, dst, view, coupler)
+            )
+        sourced = self._sources[coupler * stride + holder]
         if not sourced.all():
             i = np.argmin(sourced)
             raise RuntimeError(
                 f"routing returned coupler {coupler[i]} not sourced at {holder[i]}"
             )
-        win = self._winners(view * len(self.tables.targets) + coupler, live)
+        win = self._winners(view * m + coupler, live)
         rows, coupler, dst = live[win], coupler[win], dst[win]
         relay = self._relay(view[win], coupler, dst)
         hops = self.hops[rows] + 1
@@ -172,10 +207,10 @@ class StackedSimulator:
             self.trace = np.pad(self.trace, ((0, 0), (0, hops.max())), constant_values=-1)
         self.trace[rows, hops - 1] = coupler
         self.holder[rows] = relay
-        self.deliver_slot[rows[relay == dst]] = now
-        live = self._live
-        settle = np.maximum(self.deliver_slot[live], self.drop_slot[live])
-        self._live = live[settle < 0]
+        arrived = rows[relay == dst]
+        self.deliver_slot[arrived] = now
+        self._open[arrived] = False
+        self._live = self._live[self._open[self._live]]
         self._now += 1
 
     def _winners(self, cell, live) -> np.ndarray:
@@ -186,9 +221,11 @@ class StackedSimulator:
         so one stable sort on ``(cell, inject slot)`` keeps that
         tie-break.  Ascending by cell.
         """
-        order = np.argsort(cell * self._slots + self.inject_slot[live], kind="stable")
+        key = cell * self._slots + self.inject_slot[live]
+        order = np.argsort(key.astype(self._key_type), kind="stable")
+        cell = cell[order]
         first = np.ones(order.size, dtype=bool)
-        first[1:] = cell[order[1:]] != cell[order[:-1]]
+        first[1:] = cell[1:] != cell[:-1]
         return order[first]
 
     def _relay(self, view, coupler, dst) -> np.ndarray:
@@ -199,10 +236,11 @@ class StackedSimulator:
         count their live targets.
         """
         tables = self.tables
-        direct = tables.is_target[coupler, dst]
-        intact = tables.targets[coupler, dst % self._intact_counts[coupler]]
-        relay = np.where(direct, dst, intact)
-        slow = np.flatnonzero(self._dirty[view, coupler] & ~direct)
+        (m, stride), width = tables.sources.shape, tables.targets.shape[1]
+        direct = self._is_target[coupler * stride + dst]
+        offset = dst % self._intact_counts[coupler]
+        relay = np.where(direct, dst, self._targets[coupler * width + offset])
+        slow = np.flatnonzero(self._dirty.reshape(-1)[view * m + coupler] & ~direct)
         if slow.size:
             row = tables.targets[coupler[slow]]
             alive = ~self._dead_processors[view[slow, None], row]
@@ -213,7 +251,7 @@ class StackedSimulator:
             offset = dst[slow] % count
             pos = (np.cumsum(alive, axis=1) > offset[:, None]).argmax(axis=1)
             relay[slow] = row[np.arange(slow.size), pos]
-        listed = tables.is_target[coupler, relay]
+        listed = self._is_target[coupler * stride + relay]
         if not listed.all():
             i = np.argmin(listed)
             raise RuntimeError(
@@ -228,7 +266,8 @@ class StackedSimulator:
         <repro.simulation.engine.SlottedSimulator.verify_conservation>`:
         every row settled exactly once, and each delivered row has as
         many trace entries as hops and re-walks from ``src`` to ``dst``
-        over its couplers' intact targets.
+        over its couplers' intact targets.  Hop ``h`` walks only the
+        rows with more than ``h`` hops.
         """
         delivered = self.deliver_slot >= 0
         if (delivered == (self.drop_slot >= 0)).any():  # neither, or both
@@ -238,15 +277,19 @@ class StackedSimulator:
         if ((self.trace >= 0).sum(axis=1)[rows] != hops).any():
             return False
         tables, cur, dst = self.tables, self.src[rows], self.dst[rows]
+        (_, stride), width = tables.sources.shape, tables.targets.shape[1]
         counts = np.maximum(tables.is_target.sum(axis=1), 1)
-        for h in range(self.trace.shape[1]):
-            on = hops > h
-            coupler = np.where(on, self.trace[rows, h], 0)
-            if not tables.sources[coupler, cur][on].all():
+        trace, span = self.trace.reshape(-1), self.trace.shape[1]
+        on = np.flatnonzero(hops)  # rows still hopping
+        for h in range(span):
+            on = on[hops[on] > h]
+            if not on.size:
+                break
+            coupler, at, to = trace[rows[on] * span + h], cur[on], dst[on]
+            if not self._sources[coupler * stride + at].all():
                 return False
-            intact = tables.targets[coupler, dst % counts[coupler]]
-            step = np.where(tables.is_target[coupler, dst], dst, intact)
-            cur = np.where(on, step, cur)
+            intact = self._targets[coupler * width + to % counts[coupler]]
+            cur[on] = np.where(self._is_target[coupler * stride + to], to, intact)
         return bool((cur == dst).all())
 
     def outcomes(self) -> list[tuple[float, int, float, int]]:

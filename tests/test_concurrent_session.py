@@ -12,13 +12,13 @@ BrokenProcessPool noise or resource-tracker warnings.
 """
 
 import json
+import os
+import re
 import signal
 import subprocess
 import sys
 import threading
 import time
-
-import pytest
 
 from repro.core.session import Session
 
@@ -303,3 +303,64 @@ class TestGracefulShutdown:
             probe.close(terminate=True)
             assert time.monotonic() - start < 30
         assert probe.closed
+
+
+class TestWorkerDeath:
+    """A SIGKILLed pool worker is an error within seconds, never a hang."""
+
+    @staticmethod
+    def _deaths():
+        from repro.obs.metrics import REGISTRY
+
+        series = REGISTRY.series("repro_worker_deaths_total").values()
+        return sum(counter.value for counter in series)
+
+    def test_killed_worker_raises_and_the_next_sweep_runs(self, kill_a_worker):
+        from repro.resilience.sweep import WorkerDiedError
+
+        before = self._deaths()
+        session = Session(workers=2)
+
+        def sweep(trials, outcome):
+            try:
+                session.resilience_sweep("sk(6,3,2)", faults=2, trials=trials, seed=1)
+                outcome["error"] = None
+            except Exception as exc:
+                outcome["error"] = exc
+
+        try:
+            # 0.5 s into 20,000 trials; a host that finishes those first
+            # gets 200,000
+            for trials in (20_000, 200_000):
+                outcome = {}
+                thread = threading.Thread(target=sweep, args=(trials, outcome), daemon=True)
+                thread.start()
+                killed = kill_a_worker(session._executor_for(2), running=thread.is_alive)
+                thread.join(10)
+                assert not thread.is_alive(), "no answer 10 s after a worker died"
+                if killed:
+                    break
+            error = outcome["error"]
+            assert isinstance(error, WorkerDiedError), error
+            assert re.search(r"trials \d+\.\.\d+ of sk\(6,3,2\)", str(error)), error
+            assert self._deaths() == before + 1
+            # the broken pool is gone: the next call runs on a fresh one
+            summary = session.resilience_sweep("sk(6,3,2)", faults=2, trials=8, seed=1)
+            assert summary.trials == 8 and session.pools_started == 1
+        finally:
+            session.close(terminate=True)
+
+    def test_worker_killed_between_runs_costs_no_run(self):
+        before = self._deaths()
+        with Session(workers=2) as session:
+            expected = session.resilience_sweep("sk(2,2,2)", trials=40, seed=2)
+            pool = session._executor_for(2)._pool
+            os.kill(next(iter(pool._processes)), signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while not pool._broken:
+                assert time.monotonic() < deadline, "the pool never noticed"
+                time.sleep(0.01)
+            again = session.resilience_sweep("sk(2,2,2)", trials=40, seed=2)
+            assert again.to_json() == expected.to_json()
+            assert session._executor_for(2)._pool is not pool
+        assert self._deaths() == before + 1

@@ -18,6 +18,7 @@ import json
 
 import pytest
 
+import repro
 from repro.core.session import Session
 from repro.obs.logging import AccessLogger, new_request_id
 from repro.obs.metrics import (
@@ -419,8 +420,9 @@ class TestByteIdentity:
 
         trials, batch = 40, 3
         net = build("sk(6,3,2)")
-        # the widest per-view axis: 6 targets on each of 48 couplers
-        cells = max(net.num_groups**2, 60, _network_state(net)[-1].targets.size)
+        # the widest per-trial axis: the message rows' columns
+        cells = max(net.num_groups**2, 60 * sweep._MESSAGE_COLUMNS,
+                    _network_state(net)[-1].targets.size)
         monkeypatch.setattr(sweep, "_VECTOR_CELL_BUDGET", batch * cells)
         chunks = sweep._index_chunks(trials, workers) if workers else [(0, trials)]
         sub_batches = sum(-(-(hi - lo) // batch) for lo, hi in chunks)
@@ -497,6 +499,29 @@ class TestByteIdentity:
             session.resilience_sweep("sk(2,2,2)", trials=16, seed=0)
         series = REGISTRY.series("repro_sweep_trials_total")
         assert sum(c.value for c in series.values()) == 16
+
+    def test_direct_scorer_calls_count_where_they_run(self):
+        """50 direct ``replay_trace`` calls, a reset, a 100-trial sweep:
+        the registry holds that sweep's series only."""
+        from repro.resilience.degrade import stack_views
+        from repro.temporal import TemporalRequest, prepare_temporal_sweep, replay_trace
+
+        prepared = prepare_temporal_sweep(
+            "sk(2,2,2)", TemporalRequest(trials=50, horizon=200, faults=2)
+        )
+        ctx = prepared.plan.build_context(net=prepared.net)
+        for index in range(50):
+            replay_trace(ctx, ctx.trace(index))
+        direct = REGISTRY.series("repro_kernel_rows_total")
+        assert sum(counter.value for counter in direct.values()) > 0
+        REGISTRY.reset()
+        with Session(workers=0) as session:
+            session.resilience_sweep("sk(2,2,2)", trials=100, seed=0)
+        assert not REGISTRY.series("repro_kernel_rows_total")
+        # a direct route_lengths call counts in the registry at once too
+        view = repro.degrade("sk(6,3,2)", faults=6, seed=3)
+        view.family.route_lengths(view.net, stack_views([view]))
+        assert REGISTRY.series("repro_route_reroutes_total")
 
     def test_cache_ops_counted(self):
         REGISTRY.reset()

@@ -255,7 +255,11 @@ class TestStackedRows:
         prepared = _prepare_sweep(spec, request)
         ctx = prepared.plan.build_context(net=prepared.net)
         bound = prepared.plan.bound
-        oracle = [_per_view_row(ctx.view(i), metrics, bound) for i in range(200)]
+        oracle = [
+            _per_view_row(DegradedNetwork(ctx.net, ctx.scenario(i), family=ctx.family),
+                          metrics, bound)
+            for i in range(200)
+        ]
         assert ctx.run_range(0, 200) == oracle
         for batch in (1, 7, 25, 200):  # sub-batches, across a chunk boundary
             ctx.batch = batch

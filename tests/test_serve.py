@@ -803,3 +803,47 @@ class TestAdmissionControl:
                 t.join(30)
             assert len(results) == 3
             assert client.server.admission.rejected == 0
+
+
+def test_a_dead_worker_is_a_503_and_a_stream_error_line(kill_a_worker):
+    # a SIGKILLed pool worker mid-request: a structured 503 plain, the
+    # same error as a stream's last line, and the next request runs on
+    # a fresh pool
+    with run_in_thread(workers=2) as client:
+        executor = client.server.session._executor_for(2)
+        outcome = {}
+
+        def call(name, run, trials):
+            try:
+                outcome[name] = run(trials)
+            except ServeHTTPError as exc:
+                outcome[name] = exc
+
+        runs = {
+            "plain": lambda trials: client.sweep(
+                "sk(6,3,2)", faults=2, trials=trials, seed=1
+            ),
+            "stream": lambda trials: list(client.stream_experiment(
+                {"specs": ["sk(6,3,2)"], "models": ["coupler:2"],
+                 "metrics": ["full"], "trials": [trials], "seed": 1}
+            )),
+        }
+        for name, run in runs.items():
+            # 0.5 s into 20,000 trials; a host that finishes those first
+            # gets 200,000
+            for trials in (20_000, 200_000):
+                thread = threading.Thread(
+                    target=call, args=(name, run, trials), daemon=True
+                )
+                thread.start()
+                killed = kill_a_worker(executor, running=thread.is_alive)
+                thread.join(10)
+                assert not thread.is_alive(), f"{name}: no answer 10 s after a worker died"
+                if killed:
+                    break
+        plain, stream = outcome["plain"], outcome["stream"]
+        assert (plain.status, plain.code) == (503, "worker_died"), plain
+        assert "sk(6,3,2)" in str(plain)
+        assert stream[-1]["error"]["code"] == "worker_died", stream
+        result, _ = client.sweep("sk(6,3,2)", faults=2, trials=8, seed=1)
+        assert result["trials"] == 8

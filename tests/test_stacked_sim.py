@@ -67,6 +67,20 @@ def _views(spec, model, faults, seeds):
     ]
 
 
+def _oracle_view(ctx, index):
+    """Trial ``index``'s degraded view: the per-trial path the masks replace."""
+    return DegradedNetwork(ctx.net, ctx.scenario(index), family=ctx.family)
+
+
+def _view_rows(views, metrics, **kw):
+    """:func:`stack_rows` of views, each row's scenario fields its view's."""
+    scenarios = [view.scenario for view in views]
+    return stack_rows(
+        stack_views(views), metrics, spec=scenarios[0].spec, model=scenarios[0].model,
+        seeds=[s.seed for s in scenarios], sizes=[s.size for s in scenarios], **kw,
+    )
+
+
 def _scalar_row(view, traffic, bound, baseline):
     """A ``full`` row the scalar way: per-view metrics, the slotted engine."""
     conn = connectivity_metrics(view, with_reachable=False)
@@ -99,14 +113,17 @@ def _scalar_row(view, traffic, bound, baseline):
     ).as_dict()
 
 
-def _assert_matches_scalar(spec, model, faults, seeds, traffic):
+def _assert_matches_scalar(spec, model, faults, seeds, traffic, wide=False):
     """Every message and view of one stacked run equals its scalar run,
-    holders slot by slot included."""
+    holders slot by slot included; ``wide`` sorts winner keys as int64
+    instead of the narrowest unsigned type."""
     stack = stack_views(_views(spec, model, faults, seeds))
     stacked = StackedSimulator(
         stack.tables, next_hop_table(stack.arcs, stack.dist),
         stack.dead_processors, stack.dead_couplers, traffic,
     )
+    if wide:
+        stacked._key_type = np.dtype(np.int64)
     holders = []
     while ((stacked.deliver_slot < 0) & (stacked.drop_slot < 0)).any():
         stacked.step()
@@ -158,12 +175,15 @@ class TestEngineMatchesScalar:
         messages=st.integers(1, 40),
         seed=st.integers(-5, 10**6),
         views=st.integers(1, 6),
+        wide=st.booleans(),
     )
-    def test_messages_and_slots(self, spec, model, faults, workload, messages, seed, views):
+    def test_messages_and_slots(
+        self, spec, model, faults, workload, messages, seed, views, wide
+    ):
         net = build(spec)
         traffic = resolve_workload(workload, net, messages=messages, seed=seed)
         _assert_matches_scalar(spec, model, faults, [seed + 7 * b for b in range(views)],
-                               traffic)
+                               traffic, wide)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -179,7 +199,27 @@ class TestEngineMatchesScalar:
     def test_arbitrary_traffic(self, spec, model, faults, seed, traffic):
         """Injection out of id order, repeated pairs, self-addressed
         messages: the oldest request wins, ties to the lowest id."""
-        _assert_matches_scalar(spec, model, faults, [seed, seed + 1, seed + 2], traffic)
+        for wide in (False, True):
+            _assert_matches_scalar(
+                spec, model, faults, [seed, seed + 1, seed + 2], traffic, wide
+            )
+
+    @pytest.mark.parametrize(
+        ("views", "slots", "key_type"),
+        [(100, 1, np.uint16), (30, 72, np.uint32), (1, 2, np.uint8)],
+    )
+    def test_winner_keys_take_the_narrowest_type(self, views, slots, key_type):
+        """sk(6,3,2)'s 36 couplers: a 100-view chunk of one-slot traffic
+        sorts 16-bit keys (numpy's radix sort), as its scalar runs."""
+        spec = "sk(6,3,2)"
+        traffic = [(p, (5 * p + 7) % 72, p % slots) for p in range(72)]
+        stack = stack_views(_views(spec, "coupler", 2, range(views)))
+        sim = StackedSimulator(
+            stack.tables, next_hop_table(stack.arcs, stack.dist),
+            stack.dead_processors, stack.dead_couplers, traffic,
+        )
+        assert sim._key_type == key_type
+        _assert_matches_scalar(spec, "coupler", 2, range(views), traffic)
 
     def test_processor_faults_kill_relays_and_endpoints(self):
         """Dead endpoints drop at their first request; no slot hands a
@@ -330,7 +370,9 @@ class TestSlotPassShortcuts:
         order = np.lexsort((sim.ident[live], sim.inject_slot[live], cell))
         first = np.ones(order.size, dtype=bool)
         first[1:] = cell[order[1:]] != cell[order[:-1]]
-        assert sim._winners(cell, live).tolist() == order[first].tolist()
+        for key_type in (sim._key_type, np.dtype(np.int64)):  # narrow and wide
+            sim._key_type = key_type
+            assert sim._winners(cell, live).tolist() == order[first].tolist()
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +401,7 @@ class TestRowsMatchScalar:
         prepared, ctx = self._prepared(spec, model, faults, workload, 200)
         plan = prepared.plan
         oracle = [
-            _scalar_row(ctx.view(i), ctx.traffic, plan.bound, plan.baseline_mean_latency)
+            _scalar_row(_oracle_view(ctx, i), ctx.traffic, plan.bound, plan.baseline_mean_latency)
             for i in range(200)
         ]
         assert ctx.run_range(0, 200) == oracle
@@ -374,7 +416,7 @@ class TestRowsMatchScalar:
             prepared, ctx = self._prepared(spec, model, faults, workload, trials)
             plan = prepared.plan
             oracle = _summarize(prepared, [
-                _scalar_row(ctx.view(i), ctx.traffic, plan.bound,
+                _scalar_row(_oracle_view(ctx, i), ctx.traffic, plan.bound,
                             plan.baseline_mean_latency)
                 for i in range(trials)
             ])
@@ -390,7 +432,7 @@ class TestRowsMatchScalar:
         )
         plan = prepared.plan
         oracle = _summarize(prepared, [
-            _scalar_row(ctx.view(i), ctx.traffic, plan.bound, plan.baseline_mean_latency)
+            _scalar_row(_oracle_view(ctx, i), ctx.traffic, plan.bound, plan.baseline_mean_latency)
             for i in range(60)
         ])
         kw = dict(model="coupler", faults=2, trials=60, seed=5, messages=30,
@@ -429,7 +471,7 @@ class TestChecksFire:
         net = build(self.SPEC)
         traffic = resolve_workload("uniform", net, messages=30, seed=1)
         views = views or _views(self.SPEC, "coupler", 1, range(4))
-        return stack_rows(
+        return _view_rows(
             views, "full", traffic=traffic, bound=4, max_slots=max_slots,
             baseline_mean_latency=2.0,
         )
@@ -551,7 +593,7 @@ class TestChecksFire:
             ([(0, 1, -2)], r"cannot inject into past slot -2 \(now 0\)"),
         ):
             with pytest.raises(ValueError, match=message):
-                stack_rows(views, "full", traffic=traffic, bound=4, max_slots=100,
+                _view_rows(views, "full", traffic=traffic, bound=4, max_slots=100,
                            baseline_mean_latency=1.0)
 
 
@@ -575,7 +617,7 @@ class TestDegenerateRuns:
             [DegradedNetwork(net, FaultScenario(spec, "none", 0))],
             _views(spec, "processor", 1, range(5)),
         ):
-            rows = stack_rows(views, "full", traffic=traffic, bound=net.diameter + 2,
+            rows = _view_rows(views, "full", traffic=traffic, bound=net.diameter + 2,
                               max_slots=100, baseline_mean_latency=1.0)
             assert rows == [
                 _scalar_row(view, traffic, net.diameter + 2, 1.0)
@@ -589,7 +631,7 @@ class TestDegenerateRuns:
         )
         plan = prepared.plan
         oracle = _summarize(prepared, [
-            _scalar_row(ctx.view(i), ctx.traffic, plan.bound, plan.baseline_mean_latency)
+            _scalar_row(_oracle_view(ctx, i), ctx.traffic, plan.bound, plan.baseline_mean_latency)
             for i in range(3)
         ])
         kw = dict(trials=3, workload=workload, messages=4)

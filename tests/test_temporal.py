@@ -523,20 +523,18 @@ class TestSessionExecutor:
 
     def test_sweeps_and_process_cells_share_one_pool(self, monkeypatch):
         """4 replays + a 2x3 grid with 4 process cells build ONE pool."""
-        import multiprocessing.pool
+        from concurrent.futures import ProcessPoolExecutor
 
         from repro.core.session import Session
 
         built = []
-        original = multiprocessing.pool.Pool.__init__
+        original = ProcessPoolExecutor.__init__
 
         def counting_init(self, *args, **kwargs):
             built.append(1)
             original(self, *args, **kwargs)
 
-        monkeypatch.setattr(
-            multiprocessing.pool.Pool, "__init__", counting_init
-        )
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
         with Session(workers=2) as session:
             for seed in range(4):
                 session.temporal_sweep(

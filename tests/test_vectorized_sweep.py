@@ -255,8 +255,7 @@ class TestSharedRows:
         assert scored <= 18 * sum(-(-(hi - lo) // ctx.batch) for lo, hi in chunks)
 
         def run():
-            # direct score() calls of other tests land in this process's
-            # worker registry until a chunk drains it
+            # start from empty registries
             reset_worker_registry()
             REGISTRY.reset()
             with Session(workers=workers) as session:
